@@ -23,15 +23,7 @@ from typing import Optional, Sequence
 
 from . import combine
 from .errors import ConfigError, DomainError, FedsurvError
-from .evaluation import (
-    AlarmSeries,
-    MatchWindow,
-    alarms_from_pvalues,
-    f1,
-    match_alarms,
-    pr_curve,
-    precision_recall,
-)
+from .evaluation import AlarmSeries, MatchWindow, f1, pr_curve
 from .experiments import (
     DEFAULT_THRESHOLDS,
     POWER_METHODS,
@@ -484,9 +476,7 @@ def cmd_evaluate(args) -> int:
     curve = pr_curve(pvalues, truth, window, thresholds)
     rows = []
     for point in curve.points:
-        predicted = alarms_from_pvalues(pvalues, point.threshold)
-        counts = match_alarms(truth, predicted, window)
-        precision, recall = precision_recall(counts)
+        precision, recall = point.precision, point.recall
         rows.append(
             (_fmt(point.threshold), _fmt(precision), _fmt(recall), _fmt(f1(precision, recall)))
         )

@@ -1,13 +1,12 @@
 """p-value combination: four classic combiners plus share-weighted variants.
 
-Every method consumes an EvidenceSet (per-site p-values, optionally shares
-s_i, a total count n, and the null binomial probability rho) and returns
-the combined p together with the underlying statistic.
-
-Each public function has a batch twin operating on a (N, M) matrix of
-p-values (column j is one evidence set) which the Monte Carlo engines
-use; the scalar functions delegate to the batch kernels so the two paths
-cannot drift.
+All nine methods live in one table: method id -> batch kernel and the
+weighting context (shares, total count, rho) the kernel needs. Both entry
+points go through the same validation and the same kernel:
+``combine_matrix`` combines each column of an (N, M) p-value matrix, the
+form the Monte Carlo engines use, and ``combine_by_id`` combines one
+EvidenceSet as the M = 1 case, returning the combined p together with the
+underlying statistic.
 """
 
 from __future__ import annotations
@@ -21,36 +20,12 @@ from .errors import ConfigError, DomainError
 
 CLAMP_EPS = 1e-15
 
-METHOD_IDS = (
-    "stouffer",
-    "fisher",
-    "pearson",
-    "tippett",
-    "wstouffer",
-    "cstouffer",
-    "wfisher",
-    "goods",
-    "lancaster",
-)
-
-# methods that cannot run without per-site shares
-SHARE_METHODS = frozenset({"wstouffer", "cstouffer", "wfisher", "goods", "lancaster"})
-
 __all__ = [
     "CLAMP_EPS",
     "METHOD_IDS",
     "SHARE_METHODS",
     "EvidenceSet",
     "CombinedResult",
-    "stouffer",
-    "fisher",
-    "pearson",
-    "tippett",
-    "weighted_stouffer",
-    "corrected_stouffer",
-    "wfisher",
-    "goods",
-    "lancaster",
     "combine_by_id",
     "combine_matrix",
 ]
@@ -61,8 +36,8 @@ class EvidenceSet:
     """Per-site p-values with optional weighting context.
 
     shares must be nonnegative and sum to 1; total_count and rho are only
-    needed by the continuity-corrected combiner (and by the registry's
-    degrees-of-freedom rule for Lancaster).
+    needed by the continuity-corrected combiner (and by Lancaster's
+    degrees-of-freedom rule, which needs total_count).
     """
 
     p_values: tuple[float, ...]
@@ -129,6 +104,7 @@ def _shares_column(shares, n_sites: int) -> np.ndarray:
 # Each takes P of shape (N, M), returns (combined_p, statistic) of shape (M,).
 
 def stouffer_matrix(p_matrix: np.ndarray):
+    """Phi(sum of z-scores / sqrt(N)); the statistic is the raw z sum."""
     z = special.ndtri(_clamped(p_matrix))
     stat = z.sum(axis=0)
     n = p_matrix.shape[0]
@@ -136,20 +112,22 @@ def stouffer_matrix(p_matrix: np.ndarray):
 
 
 def fisher_matrix(p_matrix: np.ndarray):
+    """Upper chi-square(2N) tail of -2 * sum(log p_i)."""
     stat = -2.0 * np.log(_clamped(p_matrix)).sum(axis=0)
     n = p_matrix.shape[0]
     return special.gammaincc(float(n), stat / 2.0), stat
 
 
-def pearson_matrix(p_matrix: np.ndarray, upper_tail: bool = False):
+def pearson_matrix(p_matrix: np.ndarray):
+    """Lower chi-square(2N) tail of -2 * sum(log(1-p_i)): small p_i shrink
+    the statistic, so evidence lies in the lower tail."""
     stat = -2.0 * np.log1p(-_clamped(p_matrix)).sum(axis=0)
     n = p_matrix.shape[0]
-    if upper_tail:
-        return special.gammaincc(float(n), stat / 2.0), stat
     return special.gammainc(float(n), stat / 2.0), stat
 
 
 def tippett_matrix(p_matrix: np.ndarray):
+    """1 - (1 - min p_i)^N; the statistic is the minimum p-value."""
     stat = p_matrix.min(axis=0)
     n = p_matrix.shape[0]
     # min p == 1 rides through log1p as -inf and lands on exactly 1.0
@@ -158,12 +136,18 @@ def tippett_matrix(p_matrix: np.ndarray):
 
 
 def weighted_stouffer_matrix(p_matrix: np.ndarray, shares):
+    """Phi(sum of sqrt(s_i) * z_i); equals stouffer at equal shares."""
     sqrt_s = np.sqrt(_shares_column(shares, p_matrix.shape[0]))
     stat = (sqrt_s * special.ndtri(_clamped(p_matrix))).sum(axis=0)
     return special.ndtr(stat), stat
 
 
 def corrected_stouffer_matrix(p_matrix: np.ndarray, shares, total_count, rho):
+    """Weighted Stouffer plus the continuity term (1-N)/(2*sqrt(rho*(1-rho)*n)).
+
+    The term is zero at N=1 and strictly negative otherwise, making the
+    combined p-value smaller (less conservative).
+    """
     n_sites = p_matrix.shape[0]
     sqrt_s = np.sqrt(_shares_column(shares, n_sites))
     base = (sqrt_s * special.ndtri(_clamped(p_matrix))).sum(axis=0)
@@ -175,6 +159,13 @@ def corrected_stouffer_matrix(p_matrix: np.ndarray, shares, total_count, rho):
 
 
 def wfisher_matrix(p_matrix: np.ndarray, shares):
+    """Share-weighted Fisher: Gamma(s_i*N, 1/2) transforms, chi-square(2N) null.
+
+    Site i's p-value maps to the (1-p_i)-quantile of Gamma(s_i*N, 1/2), so
+    the weighted degrees of freedom sum to the unweighted method's 2N and
+    the statistic keeps an exact chi-square(2N) null; equal shares reduce
+    to fisher.
+    """
     n_sites = p_matrix.shape[0]
     shapes = _shares_column(shares, n_sites) * n_sites
     # (1-p)-quantile of Gamma(s_i*N, 1/2), via the survival inverse so tiny
@@ -190,6 +181,13 @@ def wfisher_matrix(p_matrix: np.ndarray, shares):
 
 
 def goods_matrix(p_matrix: np.ndarray, shares):
+    """Weighted log sum -2 * sum(s_i*N * log p_i) referred to chi-square(2N).
+
+    The chi-square null is an approximation (the exact null of a weighted
+    sum of exponentials is not chi-square); it is used here as stated in
+    the method's classical formulation, with weights w_i = s_i*N chosen so
+    the nominal degrees of freedom match fisher's.
+    """
     n_sites = p_matrix.shape[0]
     weights = _shares_column(shares, n_sites) * n_sites
     stat = (-2.0 * weights * np.log(_clamped(p_matrix))).sum(axis=0)
@@ -197,6 +195,12 @@ def goods_matrix(p_matrix: np.ndarray, shares):
 
 
 def lancaster_matrix(p_matrix: np.ndarray, dfs):
+    """General Gamma-transform combiner with df_i per site.
+
+    Site i contributes the (1-p_i)-quantile of Gamma(df_i/2, 1/2), a
+    chi-square(df_i) variable under the null, and the sum is referred to
+    chi-square(sum df_i). df_i = 2 recovers fisher.
+    """
     dfs_col = _shares_column(dfs, p_matrix.shape[0])
     if (dfs_col <= 0).any():
         raise ConfigError("degrees of freedom must be positive")
@@ -205,183 +209,82 @@ def lancaster_matrix(p_matrix: np.ndarray, dfs):
     return special.gammaincc(total_df / 2.0, stat / 2.0), stat
 
 
-# --------------------------------------------------------------- scalar API
-
-def _as_matrix(ev: EvidenceSet) -> np.ndarray:
-    return np.asarray(ev.p_values, dtype=float).reshape(ev.n_sites, 1)
-
-
-def _require_shares(ev: EvidenceSet, method: str):
-    if ev.shares is None:
-        raise ConfigError(f"{method} requires per-site shares")
-
-
-def _result(pair, method: str) -> CombinedResult:
-    p, stat = pair
-    return CombinedResult(p=float(p[0]), statistic=float(stat[0]), method=method)
-
-
-def stouffer(ev: EvidenceSet) -> CombinedResult:
-    """Phi(sum of z-scores / sqrt(N)); the statistic is the raw z sum."""
-    return _result(stouffer_matrix(_as_matrix(ev)), "stouffer")
-
-
-def fisher(ev: EvidenceSet) -> CombinedResult:
-    """Upper chi-square(2N) tail of -2 * sum(log p_i)."""
-    return _result(fisher_matrix(_as_matrix(ev)), "fisher")
-
-
-def pearson(ev: EvidenceSet, upper_tail: bool = False) -> CombinedResult:
-    """Lower chi-square(2N) tail of -2 * sum(log(1-p_i)).
-
-    Small p_i shrink the statistic, so evidence lies in the lower tail;
-    upper_tail flips the direction for sensitivity studies.
-    """
-    return _result(pearson_matrix(_as_matrix(ev), upper_tail=upper_tail), "pearson")
-
-
-def tippett(ev: EvidenceSet) -> CombinedResult:
-    """1 - (1 - min p_i)^N; the statistic is the minimum p-value."""
-    return _result(tippett_matrix(_as_matrix(ev)), "tippett")
-
-
-def weighted_stouffer(ev: EvidenceSet) -> CombinedResult:
-    """Phi(sum of sqrt(s_i) * z_i); equals stouffer at equal shares."""
-    _require_shares(ev, "wstouffer")
-    return _result(weighted_stouffer_matrix(_as_matrix(ev), ev.shares), "wstouffer")
-
-
-def corrected_stouffer(ev: EvidenceSet) -> CombinedResult:
-    """Weighted Stouffer plus the continuity term (1-N)/(2*sqrt(rho*(1-rho)*n)).
-
-    The term is zero at N=1 and strictly negative otherwise, making the
-    combined p-value smaller (less conservative); it needs the total count
-    n >= 1 and the null probability rho.
-    """
-    _require_shares(ev, "cstouffer")
-    if ev.total_count is None or ev.total_count < 1:
-        raise ConfigError("cstouffer requires a positive total_count")
-    if ev.rho is None:
-        raise ConfigError("cstouffer requires rho")
-    return _result(
-        corrected_stouffer_matrix(_as_matrix(ev), ev.shares, ev.total_count, ev.rho),
-        "cstouffer",
-    )
-
-
-def wfisher(ev: EvidenceSet) -> CombinedResult:
-    """Share-weighted Fisher: Gamma(s_i*N, 1/2) transforms, chi-square(2N) null.
-
-    Site i's p-value maps to the (1-p_i)-quantile of Gamma(s_i*N, 1/2), so
-    the weighted degrees of freedom sum to the unweighted method's 2N and
-    the statistic keeps an exact chi-square(2N) null; equal shares reduce
-    to fisher.
-    """
-    _require_shares(ev, "wfisher")
-    return _result(wfisher_matrix(_as_matrix(ev), ev.shares), "wfisher")
-
-
-def goods(ev: EvidenceSet) -> CombinedResult:
-    """Weighted log sum -2 * sum(s_i*N * log p_i) referred to chi-square(2N).
-
-    The chi-square null is an approximation (the exact null of a weighted
-    sum of exponentials is not chi-square); it is used here as stated in
-    the method's classical formulation, with weights w_i = s_i*N chosen so
-    the nominal degrees of freedom match fisher's.
-    """
-    _require_shares(ev, "goods")
-    return _result(goods_matrix(_as_matrix(ev), ev.shares), "goods")
-
-
-def lancaster(ev: EvidenceSet, dfs) -> CombinedResult:
-    """General Gamma-transform combiner with caller-chosen df per site.
-
-    Site i contributes the (1-p_i)-quantile of Gamma(df_i/2, 1/2), a
-    chi-square(df_i) variable under the null, and the sum is referred to
-    chi-square(sum df_i). df_i = 2 recovers fisher.
-    """
-    dfs = tuple(float(d) for d in dfs)
-    if len(dfs) != ev.n_sites:
-        raise ConfigError("dfs length must match p-values length")
-    return _result(lancaster_matrix(_as_matrix(ev), dfs), "lancaster")
-
-
-def _lancaster_dfs_from_counts(ev: EvidenceSet) -> tuple[float, ...]:
-    """Registry rule: df_i proportional to the site's count, df_i = s_i * n.
+def _lancaster_by_counts(p_matrix: np.ndarray, shares, totals):
+    """Lancaster with df_i proportional to the site's count, df_i = s_i * n.
 
     Degrees of freedom tied to sample sizes give the classical
-    larger-total-df behavior this combiner is known for; requires shares
-    and total_count.
+    larger-total-df behavior this combiner is known for.
     """
-    _require_shares(ev, "lancaster")
-    if ev.total_count is None or ev.total_count < 1:
-        raise ConfigError("lancaster registry rule requires a positive total_count")
-    return tuple(max(s * ev.total_count, 1e-6) for s in ev.shares)
+    return lancaster_matrix(p_matrix, np.maximum(shares * totals, 1e-6))
 
 
-def combine_by_id(method: str, ev: EvidenceSet) -> CombinedResult:
-    """Dispatch by method identifier (the CLI/config vocabulary)."""
-    if method == "stouffer":
-        return stouffer(ev)
-    if method == "fisher":
-        return fisher(ev)
-    if method == "pearson":
-        return pearson(ev)
-    if method == "tippett":
-        return tippett(ev)
-    if method == "wstouffer":
-        return weighted_stouffer(ev)
-    if method == "cstouffer":
-        return corrected_stouffer(ev)
-    if method == "wfisher":
-        return wfisher(ev)
-    if method == "goods":
-        return goods(ev)
-    if method == "lancaster":
-        return lancaster(ev, _lancaster_dfs_from_counts(ev))
-    raise ConfigError(f"unknown method {method!r}; expected one of {METHOD_IDS}")
+# ------------------------------------------------------------- method table
+# method -> (kernel, needs_shares, needs_total, needs_rho); the kernel takes
+# the p-matrix followed by the context it needs, in that order. The order
+# of the table is the order of METHOD_IDS.
+_METHODS = {
+    "stouffer": (stouffer_matrix, False, False, False),
+    "fisher": (fisher_matrix, False, False, False),
+    "pearson": (pearson_matrix, False, False, False),
+    "tippett": (tippett_matrix, False, False, False),
+    "wstouffer": (weighted_stouffer_matrix, True, False, False),
+    "cstouffer": (corrected_stouffer_matrix, True, True, True),
+    "wfisher": (wfisher_matrix, True, False, False),
+    "goods": (goods_matrix, True, False, False),
+    "lancaster": (_lancaster_by_counts, True, True, False),
+}
+
+METHOD_IDS = tuple(_METHODS)
+
+# methods that cannot run without per-site shares
+SHARE_METHODS = frozenset(m for m, entry in _METHODS.items() if entry[1])
 
 
-def combine_matrix(method: str, p_matrix, shares=None, total_count=None, rho=None):
-    """Batch dispatch: combine each column of an (N, M) p-value matrix.
-
-    Returns the (M,) array of combined p-values. Weighting context follows
-    the same requirements as the scalar API.
-    """
+def _combine(method: str, p_matrix, shares, total_count, rho):
+    """Validate the inputs `method` uses and run its kernel; returns the
+    (combined_p, statistic) pair of (M,) arrays."""
+    if method not in _METHODS:
+        raise ConfigError(f"unknown method {method!r}; expected one of {METHOD_IDS}")
+    kernel, needs_shares, needs_total, needs_rho = _METHODS[method]
     p_matrix = np.asarray(p_matrix, dtype=float)
     if p_matrix.ndim != 2 or p_matrix.shape[0] < 1:
         raise ConfigError("p_matrix must be (n_sites, n_sets) with n_sites >= 1")
-    if np.isnan(p_matrix).any() or (p_matrix < 0).any() or (p_matrix > 1).any():
+    if not ((p_matrix >= 0) & (p_matrix <= 1)).all():
         raise DomainError("p-values must lie in [0, 1]")
-    if method == "stouffer":
-        return stouffer_matrix(p_matrix)[0]
-    if method == "fisher":
-        return fisher_matrix(p_matrix)[0]
-    if method == "pearson":
-        return pearson_matrix(p_matrix)[0]
-    if method == "tippett":
-        return tippett_matrix(p_matrix)[0]
-    if method in SHARE_METHODS and shares is None:
-        raise ConfigError(f"{method} requires per-site shares")
-    if method in SHARE_METHODS:
-        col_sums = _shares_column(shares, p_matrix.shape[0]).sum(axis=0)
-        if np.abs(col_sums - 1.0).max() > 1e-9:
+    context = []
+    if needs_shares:
+        if shares is None:
+            raise ConfigError(f"{method} requires per-site shares")
+        shares = _shares_column(shares, p_matrix.shape[0])
+        if (shares < 0).any():
+            raise ConfigError("shares must be nonnegative")
+        if np.abs(shares.sum(axis=0) - 1.0).max() > 1e-9:
             raise ConfigError("shares must sum to 1 in every column")
-    if method == "wstouffer":
-        return weighted_stouffer_matrix(p_matrix, shares)[0]
-    if method == "cstouffer":
-        if total_count is None or rho is None:
-            raise ConfigError("cstouffer requires total_count and rho")
-        return corrected_stouffer_matrix(p_matrix, shares, total_count, rho)[0]
-    if method == "wfisher":
-        return wfisher_matrix(p_matrix, shares)[0]
-    if method == "goods":
-        return goods_matrix(p_matrix, shares)[0]
-    if method == "lancaster":
+        context.append(shares)
+    if needs_total:
         if total_count is None:
-            raise ConfigError("lancaster requires total_count for its df rule")
-        shares_col = _shares_column(shares, p_matrix.shape[0])
+            raise ConfigError(f"{method} requires total_count")
         totals = np.asarray(total_count, dtype=float)
-        dfs = np.maximum(shares_col * totals, 1e-6)
-        return lancaster_matrix(p_matrix, dfs)[0]
-    raise ConfigError(f"unknown method {method!r}; expected one of {METHOD_IDS}")
+        if not (totals >= 1).all():
+            raise ConfigError(f"{method} requires every total_count to be at least 1")
+        context.append(totals)
+    if needs_rho:
+        if rho is None or not 0.0 < rho < 1.0:
+            raise ConfigError(f"{method} requires rho strictly inside (0, 1)")
+        context.append(rho)
+    return kernel(p_matrix, *context)
+
+
+def combine_by_id(method: str, ev: EvidenceSet) -> CombinedResult:
+    """Combine one evidence set by method identifier (the CLI/config
+    vocabulary); the M = 1 case of ``combine_matrix``."""
+    column = np.asarray(ev.p_values, dtype=float).reshape(ev.n_sites, 1)
+    p, stat = _combine(method, column, ev.shares, ev.total_count, ev.rho)
+    return CombinedResult(p=float(p[0]), statistic=float(stat[0]), method=method)
+
+
+def combine_matrix(method: str, p_matrix, shares=None, total_count=None, rho=None):
+    """Combine each column of an (N, M) p-value matrix; returns the (M,)
+    array of combined p-values. shares may be one (N,) vector or one per
+    column, (N, M); total_count may be one count or one per column."""
+    return _combine(method, p_matrix, shares, total_count, rho)[0]

@@ -125,6 +125,16 @@ class PowerCurveResult:
     calibration_rates: dict
 
 
+def _window_p_values(c: np.ndarray, n: np.ndarray, rho: float) -> np.ndarray:
+    """Exact p-values for arrays of window counts (baseline c, total n); an
+    empty window (n = 0) carries no evidence and gets p = 1."""
+    p = np.ones(c.shape, dtype=float)
+    mask = n > 0
+    if mask.any():
+        p[mask] = numerics.binomial_cdf(c[mask], n[mask], rho)
+    return p
+
+
 def _simulate_method_pvalues(
     rng: np.random.Generator, cfg: PowerCurveConfig, theta_alt: float, reps: int
 ) -> dict:
@@ -144,17 +154,12 @@ def _simulate_method_pvalues(
     c_site = base.sum(axis=1)
     n_site = c_site + test
 
-    def exact_p(c, n):
-        p = np.ones(c.shape, dtype=float)
-        mask = n > 0
-        if mask.any():
-            p[mask] = numerics.binomial_cdf(c[mask], n[mask], hyp.rho)
-        return p
-
-    p_site = exact_p(c_site, n_site)
+    p_site = _window_p_values(c_site, n_site, hyp.rho)
     out = {}
     if "centralized" in cfg.methods:
-        out["centralized"] = exact_p(c_site.sum(axis=0), n_site.sum(axis=0))
+        out["centralized"] = _window_p_values(
+            c_site.sum(axis=0), n_site.sum(axis=0), hyp.rho
+        )
     if "largest_site" in cfg.methods:
         out["largest_site"] = p_site[int(np.argmax(shares))]
 
@@ -325,10 +330,7 @@ def _window_pvalue_matrix(
     c = padded[:, l:length] - padded[:, 0 : length - l]
     k = counts_matrix[:, l:length]
     n = c + k
-    p = np.ones(n.shape, dtype=float)
-    mask = n > 0
-    if mask.any():
-        p[mask] = numerics.binomial_cdf(c[mask], n[mask], hyp.rho)
+    p = _window_p_values(c, n, hyp.rho)
     pool = n.sum(axis=0)
     safe_pool = np.maximum(pool, 1)
     share_mat = np.where(pool > 0, n / safe_pool, 1.0 / n_sites)

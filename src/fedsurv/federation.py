@@ -300,7 +300,6 @@ def run_federation(
     out: list[CombinedPeriod] = []
     for t in range(l, len(timeline)):
         reports = [site_compute_report(s, t, cfg.hypothesis) for s in ordered]
-        assert all(r is not None for r in reports)
         shares: Optional[ShareVector] = None
         total: Optional[int] = None
         if cfg.share_source == "known":

@@ -28,10 +28,6 @@ __all__ = [
     "normal_cdf",
     "normal_pdf",
     "normal_quantile",
-    "chi_square_sf",
-    "chi_square_cdf",
-    "gamma_quantile",
-    "gamma_quantile_complement",
 ]
 
 
@@ -158,64 +154,3 @@ def normal_quantile(p):
         raise DomainError("p must lie strictly inside (0, 1); clamp before calling")
     return _ret(special.ndtri(p_arr), scalar)
 
-
-def chi_square_sf(x, df):
-    """Chi-square survival function 1 - F(x; df) via the upper incomplete gamma."""
-    scalar = np.isscalar(x) and np.isscalar(df)
-    x_arr = _as_float_array(x, "x")
-    df_arr = _as_float_array(df, "df")
-    if (x_arr < 0).any():
-        raise DomainError("x must be nonnegative")
-    if (df_arr <= 0).any():
-        raise DomainError("df must be positive")
-    return _ret(_clamp01(special.gammaincc(df_arr / 2.0, x_arr / 2.0)), scalar)
-
-
-def chi_square_cdf(x, df):
-    """Chi-square CDF F(x; df); lower-tail companion to ``chi_square_sf``."""
-    scalar = np.isscalar(x) and np.isscalar(df)
-    x_arr = _as_float_array(x, "x")
-    df_arr = _as_float_array(df, "df")
-    if (x_arr < 0).any():
-        raise DomainError("x must be nonnegative")
-    if (df_arr <= 0).any():
-        raise DomainError("df must be positive")
-    return _ret(_clamp01(special.gammainc(df_arr / 2.0, x_arr / 2.0)), scalar)
-
-
-def gamma_quantile(q, shape, rate):
-    """Inverse CDF of Gamma(shape, rate) at probability q in (0, 1).
-
-    scipy's gammaincinv inverts the regularized lower incomplete gamma in
-    the unit-scale parameterization; dividing by the rate converts back.
-    Accurate for the small fractional shapes the weighted Fisher transform
-    produces.
-    """
-    scalar = np.isscalar(q) and np.isscalar(shape) and np.isscalar(rate)
-    q_arr = _as_float_array(q, "q")
-    shape_arr = _as_float_array(shape, "shape")
-    rate_arr = _as_float_array(rate, "rate")
-    if (q_arr <= 0).any() or (q_arr >= 1).any():
-        raise DomainError("q must lie strictly inside (0, 1)")
-    if (shape_arr <= 0).any() or (rate_arr <= 0).any():
-        raise DomainError("shape and rate must be positive")
-    return _ret(special.gammaincinv(shape_arr, q_arr) / rate_arr, scalar)
-
-
-def gamma_quantile_complement(p, shape, rate):
-    """The (1-p)-quantile of Gamma(shape, rate), evaluated without forming 1-p.
-
-    Identical in exact arithmetic to ``gamma_quantile(1 - p, shape, rate)``
-    but inverts the survival function directly, so tiny p keeps full
-    precision (at shape 1, rate 1/2 this is exactly -2*log(p), the Fisher
-    transform of a p-value).
-    """
-    scalar = np.isscalar(p) and np.isscalar(shape) and np.isscalar(rate)
-    p_arr = _as_float_array(p, "p")
-    shape_arr = _as_float_array(shape, "shape")
-    rate_arr = _as_float_array(rate, "rate")
-    if (p_arr <= 0).any() or (p_arr >= 1).any():
-        raise DomainError("p must lie strictly inside (0, 1)")
-    if (shape_arr <= 0).any() or (rate_arr <= 0).any():
-        raise DomainError("shape and rate must be positive")
-    return _ret(special.gammainccinv(shape_arr, p_arr) / rate_arr, scalar)

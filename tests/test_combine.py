@@ -40,15 +40,15 @@ class TestEvidenceSet:
 
 class TestStouffer:
     def test_identity_at_single_site(self):
-        assert cb.stouffer(ev([0.3])).p == pytest.approx(0.3, abs=1e-14)
+        assert cb.combine_by_id("stouffer", ev([0.3])).p == pytest.approx(0.3, abs=1e-14)
 
     def test_neutral_at_half(self):
-        assert cb.stouffer(ev([0.5, 0.5, 0.5])).p == pytest.approx(0.5, abs=1e-14)
+        assert cb.combine_by_id("stouffer", ev([0.5, 0.5, 0.5])).p == pytest.approx(0.5, abs=1e-14)
 
     def test_golden_two_sites(self):
         z = oracles.normal_quantile_bisect(0.05)
         expected = oracles.normal_cdf_erf(2 * z / math.sqrt(2))
-        got = cb.stouffer(ev([0.05, 0.05]))
+        got = cb.combine_by_id("stouffer", ev([0.05, 0.05]))
         assert got.p == pytest.approx(expected, abs=1e-11)
         assert got.p == pytest.approx(0.0100, abs=2e-4)
         assert got.statistic == pytest.approx(2 * z, abs=1e-10)
@@ -56,59 +56,55 @@ class TestStouffer:
 
 class TestFisher:
     def test_identity_at_single_site(self):
-        assert cb.fisher(ev([0.3])).p == pytest.approx(0.3, abs=1e-13)
+        assert cb.combine_by_id("fisher", ev([0.3])).p == pytest.approx(0.3, abs=1e-13)
 
     def test_all_ones_boundary(self):
-        r = cb.fisher(ev([1.0, 1.0, 1.0]))
+        r = cb.combine_by_id("fisher", ev([1.0, 1.0, 1.0]))
         assert r.statistic == pytest.approx(0.0, abs=1e-12)
         assert r.p == pytest.approx(1.0, abs=1e-12)
 
     def test_golden_two_sites(self):
         x = -4.0 * math.log(0.05)
         expected = oracles.chi2_sf_even_closed_form(x, 4)
-        got = cb.fisher(ev([0.05, 0.05]))
+        got = cb.combine_by_id("fisher", ev([0.05, 0.05]))
         assert got.p == pytest.approx(expected, abs=1e-12)
         assert got.p == pytest.approx(0.01748, abs=5e-6)
 
 
 class TestPearson:
     def test_tiny_pvalues_drive_p_to_zero(self):
-        assert cb.pearson(ev([1e-12, 1e-12])).p < 1e-20
+        assert cb.combine_by_id("pearson", ev([1e-12, 1e-12])).p < 1e-20
 
     def test_identity_at_single_site(self):
         # chi-square(2) CDF at -2*log(0.7) is exactly 0.3
-        assert cb.pearson(ev([0.3])).p == pytest.approx(0.3, abs=1e-13)
+        assert cb.combine_by_id("pearson", ev([0.3])).p == pytest.approx(0.3, abs=1e-13)
 
     def test_golden_two_sites(self):
         x = -4.0 * math.log(0.95)
         expected = 1.0 - oracles.chi2_sf_even_closed_form(x, 4)
-        assert cb.pearson(ev([0.05, 0.05])).p == pytest.approx(expected, abs=1e-12)
-
-    def test_upper_tail_flag_flips_direction(self):
-        r_low = cb.pearson(ev([0.01, 0.02]))
-        r_up = cb.pearson(ev([0.01, 0.02]), upper_tail=True)
-        assert r_low.p + r_up.p == pytest.approx(1.0, abs=1e-12)
-        assert r_low.p < 0.05 < r_up.p
+        got = cb.combine_by_id("pearson", ev([0.05, 0.05]))
+        assert got.p == pytest.approx(expected, abs=1e-12)
 
 
 class TestTippett:
     def test_identity_at_single_site(self):
-        assert cb.tippett(ev([0.23])).p == pytest.approx(0.23, abs=1e-14)
+        assert cb.combine_by_id("tippett", ev([0.23])).p == pytest.approx(0.23, abs=1e-14)
 
     def test_closed_form(self):
-        assert cb.tippett(ev([0.05, 0.7])).p == pytest.approx(1 - 0.95**2, abs=1e-14)
+        got = cb.combine_by_id("tippett", ev([0.05, 0.7]))
+        assert got.p == pytest.approx(1 - 0.95**2, abs=1e-14)
 
     def test_zero_minimum(self):
-        assert cb.tippett(ev([0.0, 0.4, 0.9])).p == 0.0
+        assert cb.combine_by_id("tippett", ev([0.0, 0.4, 0.9])).p == 0.0
 
 
 class TestWeightedStouffer:
     def test_requires_shares(self):
         with pytest.raises(ConfigError):
-            cb.weighted_stouffer(ev([0.5, 0.5]))
+            cb.combine_by_id("wstouffer", ev([0.5, 0.5]))
 
     def test_single_site_identity(self):
-        assert cb.weighted_stouffer(ev([0.17], shares=(1.0,))).p == pytest.approx(
+        assert cb.combine_by_id("wstouffer", ev([0.17], shares=(1.0,))).p == pytest.approx(
             0.17, abs=1e-14
         )
 
@@ -118,33 +114,35 @@ class TestWeightedStouffer:
             n = int(rng.integers(1, 12))
             ps = rng.uniform(1e-6, 1 - 1e-6, size=n)
             e = ev(ps, shares=(1.0 / n,) * n)
-            assert cb.weighted_stouffer(e).p == pytest.approx(
-                cb.stouffer(ev(ps)).p, abs=1e-12
+            assert cb.combine_by_id("wstouffer", e).p == pytest.approx(
+                cb.combine_by_id("stouffer", ev(ps)).p, abs=1e-12
             )
 
 
 class TestCorrectedStouffer:
     def test_requires_context(self):
         with pytest.raises(ConfigError):
-            cb.corrected_stouffer(ev([0.5, 0.5], shares=(0.5, 0.5)))
+            cb.combine_by_id("cstouffer", ev([0.5, 0.5], shares=(0.5, 0.5)))
         with pytest.raises(ConfigError):
-            cb.corrected_stouffer(ev([0.5, 0.5], shares=(0.5, 0.5), total_count=0, rho=0.7))
+            cb.combine_by_id(
+                "cstouffer", ev([0.5, 0.5], shares=(0.5, 0.5), total_count=0, rho=0.7)
+            )
         with pytest.raises(ConfigError):
-            cb.corrected_stouffer(ev([0.5, 0.5], shares=(0.5, 0.5), total_count=50))
+            cb.combine_by_id("cstouffer", ev([0.5, 0.5], shares=(0.5, 0.5), total_count=50))
 
     def test_single_site_equals_weighted(self):
         e = ev([0.2], shares=(1.0,), total_count=40, rho=0.7)
-        assert cb.corrected_stouffer(e).p == pytest.approx(
-            cb.weighted_stouffer(e).p, abs=1e-14
+        assert cb.combine_by_id("cstouffer", e).p == pytest.approx(
+            cb.combine_by_id("wstouffer", e).p, abs=1e-14
         )
 
     def test_correction_is_negative_and_vanishes(self):
         ps = [0.3, 0.4, 0.2]
         shares = (0.5, 0.3, 0.2)
-        base = cb.weighted_stouffer(ev(ps, shares=shares)).p
+        base = cb.combine_by_id("wstouffer", ev(ps, shares=shares)).p
         prev_gap = None
         for n in (10, 100, 10000, 10**8):
-            got = cb.corrected_stouffer(ev(ps, shares=shares, total_count=n, rho=0.75)).p
+            got = cb.combine_by_id("cstouffer", ev(ps, shares=shares, total_count=n, rho=0.75)).p
             assert got < base
             gap = base - got
             if prev_gap is not None:
@@ -156,10 +154,11 @@ class TestCorrectedStouffer:
 class TestWFisher:
     def test_requires_shares(self):
         with pytest.raises(ConfigError):
-            cb.wfisher(ev([0.5, 0.5]))
+            cb.combine_by_id("wfisher", ev([0.5, 0.5]))
 
     def test_single_site_identity(self):
-        assert cb.wfisher(ev([0.31], shares=(1.0,))).p == pytest.approx(0.31, abs=1e-12)
+        got = cb.combine_by_id("wfisher", ev([0.31], shares=(1.0,)))
+        assert got.p == pytest.approx(0.31, abs=1e-12)
 
     def test_equal_shares_reduce_to_fisher(self):
         rng = np.random.default_rng(4242)
@@ -167,7 +166,9 @@ class TestWFisher:
             n = int(rng.integers(1, 12))
             ps = rng.uniform(1e-9, 1 - 1e-9, size=n)
             e = ev(ps, shares=(1.0 / n,) * n)
-            assert cb.wfisher(e).p == pytest.approx(cb.fisher(ev(ps)).p, abs=1e-12)
+            assert cb.combine_by_id("wfisher", e).p == pytest.approx(
+                cb.combine_by_id("fisher", ev(ps)).p, abs=1e-12
+            )
 
     def test_golden_unequal_shares(self):
         # composed oracle: bisected Gamma quantiles + even-df chi-square tail
@@ -177,12 +178,12 @@ class TestWFisher:
             oracles.gamma_quantile_bisect(1 - p, s * 2, 0.5) for p, s in zip(ps, shares)
         )
         expected = oracles.chi2_sf_even_closed_form(x, 4)
-        got = cb.wfisher(ev(ps, shares=shares))
+        got = cb.combine_by_id("wfisher", ev(ps, shares=shares))
         assert got.statistic == pytest.approx(x, abs=1e-8)
         assert got.p == pytest.approx(expected, abs=1e-9)
 
     def test_zero_share_site_drops_out(self):
-        got = cb.wfisher(ev([0.5, 0.03], shares=(0.0, 1.0)))
+        got = cb.combine_by_id("wfisher", ev([0.5, 0.03], shares=(0.0, 1.0)))
         # surviving site holds shape N=2; compare against direct formula
         x = 2 * float(
             __import__("scipy.special", fromlist=["gammainccinv"]).gammainccinv(2.0, 0.03)
@@ -216,15 +217,18 @@ class TestGoods:
             n = int(rng.integers(1, 10))
             ps = rng.uniform(1e-9, 1 - 1e-9, size=n)
             e = ev(ps, shares=(1.0 / n,) * n)
-            assert cb.goods(e).p == pytest.approx(cb.fisher(ev(ps)).p, abs=1e-12)
+            assert cb.combine_by_id("goods", e).p == pytest.approx(
+                cb.combine_by_id("fisher", ev(ps)).p, abs=1e-12
+            )
 
     def test_single_site_identity(self):
-        assert cb.goods(ev([0.4], shares=(1.0,))).p == pytest.approx(0.4, abs=1e-13)
+        got = cb.combine_by_id("goods", ev([0.4], shares=(1.0,)))
+        assert got.p == pytest.approx(0.4, abs=1e-13)
 
     def test_golden_unequal_shares(self):
         x = -2 * (1.6 * math.log(0.05) + 0.4 * math.log(0.5))
         expected = oracles.chi2_sf_even_closed_form(x, 4)
-        got = cb.goods(ev([0.05, 0.5], shares=(0.8, 0.2)))
+        got = cb.combine_by_id("goods", ev([0.05, 0.5], shares=(0.8, 0.2)))
         assert got.statistic == pytest.approx(x, abs=1e-12)
         assert got.p == pytest.approx(expected, abs=1e-12)
 
@@ -235,30 +239,41 @@ class TestLancaster:
         for _ in range(100):
             n = int(rng.integers(1, 9))
             ps = rng.uniform(1e-9, 1 - 1e-9, size=n)
-            got = cb.lancaster(ev(ps), dfs=(2.0,) * n)
-            assert got.p == pytest.approx(cb.fisher(ev(ps)).p, abs=1e-12)
+            # df_i = s_i * total = 2 at equal shares and total 2N
+            e = ev(ps, shares=(1.0 / n,) * n, total_count=2 * n)
+            got = cb.combine_by_id("lancaster", e)
+            assert got.p == pytest.approx(cb.combine_by_id("fisher", ev(ps)).p, abs=1e-12)
 
     def test_single_site_identity_at_df_two(self):
-        assert cb.lancaster(ev([0.27]), dfs=(2.0,)).p == pytest.approx(0.27, abs=1e-13)
+        got = cb.combine_by_id("lancaster", ev([0.27], shares=(1.0,), total_count=2))
+        assert got.p == pytest.approx(0.27, abs=1e-13)
 
     def test_golden_mixed_dfs(self):
         ps = (0.05, 0.5)
         dfs = (6.0, 2.0)
         x = sum(oracles.gamma_quantile_bisect(1 - p, d / 2, 0.5) for p, d in zip(ps, dfs))
         expected = oracles.chi2_sf_even_closed_form(x, 8)
-        got = cb.lancaster(ev(ps), dfs=dfs)
+        got = cb.combine_by_id("lancaster", ev(ps, shares=(0.75, 0.25), total_count=8))
         assert got.statistic == pytest.approx(x, abs=1e-8)
         assert got.p == pytest.approx(expected, abs=1e-9)
 
-    def test_length_mismatch(self):
-        with pytest.raises(ConfigError):
-            cb.lancaster(ev([0.1, 0.2]), dfs=(2.0,))
+    def test_golden_fractional_dfs(self):
+        # dfs (3.5, 2.1, 1.4): odd-half and fractional Gamma shapes and a
+        # chi-square tail at 7 df, all against mpmath
+        ps = (0.02, 0.4, 0.9)
+        shares = (0.5, 0.3, 0.2)
+        x = sum(
+            oracles.gamma_quantile_bisect(1 - p, s * 7 / 2, 0.5) for p, s in zip(ps, shares)
+        )
+        got = cb.combine_by_id("lancaster", ev(ps, shares=shares, total_count=7))
+        assert got.statistic == pytest.approx(x, abs=1e-8)
+        assert got.p == pytest.approx(oracles.chi2_sf_mpmath(x, 7), abs=1e-10)
 
     def test_registry_rule_uses_count_proportional_dfs(self):
         e = ev([0.05, 0.5], shares=(0.8, 0.2), total_count=10)
         via_registry = cb.combine_by_id("lancaster", e)
-        direct = cb.lancaster(e, dfs=(8.0, 2.0))
-        assert via_registry.p == pytest.approx(direct.p, abs=1e-14)
+        direct_p, _ = cb.lancaster_matrix(np.array([[0.05], [0.5]]), (8.0, 2.0))
+        assert via_registry.p == pytest.approx(direct_p[0], abs=1e-14)
 
 
 class TestSharedProperties:
@@ -346,6 +361,26 @@ class TestSharedProperties:
         with pytest.raises(ConfigError):
             cb.combine_by_id("median", ev([0.5]))
 
+    def test_matrix_rejects_negative_shares(self):
+        p_mat = np.array([[0.2, 0.6], [0.4, 0.01]])
+        for method in sorted(cb.SHARE_METHODS):
+            with pytest.raises(ConfigError):
+                cb.combine_matrix(method, p_mat, shares=(1.5, -0.5), total_count=50, rho=0.7)
+
+    def test_totals_below_one_rejected_on_both_paths(self):
+        # an empty pooled window is no evidence: it must not read as p = 0 or 1
+        p_mat = np.array([[0.2, 0.6], [0.4, 0.01]])
+        for method in ("cstouffer", "lancaster"):
+            for total in (0, (50, 0)):
+                with pytest.raises(ConfigError):
+                    cb.combine_matrix(
+                        method, p_mat, shares=(0.5, 0.5), total_count=total, rho=0.7
+                    )
+            with pytest.raises(ConfigError):
+                cb.combine_by_id(
+                    method, ev([0.2, 0.4], shares=(0.5, 0.5), total_count=0, rho=0.7)
+                )
+
 
 class TestRecombinationIdentity:
     """Splitting a pooled window across sites and recombining the per-site
@@ -392,7 +427,7 @@ class TestRecombinationIdentity:
             windows, pooled = self.random_split(rng, hyp, yates=False)
             ps = [gaussian_p_value(w, hyp) for w in windows]
             shares = tuple(w.total / pooled.total for w in windows)
-            got = cb.weighted_stouffer(ev(ps, shares=shares)).p
+            got = cb.combine_by_id("wstouffer", ev(ps, shares=shares)).p
             assert got == pytest.approx(gaussian_p_value(pooled, hyp), abs=1e-11)
 
     def test_corrected_stouffer_recovers_pooled_yates(self):
@@ -405,7 +440,7 @@ class TestRecombinationIdentity:
             ps = [gaussian_p_value(w, hyp, yates=True) for w in windows]
             shares = tuple(w.total / pooled.total for w in windows)
             e = ev(ps, shares=shares, total_count=pooled.total, rho=hyp.rho)
-            got = cb.corrected_stouffer(e).p
+            got = cb.combine_by_id("cstouffer", e).p
             assert got == pytest.approx(
                 gaussian_p_value(pooled, hyp, yates=True), abs=1e-11
             )
@@ -419,8 +454,8 @@ class TestRecombinationIdentity:
         w2 = SurgeWindow((2, 1, 2, 1), 1)
         pooled = SurgeWindow((42, 39, 43, 40), 21)
         ps = [gaussian_p_value(w, hyp) for w in (w1, w2)]
-        unweighted = cb.stouffer(ev(ps)).p
-        weighted = cb.weighted_stouffer(
+        unweighted = cb.combine_by_id("stouffer", ev(ps)).p
+        weighted = cb.combine_by_id("wstouffer", 
             ev(ps, shares=(w1.total / pooled.total, w2.total / pooled.total))
         ).p
         target = gaussian_p_value(pooled, hyp)

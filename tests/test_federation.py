@@ -165,7 +165,7 @@ class TestInformationBoundary:
         reports = [fed.PValueReport("a", 5, 0.04), fed.PValueReport("b", 5, 0.2)]
         cfg = fed.FederationConfig(HYP, "fisher", share_source="none")
         got = fed.aggregate_period(reports, cfg)
-        want = cb.fisher(cb.EvidenceSet((0.04, 0.2)))
+        want = cb.combine_by_id("fisher", cb.EvidenceSet((0.04, 0.2)))
         assert got.p == want.p
 
     def test_mixed_period_reports_rejected(self):

@@ -162,84 +162,3 @@ class TestNormal:
                 math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi), abs=1e-16
             )
 
-
-class TestChiSquare:
-    def test_zero_point(self):
-        assert nm.chi_square_sf(0.0, 3.7) == 1.0
-        assert nm.chi_square_cdf(0.0, 3.7) == 0.0
-
-    def test_golden_even_df(self):
-        x = 11.9829
-        closed = oracles.chi2_sf_even_closed_form(x, 4)
-        assert nm.chi_square_sf(x, 4) == pytest.approx(closed, abs=1e-12)
-        assert nm.chi_square_sf(x, 4) == pytest.approx(0.01748, abs=5e-6)
-
-    def test_df2_exponential(self):
-        for x in (1.0, 10.0, 80.0, 200.0):
-            assert nm.chi_square_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-10)
-
-    def test_even_df_closed_form_grid(self):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            df = 2 * int(rng.integers(1, 40))
-            x = float(rng.uniform(0, 4 * df))
-            assert nm.chi_square_sf(x, df) == pytest.approx(
-                oracles.chi2_sf_even_closed_form(x, df), abs=1e-12
-            )
-
-    def test_odd_and_fractional_df_against_mpmath(self):
-        for df in (1, 3.0, 0.4, 17.3):
-            for x in (0.2, 2.5, 30.0):
-                assert nm.chi_square_sf(x, df) == pytest.approx(
-                    oracles.chi2_sf_mpmath(x, df), abs=1e-13
-                )
-
-    def test_cdf_sf_complement(self):
-        rng = np.random.default_rng(13)
-        for _ in range(100):
-            df = float(rng.uniform(0.2, 60))
-            x = float(rng.uniform(0, 3 * df))
-            assert nm.chi_square_cdf(x, df) + nm.chi_square_sf(x, df) == pytest.approx(
-                1.0, abs=1e-12
-            )
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            nm.chi_square_sf(-1.0, 2)
-        with pytest.raises(DomainError):
-            nm.chi_square_sf(1.0, 0)
-
-
-class TestGammaQuantile:
-    def test_exponential_closed_form(self):
-        # shape 1, rate 1/2 is the Fisher transform -2 log(1-q)
-        for q in (0.05, 0.5, 0.95, 0.999):
-            assert nm.gamma_quantile(q, 1.0, 0.5) == pytest.approx(
-                -2.0 * math.log1p(-q), rel=1e-12
-            )
-
-    def test_exponential_median(self):
-        assert nm.gamma_quantile(0.5, 1.0, 1.0) == pytest.approx(math.log(2), rel=1e-12)
-
-    def test_chi_square_one_df_golden(self):
-        # Gamma(1/2, 1/2) is chi-square with one df
-        got = nm.gamma_quantile(0.9, 0.5, 0.5)
-        assert got == pytest.approx(oracles.gamma_quantile_bisect(0.9, 0.5, 0.5), abs=1e-10)
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(5)
-        for _ in range(60):
-            shape = float(rng.uniform(0.05, 8.0))
-            rate = float(rng.uniform(0.1, 3.0))
-            q = float(rng.uniform(1e-4, 1 - 1e-4))
-            x = nm.gamma_quantile(q, shape, rate)
-            assert oracles.gamma_cdf_mpmath(x, shape, rate) == pytest.approx(q, abs=1e-10)
-
-    def test_domain(self):
-        for bad_q in (0.0, 1.0):
-            with pytest.raises(DomainError):
-                nm.gamma_quantile(bad_q, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            nm.gamma_quantile(0.5, -1.0, 1.0)
-        with pytest.raises(DomainError):
-            nm.gamma_quantile(0.5, 1.0, 0.0)
