@@ -160,6 +160,28 @@ class ExperimentConfig:
             raise ConfigError(f"config field {key!r} is required")
         return default
 
+    def take_list(self, key: str, default=_REQUIRED, kind=float, length: Optional[int] = None):
+        """A list-valued field as a tuple of `kind` (float, int or str). Numbers
+        must be JSON numbers, and ints must be integral; a default passes
+        through unchecked."""
+        raw = self.take(key, default)
+        if raw is default:
+            return default
+        if not isinstance(raw, list) or (length is not None and len(raw) != length):
+            size = "a list" if length is None else f"a list of {length}"
+            raise ConfigError(f"config field {key!r} must be {size}, got {raw!r}")
+        for v in raw:
+            if kind is str:
+                ok = isinstance(v, str)
+            else:
+                ok = isinstance(v, (int, float)) and not isinstance(v, bool)
+                if kind is int:
+                    ok = ok and (isinstance(v, int) or v.is_integer())
+            if not ok:
+                what = {float: "numbers", int: "integers", str: "strings"}[kind]
+                raise ConfigError(f"config field {key!r} must hold {what}, got {v!r}")
+        return tuple(kind(v) for v in raw)
+
     def take_path(self, key: str, default=_REQUIRED) -> Optional[Path]:
         raw = self.take(key, default)
         if raw is None or isinstance(raw, Path):
@@ -267,20 +289,15 @@ def cmd_test(args) -> int:
 def cmd_combine(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     method = cfg.take("method")
-    p_values = cfg.take("p_values")
-    shares = cfg.take("shares", None)
+    p_values = cfg.take_list("p_values")
+    shares = cfg.take_list("shares", None)
     total = cfg.take("total_count", None)
     rho = cfg.take("rho", None)
     if rho is None and ("theta" in cfg._data or "baseline_len" in cfg._data):
         rho = cfg.hypothesis().rho
     cfg.finish()
 
-    ev = combine.EvidenceSet(
-        tuple(p_values),
-        shares=None if shares is None else tuple(shares),
-        total_count=total,
-        rho=rho,
-    )
+    ev = combine.EvidenceSet(p_values, shares=shares, total_count=total, rho=rho)
     result = combine.combine_by_id(method, ev)
     text = _csv_text(
         ("method", "statistic", "p"),
@@ -297,9 +314,9 @@ def cmd_power_curve(args) -> int:
     pc = PowerCurveConfig(
         hypothesis=hyp,
         n_total=int(cfg.take("n_total", 200)),
-        shares=tuple(float(s) for s in cfg.take("shares", (0.5, 0.5))),
-        theta_grid=tuple(float(t) for t in cfg.take("theta_grid", PowerCurveConfig.theta_grid)),
-        methods=tuple(cfg.take("methods", POWER_METHODS)),
+        shares=cfg.take_list("shares", (0.5, 0.5)),
+        theta_grid=cfg.take_list("theta_grid", PowerCurveConfig.theta_grid),
+        methods=cfg.take_list("methods", POWER_METHODS, str),
         calibration_reps=int(cfg.take("calibration_reps", 100_000)),
         power_reps=int(cfg.take("power_reps", 50_000)),
     )
@@ -316,13 +333,13 @@ def _semisynth_config(cfg: ExperimentConfig) -> SemisynthConfig:
         hypothesis=cfg.hypothesis(),
         smoothing_window=int(cfg.take("smoothing_window", 5)),
         n_replicates=int(cfg.take("n_replicates", 20)),
-        site_sweep=tuple(int(n) for n in cfg.take("site_sweep", (2, 5, 10, 20))),
+        site_sweep=cfg.take_list("site_sweep", (2, 5, 10, 20), int),
         site_sweep_magnitude=float(cfg.take("site_sweep_magnitude", 0.2)),
-        magnitude_sweep=tuple(float(m) for m in cfg.take("magnitude_sweep", (0.1, 0.5, 1.0, 2.0))),
-        dominant_sweep=tuple(float(d) for d in cfg.take("dominant_sweep", (0.2, 0.4, 0.6, 0.8))),
+        magnitude_sweep=cfg.take_list("magnitude_sweep", (0.1, 0.5, 1.0, 2.0)),
+        dominant_sweep=cfg.take_list("dominant_sweep", (0.2, 0.4, 0.6, 0.8)),
         entropy_sites=int(cfg.take("entropy_sites", 5)),
-        methods=tuple(cfg.take("methods", POWER_METHODS)),
-        thresholds=tuple(float(t) for t in cfg.take("thresholds", DEFAULT_THRESHOLDS)),
+        methods=cfg.take_list("methods", POWER_METHODS, str),
+        thresholds=cfg.take_list("thresholds", DEFAULT_THRESHOLDS),
     )
 
 
@@ -462,14 +479,12 @@ def cmd_evaluate(args) -> int:
     scores_path = cfg.take_path("scores")
     truth_path = cfg.take_path("truth")
     cadence = cfg.take("cadence", "weekly")
-    window_raw = cfg.take("match_window", None)
-    thresholds = tuple(float(t) for t in cfg.take("thresholds", DEFAULT_THRESHOLDS))
+    window_raw = cfg.take_list("match_window", None, int, length=2)
+    thresholds = cfg.take_list("thresholds", DEFAULT_THRESHOLDS)
     cfg.finish()
 
     window = (
-        MatchWindow(int(window_raw[0]), int(window_raw[1]))
-        if window_raw is not None
-        else MatchWindow.default_for(cadence)
+        MatchWindow(*window_raw) if window_raw is not None else MatchWindow.default_for(cadence)
     )
     pvalues = _read_scores_csv(scores_path)
     truth = _read_truth_csv(truth_path)

@@ -28,6 +28,7 @@ __all__ = [
     "match_alarms",
     "precision_recall",
     "pr_curve",
+    "pr_curves",
     "recall_at_fdr",
     "f1",
 ]
@@ -64,6 +65,9 @@ class MatchWindow:
     after: int
 
     def __post_init__(self) -> None:
+        for extent in (self.before, self.after):
+            if isinstance(extent, bool) or not isinstance(extent, (int, np.integer)):
+                raise DomainError(f"window extents must be integers, got {extent!r}")
         if self.before < 0 or self.after < 0:
             raise DomainError("window extents must be nonnegative")
 
@@ -163,6 +167,74 @@ def precision_recall(counts: MatchCounts) -> tuple[float, float]:
     return precision, recall
 
 
+def pr_curves(
+    p_matrix,
+    truth: AlarmSeries,
+    window: MatchWindow,
+    thresholds: Sequence[float],
+) -> tuple[PRCurve, ...]:
+    """One precision/recall curve per row of an (S, T) p-value matrix, each
+    point equal to `match_alarms(truth, alarms_from_pvalues(row, th), window)`.
+
+    All S x K (series, sorted threshold) pairs are matched at once: a table
+    of the next alarm at or after each period lets every pair claim its
+    earliest alarm inside each truth alarm's window, clipped to the series,
+    past the first period the pair has not yet claimed or passed.
+    """
+    if not thresholds:
+        raise DomainError("at least one threshold is required")
+    for th in thresholds:
+        if not 0.0 < th < 1.0:
+            raise DomainError(f"thresholds must lie in (0, 1), got {th!r}")
+    ths = sorted(thresholds)
+    p = np.asarray(p_matrix, dtype=float)
+    if p.ndim != 2:
+        raise DomainError(f"p-values must form an (S, T) matrix, got shape {p.shape}")
+    bad = np.argwhere(np.isnan(p) | (p < 0.0) | (p > 1.0))
+    if bad.size:
+        s, i = (int(v) for v in bad[0])
+        raise DomainError(
+            f"p-values must lie in [0, 1], got {float(p[s, i])!r} "
+            f"at index {i} of series {s}"
+        )
+
+    n_series, length = p.shape
+    n_rows = n_series * len(ths)
+    # one column per (series, threshold) pair, series-major
+    mask = (p.T[:, :, None] < np.asarray(ths, dtype=float)).reshape(length, n_rows)
+    # next_alarm[u, r]: first alarm period >= u in column r, `length` if none
+    next_alarm = np.full((length + 1, n_rows), length, dtype=np.int32)
+    np.copyto(next_alarm[:length], np.arange(length, dtype=np.int32)[:, None], where=mask)
+    np.minimum.accumulate(next_alarm[::-1], axis=0, out=next_alarm[::-1])
+
+    rows = np.arange(n_rows)
+    first_free = np.zeros(n_rows, dtype=np.int32)
+    tp = np.zeros(n_rows, dtype=np.int64)
+    for t in truth.period_indices:
+        lo = max(t - window.before, 0)
+        hi = min(t + window.after, length - 1)
+        if lo > hi:
+            continue
+        claimed = next_alarm[np.maximum(first_free, lo), rows]
+        hit = claimed <= hi
+        tp += hit
+        first_free = np.where(hit, claimed + 1, first_free)
+
+    n_truth = len(truth)
+    shape = (n_series, len(ths))
+    curves = []
+    for tp_row, pred_row in zip(
+        tp.reshape(shape).tolist(), np.count_nonzero(mask, axis=0).reshape(shape).tolist()
+    ):
+        points = []
+        for th, hits, n_pred in zip(ths, tp_row, pred_row):
+            counts = MatchCounts(hits, n_pred - hits, n_truth - hits)
+            precision, recall = precision_recall(counts)
+            points.append(PRPoint(float(th), precision, recall))
+        curves.append(PRCurve(tuple(points)))
+    return tuple(curves)
+
+
 def pr_curve(
     p_series: Sequence[float],
     truth: AlarmSeries,
@@ -170,17 +242,7 @@ def pr_curve(
     thresholds: Sequence[float],
 ) -> PRCurve:
     """One precision/recall point per alarm threshold."""
-    if not thresholds:
-        raise DomainError("at least one threshold is required")
-    for th in thresholds:
-        if not 0.0 < th < 1.0:
-            raise DomainError(f"thresholds must lie in (0, 1), got {th!r}")
-    points = []
-    for th in sorted(thresholds):
-        counts = match_alarms(truth, alarms_from_pvalues(p_series, th), window)
-        precision, recall = precision_recall(counts)
-        points.append(PRPoint(float(th), precision, recall))
-    return PRCurve(tuple(points))
+    return pr_curves([p_series], truth, window, thresholds)[0]
 
 
 def recall_at_fdr(curve: PRCurve, fdr: float) -> float:

@@ -23,9 +23,7 @@ from .evaluation import (
     alarms_from_growth,
     alarms_from_pvalues,
     f1,
-    match_alarms,
-    pr_curve,
-    precision_recall,
+    pr_curves,
     recall_at_fdr,
 )
 from .semisynth import (
@@ -293,6 +291,11 @@ class SemisynthConfig:
         for m in self.methods:
             if m not in POWER_METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {POWER_METHODS}")
+        if not self.thresholds:
+            raise ConfigError("thresholds must be nonempty")
+        for th in self.thresholds:
+            if not 0.0 < th < 1.0:
+                raise ConfigError(f"thresholds must lie in (0, 1), got {th!r}")
 
 
 class SweepRow(NamedTuple):
@@ -369,7 +372,11 @@ def _sweep_point(
     window: MatchWindow,
     replicate_seqs,
 ) -> dict:
-    """Replicate-averaged (recall@FDR0.1, F1-vs-centralized) per method."""
+    """Replicate-averaged (recall@FDR0.1, F1-vs-centralized) per method.
+
+    Each replicate scores all methods' padded series in two batched
+    `pr_curves` calls; batching per replicate rather than per sweep point
+    keeps the alarm tables small."""
     hyp = cfg.hypothesis
     l = hyp.baseline_len
     alpha = hyp.alpha
@@ -385,18 +392,16 @@ def _sweep_point(
             counts_matrix.sum(axis=0, keepdims=True), hyp
         )[0][0]
         truth_central = alarms_from_pvalues(_padded_series(p_central, l), alpha)
-        for method in cfg.methods:
-            series = _method_series(
+        padded = np.ones((len(cfg.methods), l + p_central.size))
+        for row, method in zip(padded, cfg.methods):
+            row[l:] = _method_series(
                 method, p_site, share_mat, totals, p_central, largest, hyp.rho
             )
-            padded = _padded_series(series, l)
-            curve = pr_curve(padded, truth_growth, window, cfg.thresholds)
-            recall_fdr = recall_at_fdr(curve, 0.1)
-            predicted = alarms_from_pvalues(padded, alpha)
-            precision, recall = precision_recall(
-                match_alarms(truth_central, predicted, window)
-            )
-            scores[method].append((recall_fdr, f1(precision, recall)))
+        growth_curves = pr_curves(padded, truth_growth, window, cfg.thresholds)
+        central_curves = pr_curves(padded, truth_central, window, (alpha,))
+        for method, growth, central in zip(cfg.methods, growth_curves, central_curves):
+            _, precision, recall = central.points[0]
+            scores[method].append((recall_at_fdr(growth, 0.1), f1(precision, recall)))
     return {
         m: (
             float(np.mean([s[0] for s in scores[m]])),

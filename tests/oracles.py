@@ -15,6 +15,8 @@ from fractions import Fraction
 
 import mpmath
 
+from fedsurv import evaluation
+
 mpmath.mp.dps = 40
 
 
@@ -65,6 +67,26 @@ def binom_cdf_fraction(c: int, n: int, rho: float) -> float:
     s = 1 - r
     num = sum(math.comb(n, j) * r.numerator**j * s.numerator ** (n - j) for j in range(c + 1))
     return float(Fraction(num, r.denominator**n))
+
+
+def binom_cdf_fraction_all(n: int, rho: float) -> list[float]:
+    """binom_cdf_fraction(c, n, rho) for every c in 0..n, from running sums
+    of the same integer numerators. int / int true division is correctly
+    rounded, as float(Fraction) is."""
+    r = Fraction(rho)
+    a, b = r.numerator, r.denominator - r.numerator
+    b_pow = [1]
+    for _ in range(n):
+        b_pow.append(b_pow[-1] * b)
+    d = r.denominator**n
+    out = []
+    num = 0
+    a_pow = 1
+    for j in range(n + 1):
+        num += math.comb(n, j) * a_pow * b_pow[n - j]
+        a_pow *= a
+        out.append(num / d)
+    return out
 
 
 def binom_cdf_mpmath(c: int, n: int, rho) -> float:
@@ -181,6 +203,20 @@ def best_matching_bruteforce(truth, predicted, before: int, after: int) -> int:
 
     recurse(0, frozenset())
     return best
+
+
+def pr_points_by_matching(p_series, truth, window, thresholds) -> list[tuple]:
+    """(threshold, precision, recall) per sorted threshold, one series at a
+    time, through the library's scalar `alarms_from_pvalues` and
+    `match_alarms`: the definition the batched `evaluation.pr_curves` must
+    meet. Unlike the rest of this module it reuses library code; the greedy
+    `match_alarms` is itself checked against `best_matching_bruteforce`."""
+    points = []
+    for th in sorted(thresholds):
+        predicted = evaluation.alarms_from_pvalues(p_series, th)
+        counts = evaluation.match_alarms(truth, predicted, window)
+        points.append((float(th),) + evaluation.precision_recall(counts))
+    return points
 
 
 # ------------------------------------------------------------- KS uniform

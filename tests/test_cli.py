@@ -220,6 +220,20 @@ class TestCmdCombine:
         assert code == 2
         assert "share" in err
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"p_values": 0.5},
+            {"p_values": [0.5, None]},
+            {"p_values": [0.5, 0.2], "shares": 0.5},
+        ],
+    )
+    def test_malformed_list_exits_2(self, tmp_path, capsys, fields):
+        cfg = write_config(tmp_path, **({"method": "wstouffer"} | fields))
+        code, out, err = run(["combine", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert "config field" in err
+
     def test_unknown_method_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, method="median", p_values=[0.5])
         code, _, err = run(["combine", "--config", cfg], capsys)
@@ -326,6 +340,24 @@ class TestCmdSemisynth:
         assert code == 0
         assert out.startswith("sweep,setting,entropy,method,recall_at_fdr,f1\n")
         assert len(out.strip().splitlines()) == 3
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("site_sweep", 3),
+            ("site_sweep", [2.5]),
+            ("magnitude_sweep", [True]),
+            ("thresholds", 0.1),
+            ("thresholds", [0.1, None]),
+            ("thresholds", [0.1, 1.0]),
+            ("methods", "fisher"),
+        ],
+    )
+    def test_malformed_field_exits_2(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, **(self.TINY | {field: value}))
+        code, out, err = run(["semisynth", "--config", cfg, "--seed", 1], capsys)
+        assert code == 2 and out == ""
+        assert field in err
 
     def test_seed_in_config_is_enough(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seed=7, **self.TINY)
@@ -480,6 +512,33 @@ class TestCmdEvaluate:
         _, out_exact, _ = run(["evaluate", "--config", exact], capsys)
         assert out_wide != out_exact
         assert out_exact.strip().splitlines()[1].endswith(",0.0,0.0,0.0")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("match_window", 5),
+            ("match_window", [1]),
+            ("match_window", ["a", 1]),
+            ("match_window", [1.5, 2]),
+            ("match_window", [True, 2]),
+            ("thresholds", 0.1),
+            ("thresholds", [0.1, None]),
+        ],
+    )
+    def test_malformed_field_exits_2(self, tmp_path, eval_inputs, capsys, field, value):
+        scores, truth = eval_inputs
+        cfg = write_config(tmp_path, scores=str(scores), truth=str(truth), **{field: value})
+        code, out, err = run(["evaluate", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert field in err
+
+    def test_integral_float_window_accepted(self, tmp_path, eval_inputs, capsys):
+        scores, truth = eval_inputs
+        fields = dict(scores=str(scores), truth=str(truth), thresholds=[0.05])
+        as_float = write_config(tmp_path, name="f.json", match_window=[1.0, 2], **fields)
+        as_int = write_config(tmp_path, name="i.json", match_window=[1, 2], **fields)
+        got_float, got_int = (run(["evaluate", "--config", c], capsys) for c in (as_float, as_int))
+        assert got_float[0] == 0 and got_float == got_int
 
     def test_missing_p_column_exits_2(self, tmp_path, eval_inputs, capsys):
         _, truth = eval_inputs

@@ -28,6 +28,12 @@ class TestTypes:
     def test_match_window_validation(self):
         with pytest.raises(DomainError):
             ev.MatchWindow(-1, 2)
+        for bad in (1.5, 1.0, True, "1", None):
+            with pytest.raises(DomainError):
+                ev.MatchWindow(bad, 2)
+            with pytest.raises(DomainError):
+                ev.MatchWindow(2, bad)
+        assert ev.MatchWindow(np.int64(1), 0) == ev.MatchWindow(1, 0)
         assert ev.MatchWindow.default_for("weekly") == ev.MatchWindow(1, 2)
         assert ev.MatchWindow.default_for("daily") == ev.MatchWindow(7, 14)
 
@@ -179,6 +185,96 @@ class TestPRCurve:
         curve = ev.pr_curve([0.01, 0.9], ev.AlarmSeries(()), ev.MatchWindow(0, 0), [0.1])
         assert curve.points[0].precision == 0.0
         assert curve.points[0].recall == 1.0
+
+
+class TestPRCurves:
+    def test_matches_scalar_matching_on_random_inputs(self):
+        rng = np.random.default_rng(4004)
+        grid = (0.01, 0.05, 0.1, 0.3, 0.5, 0.9)
+        for _ in range(400):
+            n_series = int(rng.integers(1, 5))
+            length = int(rng.integers(1, 30))
+            thresholds = [float(t) for t in rng.choice(grid, size=rng.integers(1, 6))]
+            # mix continuous values with exact threshold ties and a silent row
+            p = rng.uniform(size=(n_series, length)) ** 2
+            ties = rng.uniform(size=p.shape) < 0.3
+            p[ties] = rng.choice(grid, size=int(ties.sum()))
+            if rng.uniform() < 0.3:
+                p[int(rng.integers(n_series))] = 1.0
+            # truth may be empty and may sit past either end of the series
+            truth = ev.AlarmSeries.of(rng.integers(-2, length + 2, size=rng.integers(0, 8)))
+            window = ev.MatchWindow(int(rng.integers(0, 4)), int(rng.integers(0, 4)))
+            curves = ev.pr_curves(p, truth, window, thresholds)
+            assert len(curves) == n_series
+            for row, curve in zip(p, curves):
+                want = oracles.pr_points_by_matching(row, truth, window, thresholds)
+                assert [tuple(pt) for pt in curve.points] == want
+
+    def test_window_clipped_at_both_ends(self):
+        p = [[0.01, 0.9, 0.9, 0.9, 0.01]]
+        truth = ev.AlarmSeries((0, 4))
+        wide = ev.MatchWindow(3, 3)
+        (curve,) = ev.pr_curves(p, truth, wide, [0.05])
+        assert curve.points[0] == (0.05, 1.0, 1.0)
+        want = oracles.pr_points_by_matching(p[0], truth, wide, [0.05])
+        assert [tuple(pt) for pt in curve.points] == want
+        # truth alarms whose whole window lies outside the series match nothing
+        outside = ev.AlarmSeries((-5, 9))
+        (curve,) = ev.pr_curves(p, outside, ev.MatchWindow(1, 1), [0.05])
+        assert curve.points[0] == (0.05, 0.0, 0.0)
+
+    def test_zero_extents_need_exact_hits(self):
+        p = [[0.9, 0.01, 0.9, 0.01], [0.01, 0.9, 0.01, 0.9]]
+        truth = ev.AlarmSeries((1, 3))
+        exact, late = ev.pr_curves(p, truth, ev.MatchWindow(0, 0), [0.05])
+        assert exact.points[0] == (0.05, 1.0, 1.0)
+        assert late.points[0] == (0.05, 0.0, 0.0)
+        (late,) = ev.pr_curves(p[1:], truth, ev.MatchWindow(1, 0), [0.05])
+        assert late.points[0] == (0.05, 1.0, 1.0)
+
+    def test_tie_with_threshold_does_not_alarm(self):
+        truth = ev.AlarmSeries((0,))
+        (curve,) = ev.pr_curves([[0.05, 0.04]], truth, ev.MatchWindow(0, 0), [0.05])
+        assert curve.points[0] == (0.05, 0.0, 0.0)
+
+    def test_duplicate_unsorted_thresholds(self):
+        p = [[0.2, 0.01, 0.5, 0.05]]
+        truth = ev.AlarmSeries((1,))
+        thresholds = [0.3, 0.05, 0.3, 0.02]
+        (curve,) = ev.pr_curves(p, truth, ev.MatchWindow(1, 1), thresholds)
+        assert [pt.threshold for pt in curve.points] == [0.02, 0.05, 0.3, 0.3]
+        want = oracles.pr_points_by_matching(p[0], truth, ev.MatchWindow(1, 1), thresholds)
+        assert [tuple(pt) for pt in curve.points] == want
+
+    def test_single_series_is_pr_curve(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            row = rng.uniform(size=25)
+            truth = ev.AlarmSeries.of(rng.integers(0, 25, size=4))
+            window = ev.MatchWindow(int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+            (batched,) = ev.pr_curves(row[None, :], truth, window, [0.1, 0.4])
+            assert batched == ev.pr_curve(row, truth, window, [0.1, 0.4])
+
+    def test_no_series_gives_no_curves(self):
+        truth = ev.AlarmSeries((1,))
+        assert ev.pr_curves(np.ones((0, 5)), truth, ev.MatchWindow(1, 1), [0.1]) == ()
+
+    def test_bad_pvalue_in_any_row_rejected(self):
+        truth = ev.AlarmSeries((1,))
+        for bad in (np.nan, -0.1, 1.5):
+            for row in range(3):
+                p = np.full((3, 6), 0.5)
+                p[row, 4] = bad
+                with pytest.raises(DomainError, match="p-values must lie in"):
+                    ev.pr_curves(p, truth, ev.MatchWindow(1, 1), [0.1])
+
+    def test_bad_thresholds_and_shapes_rejected(self):
+        truth = ev.AlarmSeries((1,))
+        for thresholds in ([], [0.0], [1.0], [0.1, float("nan")]):
+            with pytest.raises(DomainError):
+                ev.pr_curves([[0.5, 0.5]], truth, ev.MatchWindow(1, 1), thresholds)
+        with pytest.raises(DomainError):
+            ev.pr_curves([0.5, 0.5], truth, ev.MatchWindow(1, 1), [0.1])
 
 
 class TestRecallAtFdr:

@@ -180,6 +180,10 @@ class TestSemisynthConfig:
             {"magnitude_sweep": (1.0, -0.5)},
             {"dominant_sweep": (0.1,)},
             {"methods": ("stouffer", "median")},
+            {"thresholds": ()},
+            {"thresholds": (0.1, 1.0)},
+            {"thresholds": (0.0,)},
+            {"thresholds": (float("nan"),)},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -272,6 +276,39 @@ class TestRunSemisynthSweep:
         rows = {r.method: r for r in res.rows}
         assert abs(rows["fisher"].recall_at_fdr - rows["wfisher"].recall_at_fdr) <= 0.08
         assert abs(rows["fisher"].f1 - rows["wfisher"].f1) <= 0.08
+
+    def test_small_sweep_golden(self):
+        """Pinned rows of a small sweep with reordered, duplicated
+        thresholds. The scores come from integer match counts, so a change
+        in how method series are stacked or matched shows here exactly."""
+        cfg = SemisynthConfig(
+            site_sweep=(3,),
+            magnitude_sweep=(0.5,),
+            dominant_sweep=(0.6,),
+            n_replicates=2,
+            methods=("largest_site", "centralized", "fisher", "wfisher", "lancaster"),
+            thresholds=(0.2, 1e-4, 0.05, 0.2, 0.01),
+        )
+        result = run_semisynth_sweep(cfg, 17)
+        entropy = 0.7627069065377661
+        assert [tuple(r) for r in result.rows] == [
+            ("sites", "3", 1.0, "largest_site", 0.024390243902439025, 0.3355263157894737),
+            ("sites", "3", 1.0, "centralized", 0.024390243902439025, 1.0),
+            ("sites", "3", 1.0, "fisher", 0.0, 0.8198757763975155),
+            ("sites", "3", 1.0, "wfisher", 0.0, 0.7619047619047619),
+            ("sites", "3", 1.0, "lancaster", 0.012195121951219513, 0.9166666666666666),
+            ("magnitude", "0.5", 1.0, "largest_site", 0.0, 0.4264705882352941),
+            ("magnitude", "0.5", 1.0, "centralized", 0.4390243902439025, 1.0),
+            ("magnitude", "0.5", 1.0, "fisher", 0.24390243902439024, 0.8500000000000001),
+            ("magnitude", "0.5", 1.0, "wfisher", 0.23170731707317072, 0.8666666666666667),
+            ("magnitude", "0.5", 1.0, "lancaster", 0.43902439024390244, 0.9166666666666666),
+            ("entropy", "0.6", entropy, "largest_site", 0.4024390243902439, 0.8699324324324325),
+            ("entropy", "0.6", entropy, "centralized", 0.6341463414634146, 1.0),
+            ("entropy", "0.6", entropy, "fisher", 0.5, 0.8064516129032258),
+            ("entropy", "0.6", entropy, "wfisher", 0.6707317073170732, 0.9260249554367201),
+            ("entropy", "0.6", entropy, "lancaster", 0.6097560975609756, 0.9419913419913419),
+        ]
+        assert set(result.truth_alarm_counts.values()) == {41}
 
     def test_same_seed_reproduces(self):
         cfg = SemisynthConfig(

@@ -70,6 +70,32 @@ HYPOTHESIS_RHOS = sorted(
 )
 
 
+class TestBinomialCdfBatchError:
+    GRID_N = tuple(range(1, 21)) + (33, 50, 64, 100, 101, 150, 200, 250, 299, 300)
+
+    def test_row_oracle_equals_fraction_oracle(self):
+        rho = HYPOTHESIS_RHOS[3]
+        for n in (1, 33, nm.EXACT_MAX_N):
+            row = oracles.binom_cdf_fraction_all(n, rho)
+            for c in (0, n // 2, n):
+                assert row[c] == oracles.binom_cdf_fraction(c, n, rho)
+
+    def test_relative_error_bound_against_exact_tail(self):
+        """The betainc path against the correctly rounded exact tail, for
+        every c at each n on the grid and every hypothesis rho. Measured
+        maximum relative error with scipy 1.17.1: 5.0e-14 (394 ulps), at
+        n = 299, c = 68, rho = 4 / 5.1 (theta 0.1, l = 4); the bound leaves
+        room for other scipy builds."""
+        worst = 0.0
+        for rho in HYPOTHESIS_RHOS:
+            for n in self.GRID_N:
+                want = np.array(oracles.binom_cdf_fraction_all(n, rho))
+                got = nm.binomial_cdf(np.arange(n + 1), n, rho)
+                assert want.min() > 0.0
+                worst = max(worst, float(np.max(np.abs(got - want) / want)))
+        assert worst <= 1e-12
+
+
 class TestBinomialCdfExact:
     def test_equals_fraction_oracle_on_random_grid(self):
         rng = np.random.default_rng(20261018)
