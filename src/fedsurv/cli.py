@@ -126,6 +126,21 @@ def _pooled(series: Sequence[CountSeries]) -> CountSeries:
 
 
 _REQUIRED = object()
+_KIND_NAMES = {  # (one value, a list of them) in error messages
+    float: ("a number", "numbers"),
+    int: ("an integer", "integers"),
+    str: ("a string", "strings"),
+}
+
+
+def _is_kind(value, kind) -> bool:
+    """JSON-typed check: strings for str; for numbers, JSON numbers only
+    (never bool), integral where `kind` is int."""
+    if kind is str:
+        return isinstance(value, str)
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    return kind is float or isinstance(value, int) or value.is_integer()
 
 
 class ExperimentConfig:
@@ -160,9 +175,20 @@ class ExperimentConfig:
             raise ConfigError(f"config field {key!r} is required")
         return default
 
+    def take_number(self, key: str, default=_REQUIRED, kind=float):
+        """A scalar number field as `kind` (float or int). It must be a JSON
+        number, integral when `kind` is int; a default passes through
+        unchecked."""
+        raw = self.take(key, default)
+        if raw is default:
+            return default
+        if not _is_kind(raw, kind):
+            raise ConfigError(f"config field {key!r} must be {_KIND_NAMES[kind][0]}, got {raw!r}")
+        return kind(raw)
+
     def take_list(self, key: str, default=_REQUIRED, kind=float, length: Optional[int] = None):
-        """A list-valued field as a tuple of `kind` (float, int or str). Numbers
-        must be JSON numbers, and ints must be integral; a default passes
+        """A list-valued field as a tuple of `kind` (float, int or str), each
+        element checked as ``take_number`` checks a scalar; a default passes
         through unchecked."""
         raw = self.take(key, default)
         if raw is default:
@@ -171,14 +197,8 @@ class ExperimentConfig:
             size = "a list" if length is None else f"a list of {length}"
             raise ConfigError(f"config field {key!r} must be {size}, got {raw!r}")
         for v in raw:
-            if kind is str:
-                ok = isinstance(v, str)
-            else:
-                ok = isinstance(v, (int, float)) and not isinstance(v, bool)
-                if kind is int:
-                    ok = ok and (isinstance(v, int) or v.is_integer())
-            if not ok:
-                what = {float: "numbers", int: "integers", str: "strings"}[kind]
+            if not _is_kind(v, kind):
+                what = _KIND_NAMES[kind][1]
                 raise ConfigError(f"config field {key!r} must hold {what}, got {v!r}")
         return tuple(kind(v) for v in raw)
 
@@ -202,21 +222,21 @@ class ExperimentConfig:
     def hypothesis(self) -> SurgeHypothesis:
         try:
             return SurgeHypothesis(
-                float(self.take("theta", 0.3)),
-                int(self.take("baseline_len", 4)),
-                float(self.take("alpha", 0.05)),
+                self.take_number("theta", 0.3),
+                self.take_number("baseline_len", 4, int),
+                self.take_number("alpha", 0.05),
             )
         except DomainError as exc:
             raise ConfigError(str(exc)) from exc
 
 
 def _resolve_seed(args, cfg: ExperimentConfig) -> int:
-    seed = args.seed if args.seed is not None else cfg.take("seed", None)
+    seed = args.seed if args.seed is not None else cfg.take_number("seed", None, int)
     if seed is None:
         raise ConfigError("a seed is required: pass --seed or set \"seed\" in the config")
-    if int(seed) != seed or int(seed) < 0:
+    if seed < 0:
         raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)
+    return seed
 
 
 # --------------------------------------------------------------- output
@@ -252,12 +272,11 @@ def cmd_test(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     csv_path = cfg.take_path("csv")
     hyp = cfg.hypothesis()
-    at = cfg.take("at")
+    at = cfg.take_number("at", kind=int)
     site = cfg.take("site", None)
     cfg.finish()
-    if int(at) != at or at < 0:
+    if at < 0:
         raise ConfigError(f"config field 'at' must be a nonnegative integer, got {at!r}")
-    at = int(at)
 
     series = read_counts_csv(csv_path)
     if site is not None:
@@ -313,12 +332,12 @@ def cmd_power_curve(args) -> int:
     hyp = cfg.hypothesis()
     pc = PowerCurveConfig(
         hypothesis=hyp,
-        n_total=int(cfg.take("n_total", 200)),
+        n_total=cfg.take_number("n_total", 200, int),
         shares=cfg.take_list("shares", (0.5, 0.5)),
         theta_grid=cfg.take_list("theta_grid", PowerCurveConfig.theta_grid),
         methods=cfg.take_list("methods", POWER_METHODS, str),
-        calibration_reps=int(cfg.take("calibration_reps", 100_000)),
-        power_reps=int(cfg.take("power_reps", 50_000)),
+        calibration_reps=cfg.take_number("calibration_reps", 100_000, int),
+        power_reps=cfg.take_number("power_reps", 50_000, int),
     )
     cfg.finish()
     result = run_power_curve(pc, seed)
@@ -331,13 +350,13 @@ def cmd_power_curve(args) -> int:
 def _semisynth_config(cfg: ExperimentConfig) -> SemisynthConfig:
     return SemisynthConfig(
         hypothesis=cfg.hypothesis(),
-        smoothing_window=int(cfg.take("smoothing_window", 5)),
-        n_replicates=int(cfg.take("n_replicates", 20)),
+        smoothing_window=cfg.take_number("smoothing_window", 5, int),
+        n_replicates=cfg.take_number("n_replicates", 20, int),
         site_sweep=cfg.take_list("site_sweep", (2, 5, 10, 20), int),
-        site_sweep_magnitude=float(cfg.take("site_sweep_magnitude", 0.2)),
+        site_sweep_magnitude=cfg.take_number("site_sweep_magnitude", 0.2),
         magnitude_sweep=cfg.take_list("magnitude_sweep", (0.1, 0.5, 1.0, 2.0)),
         dominant_sweep=cfg.take_list("dominant_sweep", (0.2, 0.4, 0.6, 0.8)),
-        entropy_sites=int(cfg.take("entropy_sites", 5)),
+        entropy_sites=cfg.take_number("entropy_sites", 5, int),
         methods=cfg.take_list("methods", POWER_METHODS, str),
         thresholds=cfg.take_list("thresholds", DEFAULT_THRESHOLDS),
     )
@@ -373,8 +392,8 @@ def cmd_federation(args) -> int:
         hypothesis=hyp,
         method=cfg.take("method", "wstouffer"),
         share_source=cfg.take("share_source", "known"),
-        reporting_cycle=int(cfg.take("reporting_cycle", 1)),
-        lag=int(cfg.take("lag", 0)),
+        reporting_cycle=cfg.take_number("reporting_cycle", 1, int),
+        lag=cfg.take_number("lag", 0, int),
     )
 
     if csv_path is not None:
@@ -386,14 +405,10 @@ def cmd_federation(args) -> int:
     else:
         # no input data: split the built-in fixture into synthetic sites
         seed = _resolve_seed(args, cfg)
-        n_sites = int(cfg.take("n_sites", 5))
-        shares_raw = cfg.take("shares", None)
+        n_sites = cfg.take_number("n_sites", 5, int)
+        shares_raw = cfg.take_list("shares", None)
         cfg.finish()
-        shares = (
-            ShareVector(tuple(float(s) for s in shares_raw))
-            if shares_raw is not None
-            else ShareVector.equal(n_sites)
-        )
+        shares = ShareVector(shares_raw) if shares_raw is not None else ShareVector.equal(n_sites)
         if shares.n_sites != n_sites:
             raise ConfigError("shares length must equal n_sites")
         parts = split_multinomial(builtin_wave_counts(), shares, seed)

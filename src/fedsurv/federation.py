@@ -23,10 +23,12 @@ import dataclasses
 import math
 from typing import NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from . import combine
 from .errors import ConfigError, DomainError
 from .semisynth import CountSeries, ShareVector
-from .surge import SurgeHypothesis, SurgeWindow, exact_p_value
+from .surge import SurgeHypothesis, SurgeWindow, exact_p_value, window_p_values
 
 __all__ = [
     "SiteNode",
@@ -35,6 +37,7 @@ __all__ = [
     "FederationConfig",
     "CombinedPeriod",
     "site_compute_report",
+    "site_p_value_reports",
     "site_coarse_reports",
     "estimate_shares",
     "aggregate_period",
@@ -156,6 +159,22 @@ def site_compute_report(
     return PValueReport(site.site_id, t, exact_p_value(window, hyp))
 
 
+def _window_totals(site: SiteNode, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Baseline totals c and window totals n of the windows ending at every
+    t in [l, length), from cumulative sums of the site's own counts."""
+    prefix = np.concatenate(([0], np.cumsum(site.private_series.counts, dtype=np.int64)))
+    t = np.arange(l, site.length)
+    return prefix[t] - prefix[t - l], prefix[t + 1] - prefix[t - l]
+
+
+def site_p_value_reports(site: SiteNode, hyp: SurgeHypothesis) -> tuple[PValueReport, ...]:
+    """``site_compute_report`` for every period with a full baseline, in
+    one batch: the reports for t = l, l + 1, ..., length - 1."""
+    l = hyp.baseline_len
+    p = window_p_values(*_window_totals(site, l), hyp).tolist()
+    return tuple(PValueReport(site.site_id, t, v) for t, v in enumerate(p, start=l))
+
+
 def site_coarse_reports(site: SiteNode, cfg: FederationConfig) -> tuple[CoarseReport, ...]:
     """Totals over every complete reporting cycle in the site's history.
     Cycle k covers periods [k*C, (k+1)*C - 1] and is released `lag` periods
@@ -176,6 +195,39 @@ def release_period(cycle_index: int, cfg: FederationConfig) -> int:
     return (cycle_index + 1) * cfg.reporting_cycle - 1 + cfg.lag
 
 
+def _keep_latest(latest: dict, report: CoarseReport) -> None:
+    kept = latest.get(report.site_id)
+    if kept is None or report.cycle_index > kept.cycle_index:
+        latest[report.site_id] = report
+
+
+def _latest_released(
+    coarse: Sequence[CoarseReport], t: int, cfg: FederationConfig, ids: Sequence[str]
+) -> dict[str, CoarseReport]:
+    """Each listed site's latest cycle report released by period t."""
+    members = set(ids)
+    latest: dict[str, CoarseReport] = {}
+    for report in coarse:
+        if report.site_id in members and release_period(report.cycle_index, cfg) <= t:
+            _keep_latest(latest, report)
+    return latest
+
+
+def _shares_from_latest(latest: dict, ids: Sequence[str]) -> ShareVector:
+    if set(latest) == set(ids):
+        totals = [latest[sid].total_count for sid in ids]
+        grand = sum(totals)
+        if grand > 0:
+            return ShareVector(tuple(v / grand for v in totals))
+    return ShareVector.equal(len(ids))
+
+
+def _total_from_latest(latest: dict, cfg: FederationConfig) -> int:
+    window_len = cfg.hypothesis.baseline_len + 1
+    pooled = sum(r.total_count for r in latest.values())
+    return max(1, round(pooled * window_len / cfg.reporting_cycle))
+
+
 def estimate_shares(
     coarse: Sequence[CoarseReport],
     t: int,
@@ -193,21 +245,7 @@ def estimate_shares(
     ids = list(site_ids)
     if not ids:
         raise ConfigError("cannot estimate shares with no sites")
-    uniform = ShareVector.equal(len(ids))
-    latest: dict[str, CoarseReport] = {}
-    for report in coarse:
-        if report.site_id not in ids or release_period(report.cycle_index, cfg) > t:
-            continue
-        kept = latest.get(report.site_id)
-        if kept is None or report.cycle_index > kept.cycle_index:
-            latest[report.site_id] = report
-    if set(latest) != set(ids):
-        return uniform
-    totals = [latest[sid].total_count for sid in ids]
-    grand = sum(totals)
-    if grand == 0:
-        return uniform
-    return ShareVector(tuple(v / grand for v in totals))
+    return _shares_from_latest(_latest_released(coarse, t, cfg, ids), ids)
 
 
 def estimated_window_total(
@@ -218,16 +256,7 @@ def estimated_window_total(
 ) -> int:
     """Pooled test-window size inferred from released cycle totals: the
     per-cycle pooled count rescaled from cycle length to window length."""
-    released = {}
-    for report in coarse:
-        if report.site_id not in site_ids or release_period(report.cycle_index, cfg) > t:
-            continue
-        kept = released.get(report.site_id)
-        if kept is None or report.cycle_index > kept.cycle_index:
-            released[report.site_id] = report
-    window_len = cfg.hypothesis.baseline_len + 1
-    pooled = sum(r.total_count for r in released.values())
-    return max(1, round(pooled * window_len / cfg.reporting_cycle))
+    return _total_from_latest(_latest_released(coarse, t, cfg, site_ids), cfg)
 
 
 def aggregate_period(
@@ -259,16 +288,37 @@ def aggregate_period(
     return combine.combine_by_id(cfg.method, evidence)
 
 
-def _known_shares_and_total(
-    sites: Sequence[SiteNode], t: int, l: int
-) -> tuple[Optional[ShareVector], int]:
+def _known_shares_and_total(totals: list[int]) -> tuple[ShareVector, int]:
     # benchmark side channel: true window totals, bypassing the report
     # boundary on purpose (share_source="known" models out-of-band sizes)
-    totals = [sum(s.private_series.counts[t - l : t + 1]) for s in sites]
     pooled = sum(totals)
     if pooled == 0:
-        return None, 0
+        # empty pooled window; degenerate but well-typed
+        return ShareVector.equal(len(totals)), 1
     return ShareVector(tuple(v / pooled for v in totals)), pooled
+
+
+def _estimated_shares_and_totals(
+    sites: Sequence[SiteNode], cfg: FederationConfig, ids: list[str]
+) -> list[tuple[ShareVector, int]]:
+    """(``estimate_shares``, ``estimated_window_total``) for every period
+    t >= l, from one walk over the coarse reports in release order; the
+    pair is re-derived only at periods where a report is released."""
+    coarse = [r for s in sites for r in site_coarse_reports(s, cfg)]
+    coarse.sort(key=lambda r: release_period(r.cycle_index, cfg))
+    latest: dict[str, CoarseReport] = {}
+    out = []
+    i = 0
+    for t in range(cfg.hypothesis.baseline_len, sites[0].length):
+        fresh = not out
+        while i < len(coarse) and release_period(coarse[i].cycle_index, cfg) <= t:
+            _keep_latest(latest, coarse[i])
+            i += 1
+            fresh = True
+        if fresh:
+            current = (_shares_from_latest(latest, ids), _total_from_latest(latest, cfg))
+        out.append(current)
+    return out
 
 
 def run_federation(
@@ -279,6 +329,11 @@ def run_federation(
     Sites are processed in site_id order; output is one combined p-value
     per period, with the share vector the aggregator used (None when the
     method ignores shares). Deterministic given (sites, config).
+
+    Each site's window totals and p-values are computed once, as arrays
+    (the batch behind ``site_p_value_reports``); known shares read the same
+    window totals. The aggregator still receives one period's reports at a
+    time and combines them through ``aggregate_period``.
     """
     if not sites:
         raise ConfigError("at least one site is required")
@@ -291,25 +346,22 @@ def run_federation(
     for s in ordered[1:]:
         if s.timeline != timeline or s.period != period:
             raise ConfigError("sites must share cadence and timestamp alignment")
-    l = cfg.hypothesis.baseline_len
-    coarse: list[CoarseReport] = []
-    if cfg.share_source == "estimated":
-        for s in ordered:
-            coarse.extend(site_coarse_reports(s, cfg))
+    hyp = cfg.hypothesis
+    l = hyp.baseline_len
+    windows = [_window_totals(s, l) for s in ordered]
+    p_values = np.array([window_p_values(c, n, hyp) for c, n in windows])
+    if cfg.share_source == "known":
+        totals = np.array([n for _, n in windows])
+        resolved = (_known_shares_and_total(col.tolist()) for col in totals.T)
+    elif cfg.share_source == "estimated":
+        resolved = _estimated_shares_and_totals(ordered, cfg, ids)
+    else:
+        resolved = [(None, None)] * (len(timeline) - l)
 
     out: list[CombinedPeriod] = []
-    for t in range(l, len(timeline)):
-        reports = [site_compute_report(s, t, cfg.hypothesis) for s in ordered]
-        shares: Optional[ShareVector] = None
-        total: Optional[int] = None
-        if cfg.share_source == "known":
-            shares, total = _known_shares_and_total(ordered, t, l)
-            if shares is None:
-                shares = ShareVector.equal(len(ordered))
-                total = 1  # empty pooled window; degenerate but well-typed
-        elif cfg.share_source == "estimated":
-            shares = estimate_shares(coarse, t, cfg, ids)
-            total = estimated_window_total(coarse, t, cfg, ids)
+    for j, (shares, total) in enumerate(resolved):
+        t = l + j
+        reports = [PValueReport(sid, t, p) for sid, p in zip(ids, p_values[:, j].tolist())]
         result = aggregate_period(reports, cfg, shares=shares, total_count=total)
         used = None if cfg.method not in combine.SHARE_METHODS else shares.shares
         out.append(CombinedPeriod(t, result.p, used))

@@ -200,13 +200,8 @@ def split_multinomial(
     else:
         table = np.zeros((0, sv.n_sites), dtype=np.int64)
     return [
-        CountSeries(
-            f"{series.site_id}-{i + 1}",
-            series.period,
-            series.timestamps,
-            tuple(int(c) for c in table[:, i]),
-        )
-        for i in range(sv.n_sites)
+        CountSeries(f"{series.site_id}-{i + 1}", series.period, series.timestamps, tuple(counts))
+        for i, counts in enumerate(table.T.tolist())
     ]
 
 

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import numerics
 from .errors import BoundsNotApplicableError, ConfigError, DomainError
 
@@ -26,6 +28,7 @@ __all__ = [
     "ApproximationDiagnostics",
     "PowerTerms",
     "exact_p_value",
+    "window_p_values",
     "gaussian_p_value",
     "critical_value",
     "power_exact",
@@ -151,12 +154,44 @@ def exact_p_value(window: SurgeWindow, hyp: SurgeHypothesis) -> float:
     window carries no evidence and returns 1.
     """
     _check_window(window, hyp)
-    n = window.total
+    return _window_tail(window.baseline_total, window.total, hyp.rho)
+
+
+def _window_tail(c: int, n: int, rho: float) -> float:
+    # the one rule behind exact_p_value and window_p_values
     if n == 0:
         return 1.0
     if n <= numerics.EXACT_MAX_N:
-        return numerics.binomial_cdf_exact(window.baseline_total, n, hyp.rho)
-    return numerics.binomial_cdf(window.baseline_total, n, hyp.rho)
+        return numerics.binomial_cdf_exact(c, n, rho)
+    return numerics.binomial_cdf(c, n, rho)
+
+
+def window_p_values(c, n, hyp: SurgeHypothesis) -> np.ndarray:
+    """``exact_p_value`` for arrays of windows given as baseline totals c
+    and window totals n (same shape), bit for bit.
+
+    The p-value depends only on the integer pair (c, n), so the rule runs
+    once per distinct pair and the rest is filled in by index.
+    """
+    c_arr = np.asarray(c)
+    n_arr = np.asarray(n)
+    if c_arr.shape != n_arr.shape:
+        raise ConfigError(f"c has shape {c_arr.shape} but n has shape {n_arr.shape}")
+    for name, arr in (("c", c_arr), ("n", n_arr)):
+        if arr.size and not np.issubdtype(arr.dtype, np.integer):
+            raise DomainError(f"{name} must hold integers, got dtype {arr.dtype}")
+    if (c_arr < 0).any():
+        raise DomainError("window counts must be nonnegative")
+    if (c_arr > n_arr).any():
+        raise DomainError("a baseline total must not exceed its window total")
+    pairs, inverse = np.unique(
+        np.stack((c_arr.ravel(), n_arr.ravel())), axis=1, return_inverse=True
+    )
+    rho = hyp.rho
+    values = np.array(
+        [_window_tail(ci, ni, rho) for ci, ni in zip(*pairs.tolist())], dtype=float
+    )
+    return values[inverse.reshape(-1)].reshape(c_arr.shape)
 
 
 def gaussian_p_value(window: SurgeWindow, hyp: SurgeHypothesis, yates: bool = False) -> float:

@@ -15,7 +15,9 @@ from fractions import Fraction
 
 import mpmath
 
-from fedsurv import evaluation
+from fedsurv import combine, evaluation
+from fedsurv import federation as fed
+from fedsurv.semisynth import ShareVector
 
 mpmath.mp.dps = 40
 
@@ -217,6 +219,41 @@ def pr_points_by_matching(p_series, truth, window, thresholds) -> list[tuple]:
         counts = evaluation.match_alarms(truth, predicted, window)
         points.append((float(th),) + evaluation.precision_recall(counts))
     return points
+
+
+# -------------------------------------------------------------- federation
+
+def run_federation_per_period(sites, cfg) -> list:
+    """`fed.run_federation` one period at a time: at every t each site
+    computes one report (`site_compute_report`), known shares are slice sums
+    of the raw counts, and estimated ones rescan every coarse report
+    (`estimate_shares`, `estimated_window_total`). The definition the
+    batched loop must meet; like `pr_points_by_matching` it reuses library
+    code, whose pieces are tested on their own."""
+    ordered = sorted(sites, key=lambda s: s.site_id)
+    ids = [s.site_id for s in ordered]
+    l = cfg.hypothesis.baseline_len
+    coarse = []
+    if cfg.share_source == "estimated":
+        coarse = [r for s in ordered for r in fed.site_coarse_reports(s, cfg)]
+    out = []
+    for t in range(l, ordered[0].length):
+        reports = [fed.site_compute_report(s, t, cfg.hypothesis) for s in ordered]
+        shares = total = None
+        if cfg.share_source == "known":
+            totals = [sum(s.private_series.counts[t - l : t + 1]) for s in ordered]
+            total = sum(totals)
+            if total == 0:
+                shares, total = ShareVector.equal(len(ordered)), 1
+            else:
+                shares = ShareVector(tuple(v / total for v in totals))
+        elif cfg.share_source == "estimated":
+            shares = fed.estimate_shares(coarse, t, cfg, ids)
+            total = fed.estimated_window_total(coarse, t, cfg, ids)
+        result = fed.aggregate_period(reports, cfg, shares=shares, total_count=total)
+        used = shares.shares if cfg.method in combine.SHARE_METHODS else None
+        out.append(fed.CombinedPeriod(t, result.p, used))
+    return out
 
 
 # ------------------------------------------------------------- KS uniform

@@ -3,12 +3,14 @@ fidelity against library calls, golden outputs, and exit codes."""
 
 import datetime
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import fedsurv
 from fedsurv import numerics
 from fedsurv.cli import main, read_counts_csv
 from fedsurv.combine import EvidenceSet, combine_by_id
@@ -50,6 +52,13 @@ def write_config(tmp_path, name="config.json", **fields):
     path = tmp_path / name
     path.write_text(json.dumps(fields), encoding="utf-8")
     return path
+
+
+def package_env():
+    """The environment with this checkout's package first on PYTHONPATH, so a
+    child interpreter imports the fedsurv under test without an install."""
+    src = str(Path(fedsurv.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def run(args, capsys):
@@ -281,6 +290,21 @@ class TestCmdPowerCurve:
         keys = [(r[1], float(r[0])) for r in rows]
         assert keys == sorted(keys)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_total", 200.5),
+            ("n_total", "200"),
+            ("calibration_reps", True),
+            ("power_reps", 1000.5),
+        ],
+    )
+    def test_malformed_scalar_exits_2(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, **{field: value})
+        code, out, err = run(["power-curve", "--config", cfg, "--seed", 1], capsys)
+        assert code == 2 and out == ""
+        assert field in err
+
     def test_missing_seed_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, calibration_reps=1000, power_reps=1000)
         code, _, err = run(["power-curve", "--config", cfg], capsys)
@@ -359,6 +383,29 @@ class TestCmdSemisynth:
         assert code == 2 and out == ""
         assert field in err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("smoothing_window", 2.5),
+            ("n_replicates", True),
+            ("n_replicates", "3"),
+            ("entropy_sites", 4.2),
+            ("site_sweep_magnitude", "0.2"),
+        ],
+    )
+    def test_malformed_scalar_exits_2(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, **(self.TINY | {field: value}))
+        code, out, err = run(["semisynth", "--config", cfg, "--seed", 1], capsys)
+        assert code == 2 and out == ""
+        assert field in err
+
+    @pytest.mark.parametrize("seed", [1.5, False, "7"])
+    def test_malformed_seed_in_config_exits_2(self, tmp_path, capsys, seed):
+        cfg = write_config(tmp_path, seed=seed, **self.TINY)
+        code, out, err = run(["semisynth", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert "seed" in err
+
     def test_seed_in_config_is_enough(self, tmp_path, capsys):
         cfg = write_config(tmp_path, seed=7, **self.TINY)
         code, out, _ = run(["semisynth", "--config", cfg], capsys)
@@ -429,6 +476,37 @@ class TestCmdFederation:
         known = [e["shares"] for e in outputs["known"]["periods"]]
         estimated = [e["shares"] for e in outputs["estimated"]["periods"]]
         assert known == estimated == [[0.75, 0.25]] * len(known)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("reporting_cycle", 2.5),
+            ("reporting_cycle", "x"),
+            ("lag", True),
+            ("lag", 1.5),
+            ("n_sites", 2.7),
+            ("n_sites", "5"),
+            ("baseline_len", 4.5),
+            ("theta", "0.3"),
+            ("shares", ["0.5", "0.5"]),
+        ],
+    )
+    def test_malformed_scalar_exits_2(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, **{field: value})
+        code, out, err = run(["federation", "--config", cfg, "--seed", 1], capsys)
+        assert code == 2 and out == ""
+        assert field in err
+
+    def test_integral_float_scalars_accepted(self, tmp_path, capsys):
+        fields = dict(method="fisher", share_source="estimated", n_sites=3)
+        outputs = []
+        for name, cycle, lag in (("ints.json", 3, 1), ("floats.json", 3.0, 1.0)):
+            cfg = write_config(tmp_path, name, reporting_cycle=cycle, lag=lag, **fields)
+            code, out, _ = run(["federation", "--config", cfg, "--seed", 4], capsys)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert '"reporting_cycle": 3,' in outputs[1]
 
     def test_fixture_fields_with_csv_exit_2(self, tmp_path, counts_csv, capsys):
         cfg = write_config(tmp_path, csv=str(counts_csv), method="fisher", n_sites=2)
@@ -603,8 +681,19 @@ class TestConsoleInvocation:
             json.dumps(TestCmdSemisynth.TINY | {"seed": 2}), encoding="utf-8"
         )
         cmd = [sys.executable, "-m", "fedsurv.cli", "semisynth", "--config", str(cfg)]
-        first = subprocess.run(cmd, capture_output=True, text=True)
-        second = subprocess.run(cmd, capture_output=True, text=True)
+        first = subprocess.run(cmd, capture_output=True, text=True, env=package_env())
+        second = subprocess.run(cmd, capture_output=True, text=True, env=package_env())
         assert first.returncode == 0, first.stderr
         assert first.stdout == second.stdout
         assert first.stdout.startswith("sweep,")
+
+    def test_python_m_fedsurv_runs_the_cli(self, tmp_path, counts_csv, capsys):
+        cfg = write_config(tmp_path, csv=str(counts_csv), at=5)
+        env = package_env()
+        cmd = [sys.executable, "-m", "fedsurv", "test", "--config", str(cfg)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        code, out, _ = run(["test", "--config", cfg], capsys)
+        assert proc.returncode == code == 0, proc.stderr
+        assert proc.stdout == out
+        bad = subprocess.run(cmd[:3] + ["nope"], capture_output=True, text=True, env=env)
+        assert bad.returncode == 2

@@ -3,10 +3,12 @@ import datetime
 import inspect
 
 import numpy as np
+import oracles
 import pytest
 
 from fedsurv import combine as cb
 from fedsurv import federation as fed
+from fedsurv import numerics
 from fedsurv.errors import ConfigError, DomainError
 from fedsurv.semisynth import CountSeries, ShareVector, date_range, split_multinomial
 from fedsurv.surge import SurgeHypothesis, SurgeWindow, exact_p_value
@@ -68,6 +70,15 @@ class TestSiteReports:
     def test_out_of_range_period(self):
         with pytest.raises(DomainError):
             fed.site_compute_report(node([1] * 6), 6, HYP)
+
+    @pytest.mark.parametrize("l", [1, 4, 7])
+    def test_batch_reports_match_per_period_reports(self, l):
+        hyp = SurgeHypothesis(0.5, l)
+        rng = np.random.default_rng(l)
+        for values in ([0] * 9, [int(v) for v in rng.poisson(6.0, size=20)], [3] * l, []):
+            n = node(values)
+            want = tuple(fed.site_compute_report(n, t, hyp) for t in range(l, len(values)))
+            assert fed.site_p_value_reports(n, hyp) == want
 
     def test_coarse_reports_cover_complete_cycles_only(self):
         cfg = fed.FederationConfig(HYP, "fisher", reporting_cycle=4, lag=2)
@@ -267,3 +278,77 @@ class TestRunFederation:
         )
         assert len(out) == 36
         assert all(0.0 <= r.p <= 1.0 for r in out)
+
+
+class TestBatchedLoopMatchesPerPeriodReference:
+    """run_federation against `oracles.run_federation_per_period`, the loop
+    that recomputes every report and rescans every coarse report each
+    period. `==` on CombinedPeriod compares every p and share tuple exactly.
+    cstouffer and lancaster read both the shares and the window total."""
+
+    METHODS = {
+        "known": ("cstouffer", "lancaster"),
+        "estimated": ("cstouffer", "wfisher"),
+        "none": ("fisher",),
+    }
+
+    @staticmethod
+    def sites(rng, n_sites, length, scale=1.0):
+        rates = rng.choice([0.0, 0.7, 4.0, 25.0], size=n_sites) * scale
+        drift = rng.uniform(0.3, 2.0, size=length)
+        counts = rng.poisson(rates[:, None] * drift, size=(n_sites, length))
+        counts[:, rng.random(length) < 0.2] = 0  # all-zero periods
+        nodes = [node([int(v) for v in row], site_id=f"s{i}") for i, row in enumerate(counts)]
+        rng.shuffle(nodes)  # input order must not matter
+        return nodes
+
+    def check(self, nodes, hyp, source, cycle=1, lag=0):
+        for method in self.METHODS[source]:
+            cfg = fed.FederationConfig(hyp, method, source, reporting_cycle=cycle, lag=lag)
+            want = oracles.run_federation_per_period(nodes, cfg)
+            got = fed.run_federation(nodes, cfg)
+            assert got == want, (source, method, cycle, lag)
+        return got
+
+    def test_seeded_random_sites_every_source_cycle_and_lag(self):
+        rng = np.random.default_rng(2024)
+        for cycle in range(1, 7):
+            for lag in range(6):
+                hyp = SurgeHypothesis(float(rng.choice([0.0, 0.3, 1.0])), int(rng.integers(1, 6)))
+                nodes = self.sites(rng, int(rng.integers(1, 6)), int(rng.integers(1, 30)))
+                for source in ("known", "estimated", "none"):
+                    self.check(nodes, hyp, source, cycle, lag)
+
+    def test_first_release_after_the_series_ends(self):
+        rng = np.random.default_rng(7)
+        nodes = self.sites(rng, 3, 10)
+        # cycle 0 covers periods 0..5 and is released at 5 + 5 = 10
+        out = self.check(nodes, HYP, "estimated", cycle=6, lag=5)
+        assert len(out) == 6 and all(r.shares == (1 / 3,) * 3 for r in out)
+        # a series shorter than one cycle releases nothing at all
+        self.check(self.sites(rng, 2, 5), HYP, "estimated", cycle=6, lag=0)
+
+    def test_all_zero_site_and_all_zero_periods(self):
+        values = [0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 7, 2, 0, 0, 0, 0, 0]
+        nodes = [node(values, "busy"), node([0] * len(values), "empty")]
+        for source in ("known", "estimated", "none"):
+            self.check(nodes, HYP, source, cycle=2, lag=1)
+        known = fed.run_federation(nodes, fed.FederationConfig(HYP, "cstouffer", "known"))
+        # empty pooled window: uniform shares, total 1
+        assert known[0].shares == (0.5, 0.5)
+        assert known[1].shares == (1.0, 0.0)
+
+    def test_windows_above_the_exact_cap(self):
+        rng = np.random.default_rng(11)
+        nodes = self.sites(rng, 3, 24, scale=20.0)
+        windows = [sum(n.private_series.counts[t - 4 : t + 1]) for n in nodes for t in range(4, 24)]
+        assert max(windows) > numerics.EXACT_MAX_N  # some windows take the betainc path
+        for source in ("known", "estimated", "none"):
+            self.check(nodes, HYP, source, cycle=3, lag=2)
+
+    def test_single_site(self):
+        rng = np.random.default_rng(5)
+        nodes = self.sites(rng, 1, 25, scale=4.0)
+        for source in ("known", "estimated", "none"):
+            out = self.check(nodes, HYP, source, cycle=4, lag=1)
+            assert len(out) == 21

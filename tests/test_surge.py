@@ -83,6 +83,59 @@ class TestExactPValue:
             assert freq <= alpha + 3 * sigma
 
 
+class TestWindowPValues:
+    @staticmethod
+    def scalar(c, n, hyp=HYP):
+        baseline = (c,) + (0,) * (hyp.baseline_len - 1)
+        return surge.exact_p_value(SurgeWindow(baseline, n - c), hyp)
+
+    def test_elementwise_equal_to_exact_p_value(self):
+        cap = nm.EXACT_MAX_N
+        pairs = [(0, 0), (0, 1), (1, 1)]
+        for n in (cap, cap + 1):
+            pairs += [(0, n), (n, n), (n - 1, n), (round(n * HYP.rho) - 12, n)]
+        pairs += pairs[::-1]  # repeated pairs are filled in by index
+        c = np.array([c for c, _ in pairs])
+        n = np.array([n for _, n in pairs])
+        got = surge.window_p_values(c, n, HYP)
+        assert got.shape == c.shape
+        assert got.tolist() == [self.scalar(ci, ni) for ci, ni in pairs]
+
+    def test_random_grid_and_shape(self):
+        rng = np.random.default_rng(3)
+        hyp = SurgeHypothesis(0.7, 3)
+        n = rng.integers(0, 40, size=(6, 25))
+        n[0, :3] = (nm.EXACT_MAX_N + 5, 2000, 0)
+        c = rng.integers(0, n + 1)
+        got = surge.window_p_values(c, n, hyp)
+        assert got.shape == (6, 25)
+        want = [
+            [self.scalar(a, b, hyp) for a, b in zip(row_c, row_n)]
+            for row_c, row_n in zip(c.tolist(), n.tolist())
+        ]
+        assert got.tolist() == want
+
+    def test_empty_input(self):
+        got = surge.window_p_values(np.zeros(0, dtype=int), np.zeros(0, dtype=int), HYP)
+        assert got.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "c, n, error",
+        [
+            ([-1, 2], [3, 3], DomainError),
+            ([4, 1], [3, 3], DomainError),
+            ([1, 1], [3, -3], DomainError),
+            ([1.5], [3], DomainError),
+            ([True], [3], DomainError),
+            ([1, 2], [3, 3, 3], ConfigError),
+            ([[1, 2]], [3, 3], ConfigError),
+        ],
+    )
+    def test_typed_errors(self, c, n, error):
+        with pytest.raises(error):
+            surge.window_p_values(np.array(c), np.array(n), HYP)
+
+
 class TestGaussianPValue:
     def test_mean_point_is_half(self):
         # n=21, c=16 puts c/n exactly at rho for theta=0.25, l=4
