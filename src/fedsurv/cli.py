@@ -168,6 +168,9 @@ class ExperimentConfig:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         return ExperimentConfig(data, p.parent)
 
+    def __contains__(self, key: str) -> bool:  # set and not yet taken
+        return key in self._data
+
     def take(self, key: str, default=_REQUIRED):
         if key in self._data:
             return self._data.pop(key)
@@ -310,9 +313,9 @@ def cmd_combine(args) -> int:
     method = cfg.take("method")
     p_values = cfg.take_list("p_values")
     shares = cfg.take_list("shares", None)
-    total = cfg.take("total_count", None)
-    rho = cfg.take("rho", None)
-    if rho is None and ("theta" in cfg._data or "baseline_len" in cfg._data):
+    total = cfg.take_number("total_count", None, int)
+    rho = cfg.take_number("rho", None)
+    if rho is None and ("theta" in cfg or "baseline_len" in cfg):
         rho = cfg.hypothesis().rho
     cfg.finish()
 

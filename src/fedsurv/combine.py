@@ -28,6 +28,7 @@ __all__ = [
     "CombinedResult",
     "combine_by_id",
     "combine_matrix",
+    "window_weights",
 ]
 
 
@@ -288,3 +289,13 @@ def combine_matrix(method: str, p_matrix, shares=None, total_count=None, rho=Non
     array of combined p-values. shares may be one (N,) vector or one per
     column, (N, M); total_count may be one count or one per column."""
     return _combine(method, p_matrix, shares, total_count, rho)[0]
+
+
+def window_weights(n_site) -> tuple[np.ndarray, np.ndarray]:
+    """Weighting context of per-site window totals ``n_site`` (N, M): each
+    site's share of its column's pool (uniform where the pool is empty) and
+    the pooled totals, floored at 1 so an empty pool is a valid total."""
+    pool = n_site.sum(axis=0)
+    totals = np.maximum(pool, 1)
+    shares = np.where(pool > 0, n_site / totals, 1.0 / n_site.shape[0])
+    return shares, totals

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import combine, numerics
+from . import combine
 from .errors import ConfigError, DomainError
 from .evaluation import (
     MatchWindow,
@@ -27,6 +27,7 @@ from .evaluation import (
     recall_at_fdr,
 )
 from .semisynth import (
+    _multinomial_table,
     CountSeries,
     PrevalenceSeries,
     ShareVector,
@@ -35,9 +36,8 @@ from .semisynth import (
     normalized_entropy,
     poisson_sample,
     scale_magnitude,
-    split_multinomial,
 )
-from .surge import SurgeHypothesis
+from .surge import SurgeHypothesis, window_p_values, window_totals
 
 __all__ = [
     "POWER_METHODS",
@@ -123,14 +123,23 @@ class PowerCurveResult:
     calibration_rates: dict
 
 
-def _window_p_values(c: np.ndarray, n: np.ndarray, rho: float) -> np.ndarray:
-    """Exact p-values for arrays of window counts (baseline c, total n); an
-    empty window (n = 0) carries no evidence and gets p = 1."""
-    p = np.ones(c.shape, dtype=float)
-    mask = n > 0
-    if mask.any():
-        p[mask] = numerics.binomial_cdf(c[mask], n[mask], rho)
-    return p
+def _method_series(
+    method: str,
+    p_site: np.ndarray,
+    share_mat: np.ndarray,
+    totals: np.ndarray,
+    p_central: np.ndarray,
+    largest_index: int,
+    rho: float,
+) -> np.ndarray:
+    """One method's p-values; both engines score every method through here."""
+    if method == "centralized":
+        return p_central
+    if method == "largest_site":
+        return p_site[largest_index]
+    return combine.combine_matrix(
+        method, p_site, shares=share_mat, total_count=totals, rho=rho
+    )
 
 
 def _simulate_method_pvalues(
@@ -151,26 +160,14 @@ def _simulate_method_pvalues(
 
     c_site = base.sum(axis=1)
     n_site = c_site + test
-
-    p_site = _window_p_values(c_site, n_site, hyp.rho)
-    out = {}
-    if "centralized" in cfg.methods:
-        out["centralized"] = _window_p_values(
-            c_site.sum(axis=0), n_site.sum(axis=0), hyp.rho
-        )
-    if "largest_site" in cfg.methods:
-        out["largest_site"] = p_site[int(np.argmax(shares))]
-
-    combiners = [m for m in cfg.methods if m in combine.METHOD_IDS]
-    if combiners:
-        n_pool = n_site.sum(axis=0)
-        safe_pool = np.maximum(n_pool, 1)
-        share_mat = np.where(n_pool > 0, n_site / safe_pool, 1.0 / n_sites)
-        for method in combiners:
-            out[method] = combine.combine_matrix(
-                method, p_site, shares=share_mat, total_count=safe_pool, rho=hyp.rho
-            )
-    return out
+    p_site = window_p_values(c_site, n_site, hyp)
+    p_central = window_p_values(c_site.sum(axis=0), n_site.sum(axis=0), hyp)
+    share_mat, totals = combine.window_weights(n_site)
+    largest = int(np.argmax(shares))
+    return {
+        m: _method_series(m, p_site, share_mat, totals, p_central, largest, hyp.rho)
+        for m in cfg.methods
+    }
 
 
 def calibrate_threshold(
@@ -322,46 +319,16 @@ def _window_pvalue_matrix(
     shares and totals describe the realized window counts, the same values
     a known-share federation run would use.
     """
-    l = hyp.baseline_len
-    n_sites, length = counts_matrix.shape
-    if length <= l:
+    if counts_matrix.shape[1] <= hyp.baseline_len:
         raise DomainError("series too short for the baseline length")
-    padded = np.concatenate(
-        [np.zeros((n_sites, 1), dtype=np.int64), np.cumsum(counts_matrix, axis=1)],
-        axis=1,
-    )
-    c = padded[:, l:length] - padded[:, 0 : length - l]
-    k = counts_matrix[:, l:length]
-    n = c + k
-    p = _window_p_values(c, n, hyp.rho)
-    pool = n.sum(axis=0)
-    safe_pool = np.maximum(pool, 1)
-    share_mat = np.where(pool > 0, n / safe_pool, 1.0 / n_sites)
-    return p, share_mat, safe_pool
+    c, n = window_totals(counts_matrix, hyp.baseline_len)
+    return (window_p_values(c, n, hyp),) + combine.window_weights(n)
 
 
 def _padded_series(values: np.ndarray, warmup: int) -> np.ndarray:
     out = np.ones(warmup + values.size, dtype=float)
     out[warmup:] = values
     return out
-
-
-def _method_series(
-    method: str,
-    p_site: np.ndarray,
-    share_mat: np.ndarray,
-    totals: np.ndarray,
-    p_central: np.ndarray,
-    largest_index: int,
-    rho: float,
-) -> np.ndarray:
-    if method == "centralized":
-        return p_central
-    if method == "largest_site":
-        return p_site[largest_index]
-    return combine.combine_matrix(
-        method, p_site, shares=share_mat, total_count=totals, rho=rho
-    )
 
 
 def _sweep_point(
@@ -385,8 +352,7 @@ def _sweep_point(
     for seq in replicate_seqs:
         sample_seq, split_seq = seq.spawn(2)
         central = poisson_sample(prev, _child_seed(sample_seq), site_id="pooled")
-        parts = split_multinomial(central, shares, _child_seed(split_seq))
-        counts_matrix = np.asarray([p.counts for p in parts], dtype=np.int64)
+        counts_matrix = _multinomial_table(central.counts, shares, _child_seed(split_seq)).T
         p_site, share_mat, totals = _window_pvalue_matrix(counts_matrix, hyp)
         p_central = _window_pvalue_matrix(
             counts_matrix.sum(axis=0, keepdims=True), hyp

@@ -23,12 +23,10 @@ import dataclasses
 import math
 from typing import NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from . import combine
 from .errors import ConfigError, DomainError
 from .semisynth import CountSeries, ShareVector
-from .surge import SurgeHypothesis, SurgeWindow, exact_p_value, window_p_values
+from .surge import SurgeHypothesis, SurgeWindow, exact_p_value, window_p_values, window_totals
 
 __all__ = [
     "SiteNode",
@@ -159,19 +157,12 @@ def site_compute_report(
     return PValueReport(site.site_id, t, exact_p_value(window, hyp))
 
 
-def _window_totals(site: SiteNode, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Baseline totals c and window totals n of the windows ending at every
-    t in [l, length), from cumulative sums of the site's own counts."""
-    prefix = np.concatenate(([0], np.cumsum(site.private_series.counts, dtype=np.int64)))
-    t = np.arange(l, site.length)
-    return prefix[t] - prefix[t - l], prefix[t + 1] - prefix[t - l]
-
-
 def site_p_value_reports(site: SiteNode, hyp: SurgeHypothesis) -> tuple[PValueReport, ...]:
     """``site_compute_report`` for every period with a full baseline, in
     one batch: the reports for t = l, l + 1, ..., length - 1."""
     l = hyp.baseline_len
-    p = window_p_values(*_window_totals(site, l), hyp).tolist()
+    c, n = window_totals(site.private_series.counts, l)
+    p = window_p_values(c, n, hyp).tolist()
     return tuple(PValueReport(site.site_id, t, v) for t, v in enumerate(p, start=l))
 
 
@@ -288,16 +279,6 @@ def aggregate_period(
     return combine.combine_by_id(cfg.method, evidence)
 
 
-def _known_shares_and_total(totals: list[int]) -> tuple[ShareVector, int]:
-    # benchmark side channel: true window totals, bypassing the report
-    # boundary on purpose (share_source="known" models out-of-band sizes)
-    pooled = sum(totals)
-    if pooled == 0:
-        # empty pooled window; degenerate but well-typed
-        return ShareVector.equal(len(totals)), 1
-    return ShareVector(tuple(v / pooled for v in totals)), pooled
-
-
 def _estimated_shares_and_totals(
     sites: Sequence[SiteNode], cfg: FederationConfig, ids: list[str]
 ) -> list[tuple[ShareVector, int]]:
@@ -330,10 +311,10 @@ def run_federation(
     per period, with the share vector the aggregator used (None when the
     method ignores shares). Deterministic given (sites, config).
 
-    Each site's window totals and p-values are computed once, as arrays
-    (the batch behind ``site_p_value_reports``); known shares read the same
-    window totals. The aggregator still receives one period's reports at a
-    time and combines them through ``aggregate_period``.
+    Every site's window totals and p-values are computed once, in one
+    (N, T - l) batch (the rule behind ``site_p_value_reports``); known
+    shares read the same window totals. The aggregator still receives one
+    period's reports at a time and combines them through ``aggregate_period``.
     """
     if not sites:
         raise ConfigError("at least one site is required")
@@ -348,11 +329,13 @@ def run_federation(
             raise ConfigError("sites must share cadence and timestamp alignment")
     hyp = cfg.hypothesis
     l = hyp.baseline_len
-    windows = [_window_totals(s, l) for s in ordered]
-    p_values = np.array([window_p_values(c, n, hyp) for c, n in windows])
+    c, n = window_totals([s.private_series.counts for s in ordered], l)
+    p_values = window_p_values(c, n, hyp)
     if cfg.share_source == "known":
-        totals = np.array([n for _, n in windows])
-        resolved = (_known_shares_and_total(col.tolist()) for col in totals.T)
+        # benchmark side channel: true window totals, bypassing the report
+        # boundary on purpose (share_source="known" models out-of-band sizes)
+        shares, totals = combine.window_weights(n)
+        resolved = zip(map(ShareVector, map(tuple, shares.T.tolist())), totals.tolist())
     elif cfg.share_source == "estimated":
         resolved = _estimated_shares_and_totals(ordered, cfg, ids)
     else:

@@ -1,20 +1,18 @@
 """Special-function kernels used by every statistical module.
 
-Apart from ``binomial_cdf_exact``, every function is a thin,
-contract-enforcing wrapper over a ``scipy.special`` ufunc: domains are
-validated up front, probability outputs are clamped to [0, 1], and each
-accepts either scalars or numpy arrays (arrays broadcast elementwise,
-scalars return floats).
-
-The binomial tail goes through the regularized incomplete beta function
-rather than a pmf sum, so it stays accurate for totals in the thousands
-where naive summation underflows. Its last digits depend on the scipy
-build. ``binomial_cdf_exact`` is the scalar alternative for totals up to
-``EXACT_MAX_N``: an exact big-integer sum rounded once, so it returns the
-correctly rounded double under any scipy.
+``binomial_cdf_exact`` is the correctly rounded binomial tail for totals up
+to ``EXACT_MAX_N``, read from a per-rho table of exact big-integer tails,
+the same under any scipy build. Every other function wraps a
+``scipy.special`` ufunc, among them ``binomial_cdf`` (the regularized
+incomplete beta function): accurate for totals in the thousands, with last
+digits that depend on the scipy build. All validate their domain up front,
+clamp probabilities to [0, 1] and take scalars or numpy arrays.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 from scipy import special
@@ -46,17 +44,10 @@ def _clamp01(p: np.ndarray) -> np.ndarray:
     return np.clip(p, 0.0, 1.0)
 
 
-def binomial_cdf(c, n, rho):
-    """Pr[X <= c] for X ~ Binomial(n, rho).
-
-    Computed as the regularized incomplete beta integral
-    I_{1-rho}(n-c, c+1), which equals the partial pmf sum
-    sum_{r=0}^{c} C(n,r) rho^r (1-rho)^(n-r) without forming factorials.
-    """
-    scalar = np.isscalar(c) and np.isscalar(n) and np.isscalar(rho)
+def _counts(c, n) -> tuple[np.ndarray, np.ndarray]:
+    """c and n as int64 arrays, checked integral with 0 <= c <= n."""
     c_arr = np.asarray(c)
     n_arr = np.asarray(n)
-    rho_arr = _as_float_array(rho, "rho")
     if not np.issubdtype(c_arr.dtype, np.integer) and not np.all(c_arr == np.floor(c_arr)):
         raise DomainError("c must be integral")
     if not np.issubdtype(n_arr.dtype, np.integer) and not np.all(n_arr == np.floor(n_arr)):
@@ -67,6 +58,19 @@ def binomial_cdf(c, n, rho):
         raise DomainError("c and n must be nonnegative")
     if (c_arr > n_arr).any():
         raise DomainError("c must not exceed n")
+    return c_arr, n_arr
+
+
+def binomial_cdf(c, n, rho):
+    """Pr[X <= c] for X ~ Binomial(n, rho).
+
+    Computed as the regularized incomplete beta integral
+    I_{1-rho}(n-c, c+1), which equals the partial pmf sum
+    sum_{r=0}^{c} C(n,r) rho^r (1-rho)^(n-r) without forming factorials.
+    """
+    scalar = np.isscalar(c) and np.isscalar(n) and np.isscalar(rho)
+    c_arr, n_arr = _counts(c, n)
+    rho_arr = _as_float_array(rho, "rho")
     if (rho_arr < 0).any() or (rho_arr > 1).any():
         raise DomainError("rho must lie in [0, 1]")
 
@@ -81,53 +85,82 @@ def binomial_cdf(c, n, rho):
     return _ret(_clamp01(out), scalar)
 
 
-# The exact kernel's cost grows with n**2 (up to ~0.7 ms at n = 300 against
-# a flat ~50 us for one betainc call); above this total callers use betainc.
+# Cap of the exact table: row n costs O(n**2) big-integer work and needs
+# every row below it, so callers send larger totals to binomial_cdf.
 EXACT_MAX_N = 300
 
 
-def _lower_tail_numerator(c: int, n: int, a: int, b: int) -> int:
-    """sum_{j<=c} C(n,j) a**j b**(n-j), exactly.
+def _dyadic_to_float(num: int, scale: int) -> float:
+    """num / 2**scale, correctly rounded: the top 64 bits of num plus a sticky
+    bit, rounded once by float() and scaled by ldexp, exact unless subnormal."""
+    size = num.bit_length()
+    if size <= 64 or size - scale <= -1021:
+        return num / (1 << scale)
+    shift = size - 64
+    top = num >> shift
+    if top << shift != num:
+        top |= 1
+    return math.ldexp(float(top), shift - scale)
 
-    Nested from the inside out, E_j = 1 + (n-j) a / ((j+1) b) * E_{j+1}
-    with E_c = 1, keeping E_j as the integer pair num / den; the sum is
-    T_0 * E_0 = b**n * num / den, and that last division is exact.
+
+class _CdfTable:
+    """Correctly rounded Pr[X <= c], X ~ Binomial(n, rho), for every c <= n
+    of the rows built so far, flat at index n(n+1)/2 + c.
+
+    A double rho is a / d with d = 2**e; with b = d - a the tail is
+    N(c, n) / d**n, and N(c, n) = sum_{j<=c} C(n,j) a**j b**(n-j) obeys
+    Pascal's rule N(c, n+1) = b N(c, n) + a N(c-1, n), with N(n, n) = d**n.
+    Only the last integer row is kept, updated in place from the high c
+    down, to grow the table on demand.
     """
-    num = den = 1
-    for j in range(c - 1, -1, -1):
-        den *= (j + 1) * b
-        num = den + num * (n - j) * a
-    return b**n * num // den
+
+    def __init__(self, rho: float):
+        self._a, d = rho.as_integer_ratio()
+        self._b = d - self._a
+        self._e = d.bit_length() - 1
+        self._row = [1]
+        self.values = np.ones(1)
+
+    def lookup(self, c: np.ndarray, n: np.ndarray) -> np.ndarray:
+        top = int(n.max(initial=0))
+        if top >= len(self._row):
+            self._grow(top)
+        return self.values[n * (n + 1) // 2 + c]
+
+    def _grow(self, top: int) -> None:
+        a, b, e, row = self._a, self._b, self._e, self._row
+        values = np.empty((top + 1) * (top + 2) // 2)
+        values[: self.values.size] = self.values
+        for n in range(len(row), top + 1):
+            row.append(1 << (e * n))
+            for c in range(n - 1, 0, -1):
+                row[c] = b * row[c] + a * row[c - 1]
+            row[0] *= b
+            start = n * (n + 1) // 2
+            values[start : start + n + 1] = [_dyadic_to_float(num, e * n) for num in row]
+        self.values = values
 
 
-def binomial_cdf_exact(c: int, n: int, rho: float) -> float:
-    """Correctly rounded Pr[X <= c] for X ~ Binomial(n, rho); scalars only.
+# tables for the 16 most recently used rho values, up to about 1 MB each
+_cdf_table = functools.lru_cache(maxsize=16)(_CdfTable)
 
-    A double rho is the dyadic rational a / d with d = 2**e, so with
-    b = d - a the tail is exactly sum_{j<=c} C(n,j) a**j b**(n-j) / d**n.
-    The numerator is summed in integers over the shorter side (the upper
-    tail is the lower tail of n - X at n - c - 1, with a and b swapped), and
-    the one int/int true division at the end rounds correctly. Cost grows
-    with n**2; meant for n up to ``EXACT_MAX_N``.
+
+def binomial_cdf_exact(c, n, rho):
+    """Correctly rounded Pr[X <= c] for X ~ Binomial(n, rho), n up to
+    ``EXACT_MAX_N``; c and n broadcast elementwise, rho is one scalar.
+
+    Values come from a per-rho table of the exact tails (``_CdfTable``),
+    rounded once, so they do not depend on the scipy build. The table grows
+    to the largest n asked for, once per rho and process.
     """
-    if int(c) != c or int(n) != n:
-        raise DomainError("c and n must be integral")
-    c, n, rho = int(c), int(n), float(rho)
-    if c < 0 or n < 0:
-        raise DomainError("c and n must be nonnegative")
-    if c > n:
-        raise DomainError("c must not exceed n")
+    scalar = np.isscalar(c) and np.isscalar(n)
+    c_arr, n_arr = _counts(c, n)
+    rho = float(rho)
     if not 0.0 <= rho <= 1.0:
         raise DomainError("rho must lie in [0, 1]")
-    if c == n or rho == 0.0:
-        return 1.0
-    if rho == 1.0:
-        return 0.0
-    a, d = rho.as_integer_ratio()
-    b = d - a
-    if 2 * c < n:
-        return _lower_tail_numerator(c, n, a, b) / d**n
-    return (d**n - _lower_tail_numerator(n - c - 1, n, b, a)) / d**n
+    if (n_arr > EXACT_MAX_N).any():
+        raise DomainError(f"n must not exceed EXACT_MAX_N = {EXACT_MAX_N}")
+    return _ret(_cdf_table(rho).lookup(c_arr, n_arr), scalar)
 
 
 def normal_cdf(z):

@@ -192,17 +192,22 @@ def split_multinomial(
     named `<input id>-1` through `<input id>-N`.
     """
     sv = _coerce_shares(shares)
-    probs = np.asarray(sv.shares, dtype=float)
-    probs = probs / probs.sum()  # guard the 1e-9 slack before the draw
-    rng = _generator(seed)
-    if series.length:
-        table = rng.multinomial(np.asarray(series.counts, dtype=np.int64), probs)
-    else:
-        table = np.zeros((0, sv.n_sites), dtype=np.int64)
+    table = _multinomial_table(series.counts, sv, seed)
     return [
         CountSeries(f"{series.site_id}-{i + 1}", series.period, series.timestamps, tuple(counts))
         for i, counts in enumerate(table.T.tolist())
     ]
+
+
+def _multinomial_table(counts: Sequence[int], shares: ShareVector, seed: int) -> np.ndarray:
+    """The (T, N) draw behind ``split_multinomial``, row t splitting
+    counts[t]; engines that need only the count matrix call it directly."""
+    probs = np.asarray(shares.shares, dtype=float)
+    probs = probs / probs.sum()  # guard the 1e-9 slack before the draw
+    rng = _generator(seed)
+    if len(counts):
+        return rng.multinomial(np.asarray(counts, dtype=np.int64), probs)
+    return np.zeros((0, shares.n_sites), dtype=np.int64)
 
 
 def scale_magnitude(prev: PrevalenceSeries, multiplier: float) -> PrevalenceSeries:

@@ -28,6 +28,7 @@ __all__ = [
     "ApproximationDiagnostics",
     "PowerTerms",
     "exact_p_value",
+    "window_totals",
     "window_p_values",
     "gaussian_p_value",
     "critical_value",
@@ -148,30 +149,33 @@ def exact_p_value(window: SurgeWindow, hyp: SurgeHypothesis) -> float:
     """One-sided exact p-value Pr[r >= k_T | n], r ~ Binomial(n, q).
 
     Equivalently the lower binomial tail of the baseline total at the
-    double ``hyp.rho``. Up to ``numerics.EXACT_MAX_N`` counts the value is
-    the correctly rounded one (``binomial_cdf_exact``), the same under any
-    scipy build; larger windows go through ``binomial_cdf``. An all-zero
-    window carries no evidence and returns 1.
+    double ``hyp.rho``; the one-window case of ``window_p_values``.
     """
     _check_window(window, hyp)
-    return _window_tail(window.baseline_total, window.total, hyp.rho)
+    c, n = np.array([[window.baseline_total], [window.total]])
+    return float(window_p_values(c, n, hyp)[0])
 
 
-def _window_tail(c: int, n: int, rho: float) -> float:
-    # the one rule behind exact_p_value and window_p_values
-    if n == 0:
-        return 1.0
-    if n <= numerics.EXACT_MAX_N:
-        return numerics.binomial_cdf_exact(c, n, rho)
-    return numerics.binomial_cdf(c, n, rho)
+def window_totals(counts, baseline_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Baseline totals c and window totals n of the windows ending at
+    t = l, ..., T - 1 along the last axis of ``counts``, from one cumulative
+    sum; empty along that axis when T <= l."""
+    counts = np.asarray(counts, dtype=np.int64)
+    zeros = np.zeros(counts.shape[:-1] + (1,), dtype=np.int64)
+    prefix = np.concatenate((zeros, np.cumsum(counts, axis=-1)), axis=-1)
+    t = np.arange(baseline_len, counts.shape[-1])
+    start = prefix[..., t - baseline_len]
+    return prefix[..., t] - start, prefix[..., t + 1] - start
 
 
 def window_p_values(c, n, hyp: SurgeHypothesis) -> np.ndarray:
-    """``exact_p_value`` for arrays of windows given as baseline totals c
-    and window totals n (same shape), bit for bit.
+    """Exact p-values for arrays of windows given as baseline totals c and
+    window totals n (same shape).
 
-    The p-value depends only on the integer pair (c, n), so the rule runs
-    once per distinct pair and the rest is filled in by index.
+    The rule for every window: an empty window (n = 0) carries no evidence
+    and gets 1; up to ``numerics.EXACT_MAX_N`` counts the value is the
+    correctly rounded tail (``binomial_cdf_exact``), the same under any
+    scipy build; larger windows go through ``binomial_cdf``.
     """
     c_arr = np.asarray(c)
     n_arr = np.asarray(n)
@@ -180,18 +184,12 @@ def window_p_values(c, n, hyp: SurgeHypothesis) -> np.ndarray:
     for name, arr in (("c", c_arr), ("n", n_arr)):
         if arr.size and not np.issubdtype(arr.dtype, np.integer):
             raise DomainError(f"{name} must hold integers, got dtype {arr.dtype}")
-    if (c_arr < 0).any():
-        raise DomainError("window counts must be nonnegative")
-    if (c_arr > n_arr).any():
-        raise DomainError("a baseline total must not exceed its window total")
-    pairs, inverse = np.unique(
-        np.stack((c_arr.ravel(), n_arr.ravel())), axis=1, return_inverse=True
-    )
     rho = hyp.rho
-    values = np.array(
-        [_window_tail(ci, ni, rho) for ci, ni in zip(*pairs.tolist())], dtype=float
-    )
-    return values[inverse.reshape(-1)].reshape(c_arr.shape)
+    p = np.empty(c_arr.shape)
+    above = n_arr > numerics.EXACT_MAX_N
+    p[~above] = numerics.binomial_cdf_exact(c_arr[~above], n_arr[~above], rho)
+    p[above] = numerics.binomial_cdf(c_arr[above], n_arr[above], rho)
+    return p
 
 
 def gaussian_p_value(window: SurgeWindow, hyp: SurgeHypothesis, yates: bool = False) -> float:

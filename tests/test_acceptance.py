@@ -7,7 +7,6 @@ budget assert sits after the correctness asserts it accompanies.
 """
 
 import math
-import shutil
 import subprocess
 import sys
 import time
@@ -33,6 +32,8 @@ from fedsurv.surge import (
     power_approx,
     power_exact,
 )
+
+from support import package_env
 
 
 def test_c01_exact_pvalue_matches_bruteforce_tail_sum():
@@ -346,15 +347,14 @@ def test_c08_equal_shares_collapse_weighted_methods():
 
 def test_c09_semisynth_runs_are_byte_identical(tmp_path):
     """Two seeded command-line sweep runs write byte-identical files."""
-    exe = shutil.which("fedsurv")
-    base = [exe] if exe else [sys.executable, "-m", "fedsurv.cli"]
     payloads = []
     for name in ("first.csv", "second.csv"):
         out = tmp_path / name
         proc = subprocess.run(
-            [*base, "semisynth", "--seed", "42", "--out", str(out)],
+            [sys.executable, "-m", "fedsurv", "semisynth", "--seed", "42", "--out", str(out)],
             capture_output=True,
             text=True,
+            env=package_env(),
         )
         assert proc.returncode == 0, proc.stderr
         payloads.append(out.read_bytes())

@@ -3,14 +3,12 @@ fidelity against library calls, golden outputs, and exit codes."""
 
 import datetime
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import fedsurv
 from fedsurv import numerics
 from fedsurv.cli import main, read_counts_csv
 from fedsurv.combine import EvidenceSet, combine_by_id
@@ -22,6 +20,8 @@ from fedsurv.experiments import (
     run_semisynth_sweep,
 )
 from fedsurv.surge import SurgeHypothesis, SurgeWindow, exact_p_value
+
+from support import package_env
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -52,13 +52,6 @@ def write_config(tmp_path, name="config.json", **fields):
     path = tmp_path / name
     path.write_text(json.dumps(fields), encoding="utf-8")
     return path
-
-
-def package_env():
-    """The environment with this checkout's package first on PYTHONPATH, so a
-    child interpreter imports the fedsurv under test without an install."""
-    src = str(Path(fedsurv.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
 def run(args, capsys):
@@ -242,6 +235,41 @@ class TestCmdCombine:
         code, out, err = run(["combine", "--config", cfg], capsys)
         assert code == 2 and out == ""
         assert "config field" in err
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"total_count": "ten"},
+            {"total_count": True},
+            {"total_count": 10.5},
+            {"rho": "x"},
+            {"rho": [0.7]},
+        ],
+    )
+    def test_malformed_context_scalar_exits_2(self, tmp_path, capsys, fields):
+        cfg = write_config(
+            tmp_path, method="cstouffer", p_values=[0.05, 0.2], shares=[0.5, 0.5], **fields
+        )
+        code, out, err = run(["combine", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("fedsurv: error: config field")
+
+    def test_context_scalars_reach_the_combiner(self, tmp_path, capsys):
+        fields = dict(p_values=[0.05, 0.2], shares=[0.5, 0.5], total_count=10.0, rho=0.75)
+        cfg = write_config(tmp_path, method="cstouffer", **fields)
+        code, out, _ = run(["combine", "--config", cfg], capsys)
+        assert code == 0
+        ev = EvidenceSet((0.05, 0.2), shares=(0.5, 0.5), total_count=10, rho=0.75)
+        assert repr(combine_by_id("cstouffer", ev).p) in out
+
+    def test_rho_from_hypothesis_fields(self, tmp_path, capsys):
+        fields = dict(p_values=[0.05, 0.2], shares=[0.5, 0.5], total_count=10)
+        cfg = write_config(tmp_path, method="cstouffer", theta=1.0, baseline_len=2, **fields)
+        code, out, _ = run(["combine", "--config", cfg], capsys)
+        assert code == 0
+        rho = SurgeHypothesis(1.0, 2).rho
+        ev = EvidenceSet((0.05, 0.2), shares=(0.5, 0.5), total_count=10, rho=rho)
+        assert repr(combine_by_id("cstouffer", ev).p) in out
 
     def test_unknown_method_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, method="median", p_values=[0.5])

@@ -20,16 +20,28 @@ from fedsurv.experiments import (
     run_power_curve,
     run_semisynth_sweep,
 )
-from fedsurv.experiments import _method_series, _window_pvalue_matrix
-from fedsurv.federation import FederationConfig, SiteNode, run_federation
+from fedsurv.experiments import (
+    _method_series,
+    _simulate_method_pvalues,
+    _window_pvalue_matrix,
+)
+from fedsurv.federation import (
+    FederationConfig,
+    SiteNode,
+    run_federation,
+    site_p_value_reports,
+)
+from fedsurv.numerics import EXACT_MAX_N
 from fedsurv.semisynth import (
+    CountSeries,
     ShareVector,
+    date_range,
     moving_average,
     normalized_entropy,
     poisson_sample,
     split_multinomial,
 )
-from fedsurv.surge import SurgeHypothesis, SurgeWindow, exact_p_value
+from fedsurv.surge import SurgeHypothesis, SurgeWindow, exact_p_value, window_totals
 
 
 class TestPowerCurveConfig:
@@ -216,6 +228,58 @@ class TestWindowPValueMatrix:
     def test_rejects_short_series(self):
         with pytest.raises(DomainError):
             _window_pvalue_matrix(np.zeros((1, 4), dtype=np.int64), SurgeHypothesis(0.3, 4))
+
+
+class TestOneWindowRule:
+    """Every engine's window p-value is ``exact_p_value`` of that window,
+    bit for bit, on both sides of ``numerics.EXACT_MAX_N``."""
+
+    HYP = SurgeHypothesis(0.3, 4)
+
+    def window_p(self, baseline, test):
+        return exact_p_value(SurgeWindow(tuple(baseline), int(test)), self.HYP)
+
+    def test_sweep_window_matrix(self):
+        rng = np.random.default_rng(606)
+        counts = rng.poisson(rng.uniform(5.0, 110.0, size=48), size=(3, 48))
+        p, _, _ = _window_pvalue_matrix(counts, self.HYP)
+        _, n = window_totals(counts, 4)
+        assert (n <= EXACT_MAX_N).any() and (n > EXACT_MAX_N).any()
+        for i in range(3):
+            for j in range(p.shape[1]):
+                assert p[i, j] == self.window_p(counts[i, j : j + 4], counts[i, j + 4])
+
+    def test_monte_carlo_batch(self):
+        cfg = PowerCurveConfig(
+            hypothesis=self.HYP,
+            n_total=380,
+            shares=(0.8, 0.2),
+            methods=("centralized", "largest_site"),
+        )
+        theta_alt, reps = 0.6, 300
+        got = _simulate_method_pvalues(np.random.default_rng(17), cfg, theta_alt, reps)
+        # the same draws, in the engine's order
+        rng = np.random.default_rng(17)
+        lam = cfg.baseline_rate * np.asarray(cfg.shares)
+        base = rng.poisson(lam[:, None, None], size=(2, 4, reps))
+        test = rng.poisson(lam[:, None] * (1.0 + theta_alt), size=(2, reps))
+        site_n = base[0].sum(axis=0) + test[0]
+        assert (site_n <= EXACT_MAX_N).any() and (site_n > EXACT_MAX_N).any()
+        for r in range(reps):
+            assert got["largest_site"][r] == self.window_p(base[0, :, r], test[0, r])
+            pooled = self.window_p(base[:, :, r].sum(axis=0), test[:, r].sum())
+            assert got["centralized"][r] == pooled
+
+    def test_site_reports(self):
+        rng = np.random.default_rng(707)
+        counts = tuple(int(k) for k in rng.poisson(np.linspace(20.0, 100.0, 30)))
+        timeline = date_range(datetime.date(2024, 1, 1), len(counts), "daily")
+        site = SiteNode.wrap(CountSeries("s", "daily", timeline, counts))
+        reports = site_p_value_reports(site, self.HYP)
+        assert sum(counts[-5:]) > EXACT_MAX_N >= sum(counts[:5])
+        for r in reports:
+            t = r.period_index
+            assert r.p_value == self.window_p(counts[t - 4 : t], counts[t])
 
 
 class TestSweepMatchesFederation:

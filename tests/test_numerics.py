@@ -134,6 +134,46 @@ class TestBinomialCdfExact:
                 nm.binomial_cdf_exact(c, n, rho)
 
 
+class TestCdfTable:
+    """The per-rho table behind ``binomial_cdf_exact``'s batch form."""
+
+    RHOS = HYPOTHESIS_RHOS + [1e-3, 0.999]
+
+    def test_every_row_equals_fraction_oracle(self):
+        # rho = 1e-3 and 0.999 push the far tails into underflow
+        for rho in self.RHOS:
+            for n in TestBinomialCdfBatchError.GRID_N:
+                got = nm.binomial_cdf_exact(np.arange(n + 1), n, rho)
+                assert got.tolist() == oracles.binom_cdf_fraction_all(n, rho), (n, rho)
+
+    def test_growth_order_does_not_change_values(self):
+        rho = HYPOTHESIS_RHOS[0]
+        at_once = nm._CdfTable(rho)
+        at_once.lookup(np.array([0]), np.array([nm.EXACT_MAX_N]))
+        grown = nm._CdfTable(rho)
+        for top in (10, 11, 57, 200, nm.EXACT_MAX_N):
+            grown.lookup(np.array([0]), np.array([top]))
+        assert grown.values.size == at_once.values.size
+        assert grown.values.tolist() == at_once.values.tolist()
+
+    def test_batch_equals_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        n = rng.integers(0, 120, size=(4, 30))
+        c = rng.integers(0, n + 1)
+        rho = HYPOTHESIS_RHOS[-1]
+        got = nm.binomial_cdf_exact(c, n, rho)
+        assert got.shape == (4, 30)
+        want = [[nm.binomial_cdf_exact(a, b, rho) for a, b in zip(*row)] for row in zip(c, n)]
+        assert got.tolist() == want
+        assert type(nm.binomial_cdf_exact(3, 10, rho)) is float
+
+    def test_above_cap_rejected(self):
+        with pytest.raises(DomainError):
+            nm.binomial_cdf_exact(0, nm.EXACT_MAX_N + 1, 0.5)
+        with pytest.raises(DomainError):
+            nm.binomial_cdf_exact(np.array([0, 1]), np.array([2, nm.EXACT_MAX_N + 1]), 0.5)
+
+
 class TestNormal:
     def test_symmetry_at_zero(self):
         assert nm.normal_cdf(0.0) == 0.5
