@@ -6,7 +6,8 @@ points go through the same validation and the same kernel:
 ``combine_matrix`` combines each column of an (N, M) p-value matrix, the
 form the Monte Carlo engines use, and ``combine_by_id`` combines one
 EvidenceSet as the M = 1 case, returning the combined p together with the
-underlying statistic.
+underlying statistic. Every kernel sums over sites in one fixed order, so a
+column's bits do not depend on how many columns are combined with it.
 """
 
 from __future__ import annotations
@@ -101,20 +102,30 @@ def _shares_column(shares, n_sites: int) -> np.ndarray:
     )
 
 
+def _site_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over sites (axis 0) in one fixed order, row after row. numpy
+    sums an (N, 1) column pairwise but an (N, M) matrix row by row, so an
+    explicit order keeps a column's bits the same at any batch width."""
+    out = x[0].copy()
+    for row in x[1:]:
+        out += row
+    return out
+
+
 # --------------------------------------------------------------- batch kernels
 # Each takes P of shape (N, M), returns (combined_p, statistic) of shape (M,).
 
 def stouffer_matrix(p_matrix: np.ndarray):
     """Phi(sum of z-scores / sqrt(N)); the statistic is the raw z sum."""
     z = special.ndtri(_clamped(p_matrix))
-    stat = z.sum(axis=0)
+    stat = _site_sum(z)
     n = p_matrix.shape[0]
     return special.ndtr(stat / np.sqrt(n)), stat
 
 
 def fisher_matrix(p_matrix: np.ndarray):
     """Upper chi-square(2N) tail of -2 * sum(log p_i)."""
-    stat = -2.0 * np.log(_clamped(p_matrix)).sum(axis=0)
+    stat = -2.0 * _site_sum(np.log(_clamped(p_matrix)))
     n = p_matrix.shape[0]
     return special.gammaincc(float(n), stat / 2.0), stat
 
@@ -122,7 +133,7 @@ def fisher_matrix(p_matrix: np.ndarray):
 def pearson_matrix(p_matrix: np.ndarray):
     """Lower chi-square(2N) tail of -2 * sum(log(1-p_i)): small p_i shrink
     the statistic, so evidence lies in the lower tail."""
-    stat = -2.0 * np.log1p(-_clamped(p_matrix)).sum(axis=0)
+    stat = -2.0 * _site_sum(np.log1p(-_clamped(p_matrix)))
     n = p_matrix.shape[0]
     return special.gammainc(float(n), stat / 2.0), stat
 
@@ -139,7 +150,7 @@ def tippett_matrix(p_matrix: np.ndarray):
 def weighted_stouffer_matrix(p_matrix: np.ndarray, shares):
     """Phi(sum of sqrt(s_i) * z_i); equals stouffer at equal shares."""
     sqrt_s = np.sqrt(_shares_column(shares, p_matrix.shape[0]))
-    stat = (sqrt_s * special.ndtri(_clamped(p_matrix))).sum(axis=0)
+    stat = _site_sum(sqrt_s * special.ndtri(_clamped(p_matrix)))
     return special.ndtr(stat), stat
 
 
@@ -151,7 +162,7 @@ def corrected_stouffer_matrix(p_matrix: np.ndarray, shares, total_count, rho):
     """
     n_sites = p_matrix.shape[0]
     sqrt_s = np.sqrt(_shares_column(shares, n_sites))
-    base = (sqrt_s * special.ndtri(_clamped(p_matrix))).sum(axis=0)
+    base = _site_sum(sqrt_s * special.ndtri(_clamped(p_matrix)))
     correction = (1.0 - n_sites) / (
         2.0 * np.sqrt(rho * (1.0 - rho) * np.asarray(total_count, dtype=float))
     )
@@ -177,7 +188,7 @@ def wfisher_matrix(p_matrix: np.ndarray, shares):
     pos = sh_b > 0.0
     if pos.any():
         contrib[pos] = 2.0 * special.gammainccinv(sh_b[pos], p_b[pos])
-    stat = contrib.sum(axis=0)
+    stat = _site_sum(contrib)
     return special.gammaincc(float(n_sites), stat / 2.0), stat
 
 
@@ -191,7 +202,7 @@ def goods_matrix(p_matrix: np.ndarray, shares):
     """
     n_sites = p_matrix.shape[0]
     weights = _shares_column(shares, n_sites) * n_sites
-    stat = (-2.0 * weights * np.log(_clamped(p_matrix))).sum(axis=0)
+    stat = _site_sum(-2.0 * weights * np.log(_clamped(p_matrix)))
     return special.gammaincc(float(n_sites), stat / 2.0), stat
 
 
@@ -205,8 +216,8 @@ def lancaster_matrix(p_matrix: np.ndarray, dfs):
     dfs_col = _shares_column(dfs, p_matrix.shape[0])
     if (dfs_col <= 0).any():
         raise ConfigError("degrees of freedom must be positive")
-    stat = (2.0 * special.gammainccinv(dfs_col / 2.0, _clamped(p_matrix))).sum(axis=0)
-    total_df = dfs_col.sum(axis=0)
+    stat = _site_sum(2.0 * special.gammainccinv(dfs_col / 2.0, _clamped(p_matrix)))
+    total_df = _site_sum(dfs_col)
     return special.gammaincc(total_df / 2.0, stat / 2.0), stat
 
 
@@ -259,7 +270,7 @@ def _combine(method: str, p_matrix, shares, total_count, rho):
         shares = _shares_column(shares, p_matrix.shape[0])
         if (shares < 0).any():
             raise ConfigError("shares must be nonnegative")
-        if np.abs(shares.sum(axis=0) - 1.0).max() > 1e-9:
+        if np.abs(shares.sum(axis=0) - 1.0).max(initial=0.0) > 1e-9:
             raise ConfigError("shares must sum to 1 in every column")
         context.append(shares)
     if needs_total:

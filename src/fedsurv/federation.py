@@ -7,6 +7,11 @@ it resolves site shares (known out of band, estimated from coarse totals,
 or not at all) and combines the per-period p-values with a configured
 meta-analysis method.
 
+``run_federation`` does this for every period in one ``combine_matrix``
+call. ``site_compute_report``, ``estimate_shares``,
+``estimated_window_total`` and ``aggregate_period`` are the same steps for
+one period and for arbitrary report sets.
+
 Share sources:
   * "estimated" and "none" are the federated paths; the aggregator's inputs
     are report values only.
@@ -23,6 +28,8 @@ import dataclasses
 import math
 from typing import NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from . import combine
 from .errors import ConfigError, DomainError
 from .semisynth import CountSeries, ShareVector
@@ -35,7 +42,6 @@ __all__ = [
     "FederationConfig",
     "CombinedPeriod",
     "site_compute_report",
-    "site_p_value_reports",
     "site_coarse_reports",
     "estimate_shares",
     "aggregate_period",
@@ -157,15 +163,6 @@ def site_compute_report(
     return PValueReport(site.site_id, t, exact_p_value(window, hyp))
 
 
-def site_p_value_reports(site: SiteNode, hyp: SurgeHypothesis) -> tuple[PValueReport, ...]:
-    """``site_compute_report`` for every period with a full baseline, in
-    one batch: the reports for t = l, l + 1, ..., length - 1."""
-    l = hyp.baseline_len
-    c, n = window_totals(site.private_series.counts, l)
-    p = window_p_values(c, n, hyp).tolist()
-    return tuple(PValueReport(site.site_id, t, v) for t, v in enumerate(p, start=l))
-
-
 def site_coarse_reports(site: SiteNode, cfg: FederationConfig) -> tuple[CoarseReport, ...]:
     """Totals over every complete reporting cycle in the site's history.
     Cycle k covers periods [k*C, (k+1)*C - 1] and is released `lag` periods
@@ -186,12 +183,6 @@ def release_period(cycle_index: int, cfg: FederationConfig) -> int:
     return (cycle_index + 1) * cfg.reporting_cycle - 1 + cfg.lag
 
 
-def _keep_latest(latest: dict, report: CoarseReport) -> None:
-    kept = latest.get(report.site_id)
-    if kept is None or report.cycle_index > kept.cycle_index:
-        latest[report.site_id] = report
-
-
 def _latest_released(
     coarse: Sequence[CoarseReport], t: int, cfg: FederationConfig, ids: Sequence[str]
 ) -> dict[str, CoarseReport]:
@@ -200,23 +191,10 @@ def _latest_released(
     latest: dict[str, CoarseReport] = {}
     for report in coarse:
         if report.site_id in members and release_period(report.cycle_index, cfg) <= t:
-            _keep_latest(latest, report)
+            kept = latest.get(report.site_id)
+            if kept is None or report.cycle_index > kept.cycle_index:
+                latest[report.site_id] = report
     return latest
-
-
-def _shares_from_latest(latest: dict, ids: Sequence[str]) -> ShareVector:
-    if set(latest) == set(ids):
-        totals = [latest[sid].total_count for sid in ids]
-        grand = sum(totals)
-        if grand > 0:
-            return ShareVector(tuple(v / grand for v in totals))
-    return ShareVector.equal(len(ids))
-
-
-def _total_from_latest(latest: dict, cfg: FederationConfig) -> int:
-    window_len = cfg.hypothesis.baseline_len + 1
-    pooled = sum(r.total_count for r in latest.values())
-    return max(1, round(pooled * window_len / cfg.reporting_cycle))
 
 
 def estimate_shares(
@@ -236,7 +214,13 @@ def estimate_shares(
     ids = list(site_ids)
     if not ids:
         raise ConfigError("cannot estimate shares with no sites")
-    return _shares_from_latest(_latest_released(coarse, t, cfg, ids), ids)
+    latest = _latest_released(coarse, t, cfg, ids)
+    if set(latest) == set(ids):
+        totals = [latest[sid].total_count for sid in ids]
+        grand = sum(totals)
+        if grand > 0:
+            return ShareVector(tuple(v / grand for v in totals))
+    return ShareVector.equal(len(ids))
 
 
 def estimated_window_total(
@@ -247,7 +231,10 @@ def estimated_window_total(
 ) -> int:
     """Pooled test-window size inferred from released cycle totals: the
     per-cycle pooled count rescaled from cycle length to window length."""
-    return _total_from_latest(_latest_released(coarse, t, cfg, site_ids), cfg)
+    window_len = cfg.hypothesis.baseline_len + 1
+    latest = _latest_released(coarse, t, cfg, site_ids)
+    pooled = sum(r.total_count for r in latest.values())
+    return max(1, round(pooled * window_len / cfg.reporting_cycle))
 
 
 def aggregate_period(
@@ -279,27 +266,25 @@ def aggregate_period(
     return combine.combine_by_id(cfg.method, evidence)
 
 
-def _estimated_shares_and_totals(
-    sites: Sequence[SiteNode], cfg: FederationConfig, ids: list[str]
-) -> list[tuple[ShareVector, int]]:
-    """(``estimate_shares``, ``estimated_window_total``) for every period
-    t >= l, from one walk over the coarse reports in release order; the
-    pair is re-derived only at periods where a report is released."""
-    coarse = [r for s in sites for r in site_coarse_reports(s, cfg)]
-    coarse.sort(key=lambda r: release_period(r.cycle_index, cfg))
-    latest: dict[str, CoarseReport] = {}
-    out = []
-    i = 0
-    for t in range(cfg.hypothesis.baseline_len, sites[0].length):
-        fresh = not out
-        while i < len(coarse) and release_period(coarse[i].cycle_index, cfg) <= t:
-            _keep_latest(latest, coarse[i])
-            i += 1
-            fresh = True
-        if fresh:
-            current = (_shares_from_latest(latest, ids), _total_from_latest(latest, cfg))
-        out.append(current)
-    return out
+def _estimated_weights(
+    sites: Sequence[SiteNode], cfg: FederationConfig, periods: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``estimate_shares`` and ``estimated_window_total`` for every period
+    in ``periods`` at once, from the sites' coarse report values: an (N, K)
+    table of cycle totals behind a zero column for "nothing released yet",
+    and each period reads the column of the latest cycle released by it.
+    All sites share one timeline, so every site has released the same
+    cycles."""
+    table = np.array(
+        [[0] + [r.total_count for r in site_coarse_reports(s, cfg)] for s in sites],
+        dtype=np.int64,
+    )
+    released = [release_period(k, cfg) for k in range(table.shape[1] - 1)]
+    latest = table[:, np.searchsorted(released, periods, side="right")]
+    shares, _ = combine.window_weights(latest)
+    window_len = cfg.hypothesis.baseline_len + 1
+    totals = np.maximum(1, np.rint(latest.sum(axis=0) * window_len / cfg.reporting_cycle))
+    return shares, totals
 
 
 def run_federation(
@@ -311,10 +296,11 @@ def run_federation(
     per period, with the share vector the aggregator used (None when the
     method ignores shares). Deterministic given (sites, config).
 
-    Every site's window totals and p-values are computed once, in one
-    (N, T - l) batch (the rule behind ``site_p_value_reports``); known
-    shares read the same window totals. The aggregator still receives one
-    period's reports at a time and combines them through ``aggregate_period``.
+    The aggregator's inputs come as tables over every period: the (N, T - l)
+    site p-values from one batch of window totals (the rule behind
+    ``site_compute_report``), the (N, T - l) shares and the (T - l,) pooled
+    totals, which one ``combine_matrix`` call combines column by column,
+    each column with the bits ``aggregate_period`` gives that period.
     """
     if not sites:
         raise ConfigError("at least one site is required")
@@ -331,21 +317,17 @@ def run_federation(
     l = hyp.baseline_len
     c, n = window_totals([s.private_series.counts for s in ordered], l)
     p_values = window_p_values(c, n, hyp)
+    periods = np.arange(l, len(timeline))
+    shares = totals = None
     if cfg.share_source == "known":
         # benchmark side channel: true window totals, bypassing the report
         # boundary on purpose (share_source="known" models out-of-band sizes)
         shares, totals = combine.window_weights(n)
-        resolved = zip(map(ShareVector, map(tuple, shares.T.tolist())), totals.tolist())
     elif cfg.share_source == "estimated":
-        resolved = _estimated_shares_and_totals(ordered, cfg, ids)
+        shares, totals = _estimated_weights(ordered, cfg, periods)
+    p = combine.combine_matrix(cfg.method, p_values, shares, totals, hyp.rho).tolist()
+    if cfg.method in combine.SHARE_METHODS:
+        used = map(tuple, shares.T.tolist())
     else:
-        resolved = [(None, None)] * (len(timeline) - l)
-
-    out: list[CombinedPeriod] = []
-    for j, (shares, total) in enumerate(resolved):
-        t = l + j
-        reports = [PValueReport(sid, t, p) for sid, p in zip(ids, p_values[:, j].tolist())]
-        result = aggregate_period(reports, cfg, shares=shares, total_count=total)
-        used = None if cfg.method not in combine.SHARE_METHODS else shares.shares
-        out.append(CombinedPeriod(t, result.p, used))
-    return out
+        used = [None] * len(p)
+    return [CombinedPeriod(t, v, u) for t, v, u in zip(periods.tolist(), p, used)]

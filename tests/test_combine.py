@@ -321,41 +321,50 @@ class TestSharedProperties:
             assert 0.0 <= r.p <= 1.0
             assert math.isfinite(r.statistic)
 
+    # numpy sums an (N, 1) column pairwise and an (N, M) matrix row by row;
+    # the two orders part from N = 8 on, so the batch tests run N = 1..60
+    # and compare bits
     def test_matrix_agrees_with_scalar(self):
         rng = np.random.default_rng(4001)
-        n, m = 5, 40
-        p_mat = rng.uniform(1e-6, 1 - 1e-6, size=(n, m))
-        shares = tuple(float(s) for s in rng.dirichlet(np.ones(n)))
-        for method in self.ALL:
-            batch = cb.combine_matrix(
-                method, p_mat, shares=shares, total_count=500, rho=0.71
-            )
-            for j in range(m):
-                e = ev(p_mat[:, j], shares=shares, total_count=500, rho=0.71)
-                assert batch[j] == pytest.approx(
-                    cb.combine_by_id(method, e).p, abs=1e-13
-                ), method
+        m = 7
+        for n in range(1, 61):
+            p_mat = rng.uniform(1e-6, 1 - 1e-6, size=(n, m))
+            shares = tuple(float(s) for s in rng.dirichlet(np.ones(n)))
+            for method in self.ALL:
+                batch = cb.combine_matrix(
+                    method, p_mat, shares=shares, total_count=500, rho=0.71
+                )
+                for j in range(m):
+                    e = ev(p_mat[:, j], shares=shares, total_count=500, rho=0.71)
+                    assert batch[j] == cb.combine_by_id(method, e).p, (method, n)
 
     def test_matrix_per_column_shares_agree_with_scalar(self):
         rng = np.random.default_rng(4002)
-        n, m = 4, 25
-        p_mat = rng.uniform(1e-6, 1 - 1e-6, size=(n, m))
-        share_mat = rng.dirichlet(np.ones(n), size=m).T
-        totals = rng.integers(50, 900, size=m)
-        for method in sorted(cb.SHARE_METHODS):
-            batch = cb.combine_matrix(
-                method, p_mat, shares=share_mat, total_count=totals, rho=0.71
-            )
-            for j in range(m):
-                e = ev(
-                    p_mat[:, j],
-                    shares=tuple(share_mat[:, j]),
-                    total_count=int(totals[j]),
-                    rho=0.71,
+        m = 5
+        for n in range(1, 61):
+            p_mat = rng.uniform(1e-6, 1 - 1e-6, size=(n, m))
+            share_mat = rng.dirichlet(np.ones(n), size=m).T
+            totals = rng.integers(50, 900, size=m)
+            for method in sorted(cb.SHARE_METHODS):
+                batch = cb.combine_matrix(
+                    method, p_mat, shares=share_mat, total_count=totals, rho=0.71
                 )
-                assert batch[j] == pytest.approx(
-                    cb.combine_by_id(method, e).p, abs=1e-13
-                ), method
+                for j in range(m):
+                    e = ev(
+                        p_mat[:, j],
+                        shares=tuple(share_mat[:, j]),
+                        total_count=int(totals[j]),
+                        rho=0.71,
+                    )
+                    assert batch[j] == cb.combine_by_id(method, e).p, (method, n)
+
+    def test_zero_width_batch_is_empty(self):
+        for method in self.ALL:
+            for shares in ((0.25, 0.75), np.empty((2, 0))):
+                got = cb.combine_matrix(
+                    method, np.empty((2, 0)), shares=shares, total_count=np.empty(0), rho=0.7
+                )
+                assert got.shape == (0,), method
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ConfigError):

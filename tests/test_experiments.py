@@ -29,7 +29,7 @@ from fedsurv.federation import (
     FederationConfig,
     SiteNode,
     run_federation,
-    site_p_value_reports,
+    site_compute_report,
 )
 from fedsurv.numerics import EXACT_MAX_N
 from fedsurv.semisynth import (
@@ -275,10 +275,9 @@ class TestOneWindowRule:
         counts = tuple(int(k) for k in rng.poisson(np.linspace(20.0, 100.0, 30)))
         timeline = date_range(datetime.date(2024, 1, 1), len(counts), "daily")
         site = SiteNode.wrap(CountSeries("s", "daily", timeline, counts))
-        reports = site_p_value_reports(site, self.HYP)
         assert sum(counts[-5:]) > EXACT_MAX_N >= sum(counts[:5])
-        for r in reports:
-            t = r.period_index
+        for t in range(4, len(counts)):
+            r = site_compute_report(site, t, self.HYP)
             assert r.p_value == self.window_p(counts[t - 4 : t], counts[t])
 
 

@@ -71,15 +71,6 @@ class TestSiteReports:
         with pytest.raises(DomainError):
             fed.site_compute_report(node([1] * 6), 6, HYP)
 
-    @pytest.mark.parametrize("l", [1, 4, 7])
-    def test_batch_reports_match_per_period_reports(self, l):
-        hyp = SurgeHypothesis(0.5, l)
-        rng = np.random.default_rng(l)
-        for values in ([0] * 9, [int(v) for v in rng.poisson(6.0, size=20)], [3] * l, []):
-            n = node(values)
-            want = tuple(fed.site_compute_report(n, t, hyp) for t in range(l, len(values)))
-            assert fed.site_p_value_reports(n, hyp) == want
-
     def test_coarse_reports_cover_complete_cycles_only(self):
         cfg = fed.FederationConfig(HYP, "fisher", reporting_cycle=4, lag=2)
         n = node([5, 6, 7, 8, 9, 10, 11, 12, 13, 14])  # 10 periods, 2 full cycles
@@ -315,7 +306,8 @@ class TestBatchedLoopMatchesPerPeriodReference:
         for cycle in range(1, 7):
             for lag in range(6):
                 hyp = SurgeHypothesis(float(rng.choice([0.0, 0.3, 1.0])), int(rng.integers(1, 6)))
-                nodes = self.sites(rng, int(rng.integers(1, 6)), int(rng.integers(1, 30)))
+                # up to 13 sites: numpy's pairwise and row-by-row sums part from 8
+                nodes = self.sites(rng, int(rng.integers(1, 14)), int(rng.integers(1, 30)))
                 for source in ("known", "estimated", "none"):
                     self.check(nodes, hyp, source, cycle, lag)
 
