@@ -3,9 +3,15 @@ machine-readable outputs.
 
 Every subcommand reads an optional JSON config, an explicit integer seed
 where randomness is involved (there is no wall-clock seeding), and an
-output path. Outputs are byte-deterministic for identical config and seed:
-floats are rendered with repr (shortest round-trip form), JSON keys are
-sorted, and line endings are always "\\n".
+output path. The config keys of `power-curve`, `semisynth` and
+`federation` are the fields of `PowerCurveConfig`, `SemisynthConfig` and
+`FederationConfig` (with the `SurgeHypothesis` fields at top level), read
+by `ExperimentConfig.take_fields`; each key's JSON type and default are
+those of its field.
+
+Outputs are byte-deterministic for identical config and seed: floats are
+rendered with repr (shortest round-trip form), JSON keys are sorted, and
+line endings are always "\\n".
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 """
@@ -14,10 +20,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import io
 import json
 import sys
+import typing
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -26,7 +34,6 @@ from .errors import ConfigError, DomainError, FedsurvError
 from .evaluation import AlarmSeries, MatchWindow, f1, pr_curve
 from .experiments import (
     DEFAULT_THRESHOLDS,
-    POWER_METHODS,
     PowerCurveConfig,
     SemisynthConfig,
     builtin_wave_counts,
@@ -178,10 +185,10 @@ class ExperimentConfig:
             raise ConfigError(f"config field {key!r} is required")
         return default
 
-    def take_number(self, key: str, default=_REQUIRED, kind=float):
-        """A scalar number field as `kind` (float or int). It must be a JSON
-        number, integral when `kind` is int; a default passes through
-        unchecked."""
+    def take_scalar(self, key: str, default=_REQUIRED, kind=float):
+        """A scalar field as `kind` (float, int or str). It must be a JSON
+        number, integral when `kind` is int, or a JSON string for str; a
+        default passes through unchecked."""
         raw = self.take(key, default)
         if raw is default:
             return default
@@ -191,7 +198,7 @@ class ExperimentConfig:
 
     def take_list(self, key: str, default=_REQUIRED, kind=float, length: Optional[int] = None):
         """A list-valued field as a tuple of `kind` (float, int or str), each
-        element checked as ``take_number`` checks a scalar; a default passes
+        element checked as ``take_scalar`` checks a scalar; a default passes
         through unchecked."""
         raw = self.take(key, default)
         if raw is default:
@@ -206,9 +213,12 @@ class ExperimentConfig:
         return tuple(kind(v) for v in raw)
 
     def take_path(self, key: str, default=_REQUIRED) -> Optional[Path]:
-        raw = self.take(key, default)
-        if raw is None or isinstance(raw, Path):
-            return raw
+        """A path field: a JSON string naming an existing file, relative to
+        the config's directory. Only an optional field (default None) reads
+        null as not given."""
+        raw = self.take_scalar(key, default, str)
+        if raw is None:
+            return None
         p = Path(raw)
         if not p.is_absolute():
             p = self._base / p
@@ -216,25 +226,34 @@ class ExperimentConfig:
             raise ConfigError(f"config field {key!r}: file {raw!r} does not exist")
         return p
 
+    def take_fields(self, cls):
+        """An instance of the config dataclass `cls`, one key per field. A
+        nested config dataclass is read from its own fields, which stay
+        top-level keys; a ``tuple[X, ...]`` field is a list of X; any other
+        field is a scalar of its annotated type. The field's own default
+        applies when its key is absent."""
+        hints = typing.get_type_hints(cls)
+        values = {}
+        for field in dataclasses.fields(cls):
+            kind = hints[field.name]
+            default = _REQUIRED if field.default is dataclasses.MISSING else field.default
+            if dataclasses.is_dataclass(kind):
+                values[field.name] = self.take_fields(kind)
+            elif typing.get_origin(kind) is tuple:
+                values[field.name] = self.take_list(field.name, default, typing.get_args(kind)[0])
+            else:
+                values[field.name] = self.take_scalar(field.name, default, kind)
+        return cls(**values)
+
     def finish(self) -> None:
         if self._data:
             raise ConfigError(
                 f"unknown config field {', '.join(repr(k) for k in sorted(self._data))}"
             )
 
-    def hypothesis(self) -> SurgeHypothesis:
-        try:
-            return SurgeHypothesis(
-                self.take_number("theta", 0.3),
-                self.take_number("baseline_len", 4, int),
-                self.take_number("alpha", 0.05),
-            )
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
-
 
 def _resolve_seed(args, cfg: ExperimentConfig) -> int:
-    seed = args.seed if args.seed is not None else cfg.take_number("seed", None, int)
+    seed = args.seed if args.seed is not None else cfg.take_scalar("seed", None, int)
     if seed is None:
         raise ConfigError("a seed is required: pass --seed or set \"seed\" in the config")
     if seed < 0:
@@ -274,9 +293,9 @@ def _json_text(doc) -> str:
 def cmd_test(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     csv_path = cfg.take_path("csv")
-    hyp = cfg.hypothesis()
-    at = cfg.take_number("at", kind=int)
-    site = cfg.take("site", None)
+    hyp = cfg.take_fields(SurgeHypothesis)
+    at = cfg.take_scalar("at", kind=int)
+    site = cfg.take_scalar("site", None, str)
     cfg.finish()
     if at < 0:
         raise ConfigError(f"config field 'at' must be a nonnegative integer, got {at!r}")
@@ -310,13 +329,13 @@ def cmd_test(args) -> int:
 
 def cmd_combine(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    method = cfg.take("method")
+    method = cfg.take_scalar("method", kind=str)
     p_values = cfg.take_list("p_values")
     shares = cfg.take_list("shares", None)
-    total = cfg.take_number("total_count", None, int)
-    rho = cfg.take_number("rho", None)
+    total = cfg.take_scalar("total_count", None, int)
+    rho = cfg.take_scalar("rho", None)
     if rho is None and ("theta" in cfg or "baseline_len" in cfg):
-        rho = cfg.hypothesis().rho
+        rho = cfg.take_fields(SurgeHypothesis).rho
     cfg.finish()
 
     ev = combine.EvidenceSet(p_values, shares=shares, total_count=total, rho=rho)
@@ -332,16 +351,7 @@ def cmd_combine(args) -> int:
 def cmd_power_curve(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     seed = _resolve_seed(args, cfg)
-    hyp = cfg.hypothesis()
-    pc = PowerCurveConfig(
-        hypothesis=hyp,
-        n_total=cfg.take_number("n_total", 200, int),
-        shares=cfg.take_list("shares", (0.5, 0.5)),
-        theta_grid=cfg.take_list("theta_grid", PowerCurveConfig.theta_grid),
-        methods=cfg.take_list("methods", POWER_METHODS, str),
-        calibration_reps=cfg.take_number("calibration_reps", 100_000, int),
-        power_reps=cfg.take_number("power_reps", 50_000, int),
-    )
+    pc = cfg.take_fields(PowerCurveConfig)
     cfg.finish()
     result = run_power_curve(pc, seed)
     rows = [(_fmt(pt.theta_alt), pt.method, _fmt(pt.power)) for pt in result.points]
@@ -350,26 +360,11 @@ def cmd_power_curve(args) -> int:
     return 0
 
 
-def _semisynth_config(cfg: ExperimentConfig) -> SemisynthConfig:
-    return SemisynthConfig(
-        hypothesis=cfg.hypothesis(),
-        smoothing_window=cfg.take_number("smoothing_window", 5, int),
-        n_replicates=cfg.take_number("n_replicates", 20, int),
-        site_sweep=cfg.take_list("site_sweep", (2, 5, 10, 20), int),
-        site_sweep_magnitude=cfg.take_number("site_sweep_magnitude", 0.2),
-        magnitude_sweep=cfg.take_list("magnitude_sweep", (0.1, 0.5, 1.0, 2.0)),
-        dominant_sweep=cfg.take_list("dominant_sweep", (0.2, 0.4, 0.6, 0.8)),
-        entropy_sites=cfg.take_number("entropy_sites", 5, int),
-        methods=cfg.take_list("methods", POWER_METHODS, str),
-        thresholds=cfg.take_list("thresholds", DEFAULT_THRESHOLDS),
-    )
-
-
 def cmd_semisynth(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     seed = _resolve_seed(args, cfg)
     csv_path = cfg.take_path("csv", None)
-    sweep_cfg = _semisynth_config(cfg)
+    sweep_cfg = cfg.take_fields(SemisynthConfig)
     cfg.finish()
 
     counts = None
@@ -390,14 +385,7 @@ def cmd_semisynth(args) -> int:
 def cmd_federation(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     csv_path = cfg.take_path("csv", None)
-    hyp = cfg.hypothesis()
-    fed_cfg = FederationConfig(
-        hypothesis=hyp,
-        method=cfg.take("method", "wstouffer"),
-        share_source=cfg.take("share_source", "known"),
-        reporting_cycle=cfg.take_number("reporting_cycle", 1, int),
-        lag=cfg.take_number("lag", 0, int),
-    )
+    fed_cfg = cfg.take_fields(FederationConfig)
 
     if csv_path is not None:
         if cfg.take("n_sites", None) is not None or cfg.take("shares", None) is not None:
@@ -408,7 +396,7 @@ def cmd_federation(args) -> int:
     else:
         # no input data: split the built-in fixture into synthetic sites
         seed = _resolve_seed(args, cfg)
-        n_sites = cfg.take_number("n_sites", 5, int)
+        n_sites = cfg.take_scalar("n_sites", 5, int)
         shares_raw = cfg.take_list("shares", None)
         cfg.finish()
         shares = ShareVector(shares_raw) if shares_raw is not None else ShareVector.equal(n_sites)
@@ -419,7 +407,7 @@ def cmd_federation(args) -> int:
 
     combined = run_federation(sites, fed_cfg)
     timeline = sites[0].timeline
-    alpha = hyp.alpha
+    alpha = fed_cfg.hypothesis.alpha
     periods = [
         {
             "period": cp.period_index,
@@ -433,17 +421,10 @@ def cmd_federation(args) -> int:
     alarm_rows = [
         (str(e["period"]), e["date"], _fmt(e["p"])) for e in periods if e["alarm"]
     ]
+    config = dataclasses.asdict(fed_cfg)
+    config.update(config.pop("hypothesis"), seed=seed)
     doc = {
-        "config": {
-            "method": fed_cfg.method,
-            "share_source": fed_cfg.share_source,
-            "reporting_cycle": fed_cfg.reporting_cycle,
-            "lag": fed_cfg.lag,
-            "theta": hyp.theta,
-            "baseline_len": hyp.baseline_len,
-            "alpha": alpha,
-            "seed": seed,
-        },
+        "config": config,
         "sites": [s.site_id for s in sorted(sites, key=lambda s: s.site_id)],
         "periods": periods,
         "summary": {
@@ -496,7 +477,7 @@ def cmd_evaluate(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     scores_path = cfg.take_path("scores")
     truth_path = cfg.take_path("truth")
-    cadence = cfg.take("cadence", "weekly")
+    cadence = cfg.take_scalar("cadence", "weekly", str)
     window_raw = cfg.take_list("match_window", None, int, length=2)
     thresholds = cfg.take_list("thresholds", DEFAULT_THRESHOLDS)
     cfg.finish()

@@ -255,7 +255,7 @@ SHARE_METHODS = frozenset(m for m, entry in _METHODS.items() if entry[1])
 def _combine(method: str, p_matrix, shares, total_count, rho):
     """Validate the inputs `method` uses and run its kernel; returns the
     (combined_p, statistic) pair of (M,) arrays."""
-    if method not in _METHODS:
+    if not isinstance(method, str) or method not in _METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHOD_IDS}")
     kernel, needs_shares, needs_total, needs_rho = _METHODS[method]
     p_matrix = np.asarray(p_matrix, dtype=float)

@@ -79,7 +79,7 @@ def _child_seed(seed_seq: np.random.SeedSequence) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class PowerCurveConfig:
-    hypothesis: SurgeHypothesis = SurgeHypothesis(0.3, 4)
+    hypothesis: SurgeHypothesis = SurgeHypothesis()
     n_total: int = 200
     shares: tuple[float, ...] = (0.5, 0.5)
     theta_grid: tuple[float, ...] = DEFAULT_THETA_GRID
@@ -254,7 +254,7 @@ def builtin_wave_counts() -> CountSeries:
 
 @dataclasses.dataclass(frozen=True)
 class SemisynthConfig:
-    hypothesis: SurgeHypothesis = SurgeHypothesis(0.3, 4)
+    hypothesis: SurgeHypothesis = SurgeHypothesis()
     smoothing_window: int = 5
     n_replicates: int = 20
     site_sweep: tuple[int, ...] = (2, 5, 10, 20)

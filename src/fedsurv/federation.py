@@ -112,8 +112,13 @@ class CoarseReport:
 
 @dataclasses.dataclass(frozen=True)
 class FederationConfig:
-    hypothesis: SurgeHypothesis
-    method: str
+    """One protocol run: the surge test every site applies, the combiner
+    (default "wstouffer"), where shares come from (default "known"), and
+    the coarse reports' cycle length (default 1) and release lag (default
+    0), both in periods."""
+
+    hypothesis: SurgeHypothesis = SurgeHypothesis()
+    method: str = "wstouffer"
     share_source: str = "known"
     reporting_cycle: int = 1
     lag: int = 0

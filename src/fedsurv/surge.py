@@ -41,10 +41,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SurgeHypothesis:
-    """Test configuration: surge threshold, baseline length, type I rate."""
+    """Test configuration: surge threshold, baseline length, type I rate.
+    Defaults: theta 0.3, baseline_len 4, alpha 0.05; every command that
+    reads a hypothesis from its config applies them."""
 
-    theta: float
-    baseline_len: int
+    theta: float = 0.3
+    baseline_len: int = 4
     alpha: float = 0.05
 
     def __post_init__(self):

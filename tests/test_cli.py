@@ -1,6 +1,7 @@
 """Command-line interface tests: ingestion errors with line numbers, wrapper
 fidelity against library calls, golden outputs, and exit codes."""
 
+import dataclasses
 import datetime
 import json
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from fedsurv import numerics
-from fedsurv.cli import main, read_counts_csv
+from fedsurv.cli import ExperimentConfig, main, read_counts_csv
 from fedsurv.combine import EvidenceSet, combine_by_id
 from fedsurv.errors import ConfigError
 from fedsurv.experiments import (
@@ -19,6 +20,7 @@ from fedsurv.experiments import (
     run_power_curve,
     run_semisynth_sweep,
 )
+from fedsurv.federation import FederationConfig
 from fedsurv.surge import SurgeHypothesis, SurgeWindow, exact_p_value
 
 from support import package_env
@@ -196,6 +198,13 @@ class TestCmdTest:
         assert code == 2
         assert "tehta" in err
 
+    @pytest.mark.parametrize("field, value", [("csv", 5), ("csv", None), ("site", 3)])
+    def test_malformed_field_exits_2(self, tmp_path, counts_csv, capsys, field, value):
+        cfg = write_config(tmp_path, **({"csv": str(counts_csv), "at": 5} | {field: value}))
+        code, out, err = run(["test", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"fedsurv: error: config field {field!r}")
+
 
 class TestCmdCombine:
     def test_fisher_matches_library_bytes(self, tmp_path, capsys):
@@ -228,6 +237,8 @@ class TestCmdCombine:
             {"p_values": 0.5},
             {"p_values": [0.5, None]},
             {"p_values": [0.5, 0.2], "shares": 0.5},
+            {"method": ["wstouffer"]},
+            {"method": {"wstouffer": 1}},
         ],
     )
     def test_malformed_list_exits_2(self, tmp_path, capsys, fields):
@@ -517,6 +528,9 @@ class TestCmdFederation:
             ("baseline_len", 4.5),
             ("theta", "0.3"),
             ("shares", ["0.5", "0.5"]),
+            ("method", 7),
+            ("share_source", ["known"]),
+            ("csv", 5),
         ],
     )
     def test_malformed_scalar_exits_2(self, tmp_path, capsys, field, value):
@@ -629,11 +643,15 @@ class TestCmdEvaluate:
             ("match_window", [True, 2]),
             ("thresholds", 0.1),
             ("thresholds", [0.1, None]),
+            ("scores", None),
+            ("truth", 5),
+            ("cadence", 5),
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, eval_inputs, capsys, field, value):
         scores, truth = eval_inputs
-        cfg = write_config(tmp_path, scores=str(scores), truth=str(truth), **{field: value})
+        paths = {"scores": str(scores), "truth": str(truth)}
+        cfg = write_config(tmp_path, **(paths | {field: value}))
         code, out, err = run(["evaluate", "--config", cfg], capsys)
         assert code == 2 and out == ""
         assert field in err
@@ -654,6 +672,24 @@ class TestCmdEvaluate:
         code, _, err = run(["evaluate", "--config", cfg], capsys)
         assert code == 2
         assert "'p'" in err
+
+
+@pytest.mark.parametrize(
+    "cls", [SurgeHypothesis, PowerCurveConfig, SemisynthConfig, FederationConfig]
+)
+def test_config_schema_round_trips(cls):
+    """Every dataclass field is a config key, and the CLI's default for it
+    is the class's own: an empty config and the class's defaults written
+    out as JSON (nested hypothesis fields at top level) both read back as
+    cls()."""
+    assert ExperimentConfig({}, Path.cwd()).take_fields(cls) == cls()
+    data = json.loads(json.dumps(dataclasses.asdict(cls())))
+    for key, value in list(data.items()):
+        if isinstance(value, dict):
+            data.update(data.pop(key))
+    cfg = ExperimentConfig(data, Path.cwd())
+    assert cfg.take_fields(cls) == cls()
+    cfg.finish()
 
 
 class TestExitCodes:

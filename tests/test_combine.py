@@ -367,8 +367,10 @@ class TestSharedProperties:
                 assert got.shape == (0,), method
 
     def test_unknown_method_rejected(self):
-        with pytest.raises(ConfigError):
-            cb.combine_by_id("median", ev([0.5]))
+        # a non-string method id is a config error too, not a TypeError
+        for method in ("median", ["fisher"], {"fisher": 1}, 7):
+            with pytest.raises(ConfigError):
+                cb.combine_by_id(method, ev([0.5]))
 
     def test_matrix_rejects_negative_shares(self):
         p_mat = np.array([[0.2, 0.6], [0.4, 0.01]])
