@@ -150,6 +150,18 @@ def _is_kind(value, kind) -> bool:
     return kind is float or isinstance(value, int) or value.is_integer()
 
 
+class _JsonConstant:
+    """A NaN, Infinity or -Infinity literal, which JSON does not define and
+    Python's parser accepts. It is of no kind, so the field holding it is
+    rejected by name."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
 class ExperimentConfig:
     """JSON-backed field bag. Commands take what they need; leftover keys
     are treated as configuration errors so typos cannot pass silently."""
@@ -170,7 +182,7 @@ class ExperimentConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_constant=_JsonConstant)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         return ExperimentConfig(data, p.parent)
@@ -410,10 +422,8 @@ def cmd_federation(args) -> int:
     alpha = fed_cfg.hypothesis.alpha
     periods = [
         {
-            "period": cp.period_index,
+            **cp.to_json(),
             "date": timeline[cp.period_index].isoformat(),
-            "p": float(cp.p),
-            "shares": None if cp.shares is None else [float(s) for s in cp.shares],
             "alarm": bool(cp.p < alpha),
         }
         for cp in combined
@@ -533,10 +543,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, DomainError, FileNotFoundError) as exc:
         print(f"fedsurv: error: {exc}", file=sys.stderr)
         return 2
-    except FedsurvError as exc:
-        print(f"fedsurv: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FedsurvError, OSError) as exc:
         print(f"fedsurv: error: {exc}", file=sys.stderr)
         return 1
 

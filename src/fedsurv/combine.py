@@ -8,10 +8,14 @@ form the Monte Carlo engines use, and ``combine_by_id`` combines one
 EvidenceSet as the M = 1 case, returning the combined p together with the
 underlying statistic. Every kernel sums over sites in one fixed order, so a
 column's bits do not depend on how many columns are combined with it.
+Kernels that share a statistic share its code: wfisher and lancaster differ
+only in the Gamma shapes they hand one transform, ``_gamma_transform``, and
+cstouffer adds its continuity term to wstouffer's statistic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +62,8 @@ class EvidenceSet:
             sh = tuple(float(s) for s in self.shares)
             if len(sh) != len(ps):
                 raise ConfigError("shares length must match p-values length")
-            if any(s < 0 for s in sh):
-                raise ConfigError("shares must be nonnegative")
+            if not all(0.0 <= s < math.inf for s in sh):
+                raise ConfigError("shares must be finite and nonnegative")
             if abs(sum(sh) - 1.0) > 1e-9:
                 raise ConfigError("shares must sum to 1 within 1e-9")
             object.__setattr__(self, "shares", sh)
@@ -160,14 +164,29 @@ def corrected_stouffer_matrix(p_matrix: np.ndarray, shares, total_count, rho):
     The term is zero at N=1 and strictly negative otherwise, making the
     combined p-value smaller (less conservative).
     """
-    n_sites = p_matrix.shape[0]
-    sqrt_s = np.sqrt(_shares_column(shares, n_sites))
-    base = _site_sum(sqrt_s * special.ndtri(_clamped(p_matrix)))
-    correction = (1.0 - n_sites) / (
+    base = weighted_stouffer_matrix(p_matrix, shares)[1]
+    correction = (1.0 - p_matrix.shape[0]) / (
         2.0 * np.sqrt(rho * (1.0 - rho) * np.asarray(total_count, dtype=float))
     )
     stat = base + correction
     return special.ndtr(stat), stat
+
+
+def _gamma_transform(p_matrix: np.ndarray, shapes, total_shape):
+    """Sum of each site's (1-p_i)-quantile of Gamma(shape_i, 1/2), referred
+    to Gamma(total_shape, 1/2); returns (combined_p, statistic).
+
+    The quantile goes through the survival inverse so tiny p-values keep
+    full precision. A site with shape 0 contributes 0, the shape->0 limit
+    of the quantile.
+    """
+    sh_b, p_b = np.broadcast_arrays(shapes, _clamped(p_matrix))
+    contrib = np.zeros(sh_b.shape, dtype=float)
+    pos = sh_b > 0.0
+    if pos.any():
+        contrib[pos] = 2.0 * special.gammainccinv(sh_b[pos], p_b[pos])
+    stat = _site_sum(contrib)
+    return special.gammaincc(total_shape, stat / 2.0), stat
 
 
 def wfisher_matrix(p_matrix: np.ndarray, shares):
@@ -180,16 +199,7 @@ def wfisher_matrix(p_matrix: np.ndarray, shares):
     """
     n_sites = p_matrix.shape[0]
     shapes = _shares_column(shares, n_sites) * n_sites
-    # (1-p)-quantile of Gamma(s_i*N, 1/2), via the survival inverse so tiny
-    # p-values keep full precision; a zero share contributes 0 (the shape->0
-    # limit of the Gamma quantile)
-    sh_b, p_b = np.broadcast_arrays(shapes, _clamped(p_matrix))
-    contrib = np.zeros(sh_b.shape, dtype=float)
-    pos = sh_b > 0.0
-    if pos.any():
-        contrib[pos] = 2.0 * special.gammainccinv(sh_b[pos], p_b[pos])
-    stat = _site_sum(contrib)
-    return special.gammaincc(float(n_sites), stat / 2.0), stat
+    return _gamma_transform(p_matrix, shapes, float(n_sites))
 
 
 def goods_matrix(p_matrix: np.ndarray, shares):
@@ -206,28 +216,18 @@ def goods_matrix(p_matrix: np.ndarray, shares):
     return special.gammaincc(float(n_sites), stat / 2.0), stat
 
 
-def lancaster_matrix(p_matrix: np.ndarray, dfs):
-    """General Gamma-transform combiner with df_i per site.
+def lancaster_matrix(p_matrix: np.ndarray, shares, total_count):
+    """Lancaster's Gamma-transform combiner with df_i = s_i * n per site.
 
     Site i contributes the (1-p_i)-quantile of Gamma(df_i/2, 1/2), a
     chi-square(df_i) variable under the null, and the sum is referred to
-    chi-square(sum df_i). df_i = 2 recovers fisher.
+    chi-square(sum df_i). Degrees of freedom tied to the site's count give
+    the classical larger-total-df behavior this combiner is known for;
+    df_i = 2 recovers fisher. df_i is floored at 1e-6, so a zero-share
+    site still takes part.
     """
-    dfs_col = _shares_column(dfs, p_matrix.shape[0])
-    if (dfs_col <= 0).any():
-        raise ConfigError("degrees of freedom must be positive")
-    stat = _site_sum(2.0 * special.gammainccinv(dfs_col / 2.0, _clamped(p_matrix)))
-    total_df = _site_sum(dfs_col)
-    return special.gammaincc(total_df / 2.0, stat / 2.0), stat
-
-
-def _lancaster_by_counts(p_matrix: np.ndarray, shares, totals):
-    """Lancaster with df_i proportional to the site's count, df_i = s_i * n.
-
-    Degrees of freedom tied to sample sizes give the classical
-    larger-total-df behavior this combiner is known for.
-    """
-    return lancaster_matrix(p_matrix, np.maximum(shares * totals, 1e-6))
+    shapes = np.maximum(shares * total_count, 1e-6) / 2.0
+    return _gamma_transform(p_matrix, shapes, _site_sum(shapes))
 
 
 # ------------------------------------------------------------- method table
@@ -243,7 +243,7 @@ _METHODS = {
     "cstouffer": (corrected_stouffer_matrix, True, True, True),
     "wfisher": (wfisher_matrix, True, False, False),
     "goods": (goods_matrix, True, False, False),
-    "lancaster": (_lancaster_by_counts, True, True, False),
+    "lancaster": (lancaster_matrix, True, True, False),
 }
 
 METHOD_IDS = tuple(_METHODS)
@@ -268,8 +268,8 @@ def _combine(method: str, p_matrix, shares, total_count, rho):
         if shares is None:
             raise ConfigError(f"{method} requires per-site shares")
         shares = _shares_column(shares, p_matrix.shape[0])
-        if (shares < 0).any():
-            raise ConfigError("shares must be nonnegative")
+        if not ((shares >= 0) & np.isfinite(shares)).all():
+            raise ConfigError("shares must be finite and nonnegative")
         if np.abs(shares.sum(axis=0) - 1.0).max(initial=0.0) > 1e-9:
             raise ConfigError("shares must sum to 1 in every column")
         context.append(shares)

@@ -19,6 +19,7 @@ import numpy as np
 from . import combine
 from .errors import ConfigError, DomainError
 from .evaluation import (
+    AlarmSeries,
     MatchWindow,
     alarms_from_growth,
     alarms_from_pvalues,
@@ -28,6 +29,7 @@ from .evaluation import (
 )
 from .semisynth import (
     _multinomial_table,
+    _seed_sequence,
     CountSeries,
     PrevalenceSeries,
     ShareVector,
@@ -94,7 +96,7 @@ class PowerCurveConfig:
         if not self.theta_grid:
             raise ConfigError("theta_grid must be nonempty")
         for th in self.theta_grid:
-            if th <= -1.0:
+            if not th > -1.0:
                 raise ConfigError(f"theta_alt must exceed -1, got {th!r}")
         for m in self.methods:
             if m not in POWER_METHODS:
@@ -123,23 +125,31 @@ class PowerCurveResult:
     calibration_rates: dict
 
 
-def _method_series(
-    method: str,
-    p_site: np.ndarray,
-    share_mat: np.ndarray,
-    totals: np.ndarray,
-    p_central: np.ndarray,
-    largest_index: int,
-    rho: float,
-) -> np.ndarray:
-    """One method's p-values; both engines score every method through here."""
-    if method == "centralized":
-        return p_central
-    if method == "largest_site":
-        return p_site[largest_index]
-    return combine.combine_matrix(
-        method, p_site, shares=share_mat, total_count=totals, rho=rho
-    )
+def _method_pvalues(
+    methods: Sequence[str],
+    c_site: np.ndarray,
+    n_site: np.ndarray,
+    hyp: SurgeHypothesis,
+    largest: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every method's p-values for (N, K) per-site baseline and window
+    totals; both engines score their replicates through here.
+
+    Returns the centralized test's (K,) p-values on the pooled totals and
+    an (M, K) matrix with one row per method, in the order of ``methods``.
+    """
+    p_site = window_p_values(c_site, n_site, hyp)
+    p_central = window_p_values(c_site.sum(axis=0), n_site.sum(axis=0), hyp)
+    shares, totals = combine.window_weights(n_site)
+    rows = np.empty((len(methods), p_central.size))
+    for row, m in zip(rows, methods):
+        if m == "centralized":
+            row[:] = p_central
+        elif m == "largest_site":
+            row[:] = p_site[largest]
+        else:
+            row[:] = combine.combine_matrix(m, p_site, shares, totals, hyp.rho)
+    return p_central, rows
 
 
 def _simulate_method_pvalues(
@@ -159,15 +169,8 @@ def _simulate_method_pvalues(
     test = rng.poisson(lam_site[:, None] * (1.0 + theta_alt), size=(n_sites, reps))
 
     c_site = base.sum(axis=1)
-    n_site = c_site + test
-    p_site = window_p_values(c_site, n_site, hyp)
-    p_central = window_p_values(c_site.sum(axis=0), n_site.sum(axis=0), hyp)
-    share_mat, totals = combine.window_weights(n_site)
-    largest = int(np.argmax(shares))
-    return {
-        m: _method_series(m, p_site, share_mat, totals, p_central, largest, hyp.rho)
-        for m in cfg.methods
-    }
+    _, rows = _method_pvalues(cfg.methods, c_site, c_site + test, hyp, int(np.argmax(shares)))
+    return dict(zip(cfg.methods, rows))
 
 
 def calibrate_threshold(
@@ -180,6 +183,8 @@ def calibrate_threshold(
     Returns (threshold, achieved rate)."""
     srt = np.sort(np.asarray(null_pvalues, dtype=float))
     m = srt.size
+    if m == 0 or np.isnan(srt[-1]):
+        raise DomainError("the null sample must be a nonempty set of p-values without NaN")
 
     def rate(th: float) -> float:
         return float(np.searchsorted(srt, th, side="left")) / m
@@ -204,7 +209,7 @@ def calibrate_threshold(
 def run_power_curve(cfg: PowerCurveConfig, seed: int) -> PowerCurveResult:
     """Calibrate each method's threshold at theta_alt=theta, then sweep the
     grid estimating rejection rates with fresh draws per grid point."""
-    root = np.random.SeedSequence(int(seed))
+    root = _seed_sequence(seed)
     calib_seq, *eval_seqs = root.spawn(1 + len(cfg.theta_grid))
 
     hyp = cfg.hypothesis
@@ -310,27 +315,6 @@ class SweepResult:
     truth_alarm_counts: dict
 
 
-def _window_pvalue_matrix(
-    counts_matrix: np.ndarray, hyp: SurgeHypothesis
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact per-site p-values for every window ending at t in [l, T).
-
-    Returns (p_matrix (N, T-l), share_matrix (N, T-l), totals (T-l,)) where
-    shares and totals describe the realized window counts, the same values
-    a known-share federation run would use.
-    """
-    if counts_matrix.shape[1] <= hyp.baseline_len:
-        raise DomainError("series too short for the baseline length")
-    c, n = window_totals(counts_matrix, hyp.baseline_len)
-    return (window_p_values(c, n, hyp),) + combine.window_weights(n)
-
-
-def _padded_series(values: np.ndarray, warmup: int) -> np.ndarray:
-    out = np.ones(warmup + values.size, dtype=float)
-    out[warmup:] = values
-    return out
-
-
 def _sweep_point(
     cfg: SemisynthConfig,
     prev: PrevalenceSeries,
@@ -341,30 +325,26 @@ def _sweep_point(
 ) -> dict:
     """Replicate-averaged (recall@FDR0.1, F1-vs-centralized) per method.
 
-    Each replicate scores all methods' padded series in two batched
-    `pr_curves` calls; batching per replicate rather than per sweep point
-    keeps the alarm tables small."""
+    Each replicate scores all methods' series, one p-value per window
+    ending at t = l, ..., T - 1, in two batched `pr_curves` calls; batching
+    per replicate rather than per sweep point keeps the alarm tables small.
+    The growth truth is shifted by -l into the series' own indices once.
+    The first l periods have no window, so they could never alarm."""
     hyp = cfg.hypothesis
     l = hyp.baseline_len
     alpha = hyp.alpha
     largest = int(np.argmax(shares.shares))
+    truth_growth = AlarmSeries(tuple(t - l for t in truth_growth.period_indices))
     scores = {m: [] for m in cfg.methods}
     for seq in replicate_seqs:
         sample_seq, split_seq = seq.spawn(2)
         central = poisson_sample(prev, _child_seed(sample_seq), site_id="pooled")
         counts_matrix = _multinomial_table(central.counts, shares, _child_seed(split_seq)).T
-        p_site, share_mat, totals = _window_pvalue_matrix(counts_matrix, hyp)
-        p_central = _window_pvalue_matrix(
-            counts_matrix.sum(axis=0, keepdims=True), hyp
-        )[0][0]
-        truth_central = alarms_from_pvalues(_padded_series(p_central, l), alpha)
-        padded = np.ones((len(cfg.methods), l + p_central.size))
-        for row, method in zip(padded, cfg.methods):
-            row[l:] = _method_series(
-                method, p_site, share_mat, totals, p_central, largest, hyp.rho
-            )
-        growth_curves = pr_curves(padded, truth_growth, window, cfg.thresholds)
-        central_curves = pr_curves(padded, truth_central, window, (alpha,))
+        c_site, n_site = window_totals(counts_matrix, l)
+        p_central, rows = _method_pvalues(cfg.methods, c_site, n_site, hyp, largest)
+        truth_central = alarms_from_pvalues(p_central, alpha)
+        growth_curves = pr_curves(rows, truth_growth, window, cfg.thresholds)
+        central_curves = pr_curves(rows, truth_central, window, (alpha,))
         for method, growth, central in zip(cfg.methods, growth_curves, central_curves):
             _, precision, recall = central.points[0]
             scores[method].append((recall_at_fdr(growth, 0.1), f1(precision, recall)))
@@ -415,7 +395,7 @@ def run_semisynth_sweep(
             ("entropy", f"{float(dom):g}", 1.0, shares, normalized_entropy(shares))
         )
 
-    root = np.random.SeedSequence(int(seed))
+    root = _seed_sequence(seed)
     point_seqs = root.spawn(len(sweep_points))
 
     rows = []

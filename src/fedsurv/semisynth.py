@@ -134,10 +134,19 @@ def _coerce_shares(shares: "ShareVector | Iterable[float]") -> ShareVector:
     return ShareVector(tuple(float(s) for s in shares))
 
 
+def _seed_sequence(seed: int) -> np.random.SeedSequence:
+    """The root of every seeded stream; a seed is a nonnegative integer."""
+    try:
+        valid = int(seed) == seed and seed >= 0
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
+    return np.random.SeedSequence(int(seed))
+
+
 def _generator(seed: int) -> np.random.Generator:
-    if int(seed) != seed:
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed)))
 
 
 def moving_average(series: CountSeries, window: int) -> PrevalenceSeries:

@@ -239,6 +239,9 @@ class TestCmdCombine:
             {"p_values": [0.5, 0.2], "shares": 0.5},
             {"method": ["wstouffer"]},
             {"method": {"wstouffer": 1}},
+            {"method": "wfisher", "p_values": [0.01, 0.5], "shares": [float("nan"), 1.0]},
+            {"p_values": [0.01, 0.5], "shares": [float("nan"), 1.0]},
+            {"p_values": [0.01, float("inf")]},
         ],
     )
     def test_malformed_list_exits_2(self, tmp_path, capsys, fields):
@@ -336,6 +339,7 @@ class TestCmdPowerCurve:
             ("n_total", "200"),
             ("calibration_reps", True),
             ("power_reps", 1000.5),
+            ("theta_grid", [float("nan")]),
         ],
     )
     def test_malformed_scalar_exits_2(self, tmp_path, capsys, field, value):

@@ -32,6 +32,9 @@ class TestEvidenceSet:
             ev([0.5, 0.5], shares=(1.2, -0.2))
         with pytest.raises(ConfigError):
             ev([0.5, 0.5], shares=(1.0,))
+        for bad in ((float("nan"), 1.0), (float("inf"), 1.0)):
+            with pytest.raises(ConfigError):
+                ev([0.01, 0.5], shares=bad)
 
     def test_boundary_pvalues_accepted(self):
         s = ev([0.0, 1.0])
@@ -270,10 +273,14 @@ class TestLancaster:
         assert got.p == pytest.approx(oracles.chi2_sf_mpmath(x, 7), abs=1e-10)
 
     def test_registry_rule_uses_count_proportional_dfs(self):
+        # df_i = s_i * total_count = (8, 2), transformed with scipy directly
+        from scipy import special
+
         e = ev([0.05, 0.5], shares=(0.8, 0.2), total_count=10)
         via_registry = cb.combine_by_id("lancaster", e)
-        direct_p, _ = cb.lancaster_matrix(np.array([[0.05], [0.5]]), (8.0, 2.0))
-        assert via_registry.p == pytest.approx(direct_p[0], abs=1e-14)
+        x = sum(2.0 * special.gammainccinv(d / 2.0, p) for p, d in ((0.05, 8.0), (0.5, 2.0)))
+        assert via_registry.statistic == pytest.approx(x, abs=1e-12)
+        assert via_registry.p == pytest.approx(special.gammaincc(5.0, x / 2.0), abs=1e-14)
 
 
 class TestSharedProperties:
@@ -375,8 +382,9 @@ class TestSharedProperties:
     def test_matrix_rejects_negative_shares(self):
         p_mat = np.array([[0.2, 0.6], [0.4, 0.01]])
         for method in sorted(cb.SHARE_METHODS):
-            with pytest.raises(ConfigError):
-                cb.combine_matrix(method, p_mat, shares=(1.5, -0.5), total_count=50, rho=0.7)
+            for shares in ((1.5, -0.5), (float("nan"), 1.0), [[0.5, np.nan], [0.5, 1.0]]):
+                with pytest.raises(ConfigError):
+                    cb.combine_matrix(method, p_mat, shares=shares, total_count=50, rho=0.7)
 
     def test_totals_below_one_rejected_on_both_paths(self):
         # an empty pooled window is no evidence: it must not read as p = 0 or 1
@@ -491,3 +499,12 @@ class TestUniformNullCalibration:
                 combined = cb.combine_matrix(method, p_mat)
                 d = oracles.ks_statistic_uniform(combined)
                 assert d < crit, (method, n_sites, d)
+
+
+class TestWindowWeights:
+    def test_shares_and_totals_of_window_counts(self):
+        # the middle column is an empty pool: uniform shares and total 1
+        n_site = np.array([[3, 0, 5], [1, 0, 0]])
+        shares, totals = cb.window_weights(n_site)
+        assert shares.tolist() == [[0.75, 0.5, 1.0], [0.25, 0.5, 0.0]]
+        assert totals.tolist() == [4, 1, 5]

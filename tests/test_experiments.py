@@ -20,11 +20,8 @@ from fedsurv.experiments import (
     run_power_curve,
     run_semisynth_sweep,
 )
-from fedsurv.experiments import (
-    _method_series,
-    _simulate_method_pvalues,
-    _window_pvalue_matrix,
-)
+from fedsurv.combine import METHOD_IDS, EvidenceSet, combine_by_id
+from fedsurv.experiments import _method_pvalues, _simulate_method_pvalues
 from fedsurv.federation import (
     FederationConfig,
     SiteNode,
@@ -66,6 +63,11 @@ class TestPowerCurveConfig:
         with pytest.raises(ConfigError):
             PowerCurveConfig(theta_grid=())
 
+    @pytest.mark.parametrize("theta", [-1.0, -2.0, float("nan")])
+    def test_rejects_grid_point_at_or_below_minus_one(self, theta):
+        with pytest.raises(ConfigError):
+            PowerCurveConfig(theta_grid=(0.3, theta))
+
     def test_rejects_tiny_replicate_counts(self):
         with pytest.raises(ConfigError):
             PowerCurveConfig(calibration_reps=10)
@@ -84,6 +86,11 @@ class TestCalibrateThreshold:
         th, rate = calibrate_threshold(np.full(1000, 0.5), 0.05)
         assert rate <= 0.05
         assert th <= 0.5 + 1e-12
+
+    @pytest.mark.parametrize("sample", [[], [0.2, float("nan"), 0.01]])
+    def test_rejects_empty_or_nan_sample(self, sample):
+        with pytest.raises(DomainError):
+            calibrate_threshold(sample, 0.05)
 
     def test_rate_definition_is_strict_below(self):
         sample = np.array([0.01, 0.02, 0.03, 0.04, 1.0])
@@ -130,6 +137,11 @@ class TestRunPowerCurve:
             assert pw[(method, 1.0)] > 0.8, method
         # a single site holds half the evidence and pays for it
         assert pw[("largest_site", 1.0)] < pw[("centralized", 1.0)] - 0.15
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_rejects_bad_seed(self, smoke, seed):
+        with pytest.raises(ConfigError):
+            run_power_curve(smoke[0], seed)
 
     def test_same_seed_reproduces(self, smoke):
         cfg, res = smoke
@@ -203,31 +215,50 @@ class TestSemisynthConfig:
             SemisynthConfig(**kwargs)
 
 
-class TestWindowPValueMatrix:
+class TestMethodPValues:
+    HYP = SurgeHypothesis(0.3, 4)
+
+    def window_p(self, baseline, test):
+        return exact_p_value(SurgeWindow(tuple(baseline), int(test)), self.HYP)
+
     def test_matches_scalar_surge_test(self):
-        hyp = SurgeHypothesis(0.3, 4)
         counts = np.array([[5, 5, 5, 5, 5, 8], [2, 0, 1, 3, 2, 6]], dtype=np.int64)
-        p, shares, totals = _window_pvalue_matrix(counts, hyp)
-        assert p.shape == (2, 2)
-        for i in range(2):
-            for t in (4, 5):
-                window = SurgeWindow(tuple(counts[i, t - 4 : t]), int(counts[i, t]))
-                assert p[i, t - 4] == pytest.approx(exact_p_value(window, hyp), abs=1e-15)
-        pooled = counts.sum(axis=0)
-        assert totals.tolist() == [int(pooled[0:5].sum()), int(pooled[1:6].sum())]
-        assert shares.sum(axis=0) == pytest.approx([1.0, 1.0], abs=1e-12)
+        c, n = window_totals(counts, 4)
+        methods = ("centralized", "largest_site", "lancaster")
+        for largest in range(2):
+            p_central, rows = _method_pvalues(methods, c, n, self.HYP, largest)
+            assert rows.shape == (3, 2)
+            assert rows[0].tolist() == p_central.tolist()
+            pooled = counts.sum(axis=0)
+            for j, t in enumerate((4, 5)):
+                site_p = [self.window_p(counts[i, j:t], counts[i, t]) for i in range(2)]
+                assert p_central[j] == self.window_p(pooled[j:t], pooled[t])
+                assert rows[1, j] == site_p[largest]
+                # shares and the pooled total are the realized window counts
+                total = int(pooled[j : t + 1].sum())
+                shares = tuple(int(counts[i, j : t + 1].sum()) / total for i in range(2))
+                ev = EvidenceSet(site_p, shares=shares, total_count=total)
+                assert rows[2, j] == combine_by_id("lancaster", ev).p
 
     def test_empty_window_gets_uniform_shares(self):
-        hyp = SurgeHypothesis(0.3, 2)
-        counts = np.zeros((2, 3), dtype=np.int64)
-        p, shares, totals = _window_pvalue_matrix(counts, hyp)
-        assert p.tolist() == [[1.0], [1.0]]
-        assert shares.tolist() == [[0.5], [0.5]]
-        assert totals.tolist() == [1]
+        c, n = window_totals(np.zeros((2, 3), dtype=np.int64), 2)
+        p_central, rows = _method_pvalues(("largest_site", "wfisher"), c, n, self.HYP, 0)
+        assert p_central.tolist() == [1.0]
+        assert rows[0].tolist() == [1.0]
+        uniform = EvidenceSet((1.0, 1.0), shares=(0.5, 0.5))
+        assert rows[1].tolist() == [combine_by_id("wfisher", uniform).p]
+
+    def test_no_methods_gives_empty_rows(self):
+        c, n = window_totals(np.ones((2, 7), dtype=np.int64), 4)
+        _, rows = _method_pvalues((), c, n, self.HYP, 0)
+        assert rows.shape == (0, 3)
 
     def test_rejects_short_series(self):
+        timeline = date_range(datetime.date(2024, 1, 1), 4, "weekly")
+        short = CountSeries("s", "weekly", timeline, (5,) * 4)
+        cfg = SemisynthConfig(site_sweep=(2,), magnitude_sweep=(), dominant_sweep=())
         with pytest.raises(DomainError):
-            _window_pvalue_matrix(np.zeros((1, 4), dtype=np.int64), SurgeHypothesis(0.3, 4))
+            run_semisynth_sweep(cfg, 1, counts=short)
 
 
 class TestOneWindowRule:
@@ -242,12 +273,12 @@ class TestOneWindowRule:
     def test_sweep_window_matrix(self):
         rng = np.random.default_rng(606)
         counts = rng.poisson(rng.uniform(5.0, 110.0, size=48), size=(3, 48))
-        p, _, _ = _window_pvalue_matrix(counts, self.HYP)
-        _, n = window_totals(counts, 4)
+        c, n = window_totals(counts, 4)
         assert (n <= EXACT_MAX_N).any() and (n > EXACT_MAX_N).any()
         for i in range(3):
-            for j in range(p.shape[1]):
-                assert p[i, j] == self.window_p(counts[i, j : j + 4], counts[i, j + 4])
+            _, (p,) = _method_pvalues(("largest_site",), c, n, self.HYP, i)
+            for j in range(p.size):
+                assert p[j] == self.window_p(counts[i, j : j + 4], counts[i, j + 4])
 
     def test_monte_carlo_batch(self):
         cfg = PowerCurveConfig(
@@ -282,31 +313,34 @@ class TestOneWindowRule:
 
 
 class TestSweepMatchesFederation:
-    """The vectorized sweep kernel and the protocol simulator must produce
-    the same combined series when fed the same counts and true shares."""
+    """The sweep's replicate kernel and the protocol simulator must produce
+    the same combined series, bit for bit, when fed the same counts and
+    true shares. Federation sums sites in site_id order ("pooled-10" sorts
+    before "pooled-2"), so the count matrix is stacked in that order."""
 
-    @pytest.mark.parametrize("method", ["fisher", "wstouffer", "lancaster"])
-    def test_agreement_on_split_fixture(self, method):
+    @pytest.mark.parametrize(
+        "method, n_sites",
+        [pytest.param(m, n, id=m if n == 2 else f"{m}-{n}") for n in (2, 13) for m in METHOD_IDS],
+    )
+    def test_agreement_on_split_fixture(self, method, n_sites):
         hyp = SurgeHypothesis(0.3, 4)
         base = builtin_wave_counts()
         head = type(base)(base.site_id, base.period, base.timestamps[:40], base.counts[:40])
         prev = moving_average(head, 5)
         sampled = poisson_sample(prev, 41, site_id="pooled")
-        parts = split_multinomial(sampled, ShareVector((0.7, 0.3)), 42)
+        weights = np.arange(1.0, n_sites + 1.0)
+        parts = split_multinomial(sampled, ShareVector(tuple(weights / weights.sum())), 42)
+        parts.sort(key=lambda part: part.site_id)
 
-        counts = np.asarray([p.counts for p in parts], dtype=np.int64)
-        p_site, share_mat, totals = _window_pvalue_matrix(counts, hyp)
-        series = _method_series(
-            method, p_site, share_mat, totals,
-            p_central=np.ones(p_site.shape[1]), largest_index=0, rho=hyp.rho,
-        )
+        c, n = window_totals([p.counts for p in parts], hyp.baseline_len)
+        _, (series,) = _method_pvalues((method,), c, n, hyp, 0)
 
         cfg = FederationConfig(hypothesis=hyp, method=method, share_source="known")
         combined = run_federation([SiteNode.wrap(p) for p in parts], cfg)
         assert len(combined) == series.size
         for j, period in enumerate(combined):
             assert period.period_index == hyp.baseline_len + j
-            assert period.p == pytest.approx(series[j], abs=1e-10)
+            assert period.p == series[j]
 
 
 class TestRunSemisynthSweep:
@@ -382,6 +416,12 @@ class TestRunSemisynthSweep:
             methods=("centralized", "stouffer", "goods"),
         )
         assert run_semisynth_sweep(cfg, 7) == run_semisynth_sweep(cfg, 7)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_rejects_bad_seed(self, seed):
+        cfg = SemisynthConfig(site_sweep=(2,), magnitude_sweep=(), dominant_sweep=())
+        with pytest.raises(ConfigError):
+            run_semisynth_sweep(cfg, seed)
 
     def test_row_labels_and_entropy_column(self):
         cfg = SemisynthConfig(

@@ -120,6 +120,11 @@ class TestPoissonSample:
         assert a.counts == b.counts
         assert a.counts != c.counts
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, float("nan"), "7"])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ConfigError):
+            ss.poisson_sample(prevalence([1.0, 2.0]), seed=seed)
+
     def test_sample_mean_tracks_rate(self):
         prev = prevalence([100.0] * 10_000)
         out = ss.poisson_sample(prev, seed=2024)
@@ -166,6 +171,11 @@ class TestSplitMultinomial:
         parts = ss.split_multinomial(src, ss.ShareVector((0.0, 1.0)), seed=9)
         assert parts[0].counts == (0, 0, 0)
         assert parts[1].counts == src.counts
+
+    @pytest.mark.parametrize("seed", [-1, 2.5])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(ConfigError):
+            ss.split_multinomial(counts([4, 5]), ss.ShareVector((0.5, 0.5)), seed=seed)
 
     def test_determinism(self):
         src = counts([25] * 40)
