@@ -90,7 +90,7 @@ class PowerCurveConfig:
     power_reps: int = 50_000
 
     def __post_init__(self) -> None:
-        if self.n_total < 1:
+        if not self.n_total >= 1:
             raise ConfigError("n_total must be positive")
         ShareVector(tuple(float(s) for s in self.shares))
         if not self.theta_grid:
@@ -101,7 +101,7 @@ class PowerCurveConfig:
         for m in self.methods:
             if m not in POWER_METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {POWER_METHODS}")
-        if self.calibration_reps < 1000 or self.power_reps < 1000:
+        if not (self.calibration_reps >= 1000 and self.power_reps >= 1000):
             raise ConfigError("Monte Carlo replicate counts must be at least 1000")
 
     @property
@@ -273,17 +273,17 @@ class SemisynthConfig:
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
 
     def __post_init__(self) -> None:
-        if self.n_replicates < 1:
+        if not self.n_replicates >= 1:
             raise ConfigError("n_replicates must be positive")
-        if self.site_sweep_magnitude <= 0:
+        if not self.site_sweep_magnitude > 0:
             raise ConfigError("site_sweep_magnitude must be positive")
-        if self.entropy_sites < 2:
+        if not self.entropy_sites >= 2:
             raise ConfigError("entropy sweep needs at least two sites")
         for n in self.site_sweep:
-            if int(n) != n or n < 1:
+            if not (1 <= n < math.inf and int(n) == n):
                 raise ConfigError(f"site counts must be positive integers, got {n!r}")
         for m in self.magnitude_sweep:
-            if m <= 0:
+            if not m > 0:
                 raise ConfigError(f"magnitudes must be positive, got {m!r}")
         for d in self.dominant_sweep:
             if not 1.0 / self.entropy_sites <= d < 1.0 + 1e-12:

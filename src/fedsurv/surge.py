@@ -189,8 +189,13 @@ def window_p_values(c, n, hyp: SurgeHypothesis) -> np.ndarray:
     rho = hyp.rho
     p = np.empty(c_arr.shape)
     above = n_arr > numerics.EXACT_MAX_N
-    p[~above] = numerics.binomial_cdf_exact(c_arr[~above], n_arr[~above], rho)
-    p[above] = numerics.binomial_cdf(c_arr[above], n_arr[above], rho)
+    below = ~above
+    # a kernel with no windows is skipped: it would still validate its
+    # empty input, and the exact one would build its per-rho table
+    if below.any():
+        p[below] = numerics.binomial_cdf_exact(c_arr[below], n_arr[below], rho)
+    if above.any():
+        p[above] = numerics.binomial_cdf(c_arr[above], n_arr[above], rho)
     return p
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from fedsurv import combine as cb
 from fedsurv.errors import ConfigError, DomainError
@@ -281,6 +282,91 @@ class TestLancaster:
         x = sum(2.0 * special.gammainccinv(d / 2.0, p) for p, d in ((0.05, 8.0), (0.5, 2.0)))
         assert via_registry.statistic == pytest.approx(x, abs=1e-12)
         assert via_registry.p == pytest.approx(special.gammaincc(5.0, x / 2.0), abs=1e-14)
+
+
+class TestGammaTransformDedupe:
+    """wfisher and lancaster invert each distinct (p, shape) pair of a batch
+    once; the result must be the bits of inverting every cell on its own."""
+
+    # a short list, so pairs repeat; 0, 1 and 1e-300 all land on a clamp edge
+    P_VALUES = (0.0, 1.0, 1e-300, 0.5, 0.01, 0.3, 0.97)
+
+    @staticmethod
+    def shapes_and_total(method, shares, total_count):
+        """Per-cell Gamma shapes (N, M) and, per column, the shape of the
+        Gamma the summed statistic is referred to."""
+        n = shares.shape[0]
+        if method == "wfisher":
+            return shares * n, [float(n)] * shares.shape[1]
+        shapes = np.maximum(shares * total_count, 1e-6) / 2.0
+        totals = []
+        for j in range(shapes.shape[1]):
+            acc = 0.0
+            for i in range(n):
+                acc += float(shapes[i, j])
+            totals.append(acc)
+        return shapes, totals
+
+    @classmethod
+    def per_cell_reference(cls, method, p_mat, shares, total_count):
+        """special.gammainccinv cell by cell, summed over sites in row order."""
+        shapes, totals = cls.shapes_and_total(method, shares, total_count)
+        p = np.clip(p_mat, cb.CLAMP_EPS, 1.0 - cb.CLAMP_EPS)
+        out = []
+        for j in range(p.shape[1]):
+            stat = 0.0
+            for i in range(p.shape[0]):
+                a = float(shapes[i, j])
+                if a > 0.0:
+                    stat += 2.0 * float(special.gammainccinv(a, float(p[i, j])))
+            out.append(float(special.gammaincc(totals[j], stat / 2.0)))
+        return out
+
+    def batches(self):
+        """Repetitive batches: p-values from a short list, shares from small
+        window counts (zeros included), per-column and shared shares, M = 1."""
+        rng = np.random.default_rng(2718)
+        for n, m in ((1, 1), (2, 1), (5, 1), (3, 40), (8, 25), (20, 12)):
+            p_mat = rng.choice(self.P_VALUES, size=(n, m))
+            counts = rng.integers(0, 4, size=(n, m))
+            counts[0] += counts.sum(axis=0) == 0
+            per_column = counts / counts.sum(axis=0)
+            totals = np.maximum(counts.sum(axis=0), 1)
+            yield p_mat, per_column, totals
+            yield p_mat, per_column[:, 0], totals
+
+    @pytest.mark.parametrize("method", ["wfisher", "lancaster"])
+    def test_equals_per_cell_reference(self, method):
+        for p_mat, shares, totals in self.batches():
+            got = cb.combine_matrix(method, p_mat, shares=shares, total_count=totals)
+            share_mat = np.broadcast_to(shares.reshape(p_mat.shape[0], -1), p_mat.shape)
+            want = self.per_cell_reference(method, p_mat, share_mat, totals)
+            assert got.tolist() == want, (method, p_mat.shape, shares.ndim)
+
+    @pytest.mark.parametrize("method", ["wfisher", "lancaster"])
+    def test_kernel_sees_only_distinct_pairs(self, method, monkeypatch):
+        real = special.gammainccinv
+        seen = []
+
+        def spy(a, x):
+            seen.append(list(zip(np.ravel(a).tolist(), np.ravel(x).tolist())))
+            return real(a, x)
+
+        monkeypatch.setattr(cb.special, "gammainccinv", spy)
+        n_pairs = n_cells = 0
+        for p_mat, shares, totals in self.batches():
+            seen.clear()
+            cb.combine_matrix(method, p_mat, shares=shares, total_count=totals)
+            share_mat = np.broadcast_to(shares.reshape(p_mat.shape[0], -1), p_mat.shape)
+            shapes, _ = self.shapes_and_total(method, share_mat, totals)
+            p = np.clip(p_mat, cb.CLAMP_EPS, 1.0 - cb.CLAMP_EPS)
+            cells = [(a, q) for a, q in zip(shapes.ravel().tolist(), p.ravel().tolist()) if a > 0]
+            (pairs,) = seen
+            assert len(pairs) == len(set(pairs))
+            assert set(pairs) == set(cells)
+            n_pairs += len(pairs)
+            n_cells += len(cells)
+        assert n_pairs < n_cells / 2
 
 
 class TestSharedProperties:

@@ -72,6 +72,11 @@ class TestPowerCurveConfig:
         with pytest.raises(ConfigError):
             PowerCurveConfig(calibration_reps=10)
 
+    @pytest.mark.parametrize("field", ["n_total", "calibration_reps", "power_reps"])
+    def test_rejects_nan_bound(self, field):
+        with pytest.raises(ConfigError):
+            PowerCurveConfig(**{field: float("nan")})
+
 
 class TestCalibrateThreshold:
     def test_uniform_sample_hits_target(self):
@@ -208,6 +213,12 @@ class TestSemisynthConfig:
             {"thresholds": (0.1, 1.0)},
             {"thresholds": (0.0,)},
             {"thresholds": (float("nan"),)},
+            {"n_replicates": float("nan")},
+            {"site_sweep_magnitude": float("nan")},
+            {"entropy_sites": float("nan")},
+            {"site_sweep": (2, float("nan"))},
+            {"site_sweep": (float("inf"),)},
+            {"magnitude_sweep": (float("nan"),)},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

@@ -120,6 +120,24 @@ class TestWindowPValues:
         assert got.shape == (0,)
 
     @pytest.mark.parametrize(
+        "n, unused",
+        [
+            ([0, 1, 7, 120, nm.EXACT_MAX_N, nm.EXACT_MAX_N], "binomial_cdf"),
+            ([nm.EXACT_MAX_N + 1, nm.EXACT_MAX_N + 1, 400, 2000], "binomial_cdf_exact"),
+        ],
+    )
+    def test_tail_kernel_without_windows_is_not_called(self, n, unused, monkeypatch):
+        n = np.array(n)
+        c = np.round(n * HYP.rho).astype(int) - n // 10
+        want = surge.window_p_values(c, n, HYP).tolist()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"numerics.{unused} was called")
+
+        monkeypatch.setattr(nm, unused, refuse)
+        assert surge.window_p_values(c, n, HYP).tolist() == want
+
+    @pytest.mark.parametrize(
         "c, n, error",
         [
             ([-1, 2], [3, 3], DomainError),
