@@ -498,12 +498,11 @@ def cmd_evaluate(args) -> int:
     pvalues = _read_scores_csv(scores_path)
     truth = _read_truth_csv(truth_path)
     curve = pr_curve(pvalues, truth, window, thresholds)
-    rows = []
-    for point in curve.points:
-        precision, recall = point.precision, point.recall
-        rows.append(
-            (_fmt(point.threshold), _fmt(precision), _fmt(recall), _fmt(f1(precision, recall)))
-        )
+    _, precision, recall = zip(*curve.points)
+    rows = [
+        tuple(map(_fmt, (*point, score)))
+        for point, score in zip(curve.points, f1(precision, recall).tolist())
+    ]
     _write_text(args.out, _csv_text(("threshold", "precision", "recall", "f1"), rows))
     return 0
 

@@ -26,7 +26,6 @@ __all__ = [
     "alarms_from_pvalues",
     "alarms_from_growth",
     "match_alarms",
-    "precision_recall",
     "pr_curve",
     "pr_curves",
     "recall_at_fdr",
@@ -121,7 +120,7 @@ def alarms_from_pvalues(p_series: Sequence[float], threshold: float) -> AlarmSer
 def alarms_from_growth(prev: PrevalenceSeries, theta: float, l: int) -> AlarmSeries:
     """Alarm where the rate exceeds its trailing l-period mean by more than
     a factor of 1+theta. Periods whose trailing mean is zero never alarm."""
-    if int(l) != l or l < 1:
+    if not (l >= 1 and float(l).is_integer()):
         raise DomainError(f"baseline length must be a positive integer, got {l!r}")
     if prev.length <= l:
         raise DomainError(
@@ -159,22 +158,16 @@ def match_alarms(
     return MatchCounts(tp, len(preds) - tp, len(truth) - tp)
 
 
-def precision_recall(counts: MatchCounts) -> tuple[float, float]:
-    """Precision and recall with the empty-side conventions: raising no
-    alarms yields precision 1, and an empty truth set yields recall 1."""
-    precision = counts.tp / (counts.tp + counts.fp) if counts.tp + counts.fp else 1.0
-    recall = counts.tp / (counts.tp + counts.fn) if counts.tp + counts.fn else 1.0
-    return precision, recall
-
-
 def pr_curves(
     p_matrix,
     truth: AlarmSeries,
     window: MatchWindow,
     thresholds: Sequence[float],
-) -> tuple[PRCurve, ...]:
-    """One precision/recall curve per row of an (S, T) p-value matrix, each
-    point equal to `match_alarms(truth, alarms_from_pvalues(row, th), window)`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Precision and recall of each row of an (S, T) p-value matrix at each
+    sorted threshold, as two (S, K) arrays. Each cell scores
+    `match_alarms(truth, alarms_from_pvalues(row, th), window)`; raising no
+    alarms gives precision 1, and an empty truth set gives recall 1.
 
     All S x K (series, sorted threshold) pairs are matched at once: a table
     of the next alarm at or after each period lets every pair claim its
@@ -220,19 +213,12 @@ def pr_curves(
         tp += hit
         first_free = np.where(hit, claimed + 1, first_free)
 
-    n_truth = len(truth)
     shape = (n_series, len(ths))
-    curves = []
-    for tp_row, pred_row in zip(
-        tp.reshape(shape).tolist(), np.count_nonzero(mask, axis=0).reshape(shape).tolist()
-    ):
-        points = []
-        for th, hits, n_pred in zip(ths, tp_row, pred_row):
-            counts = MatchCounts(hits, n_pred - hits, n_truth - hits)
-            precision, recall = precision_recall(counts)
-            points.append(PRPoint(float(th), precision, recall))
-        curves.append(PRCurve(tuple(points)))
-    return tuple(curves)
+    tp = tp.reshape(shape)
+    n_pred = np.count_nonzero(mask, axis=0).reshape(shape)
+    precision = np.divide(tp, n_pred, out=np.ones(shape), where=n_pred > 0)
+    recall = tp / len(truth) if len(truth) else np.ones(shape)
+    return precision, recall
 
 
 def pr_curve(
@@ -241,26 +227,39 @@ def pr_curve(
     window: MatchWindow,
     thresholds: Sequence[float],
 ) -> PRCurve:
-    """One precision/recall point per alarm threshold."""
-    return pr_curves([p_series], truth, window, thresholds)[0]
+    """One precision/recall point per sorted alarm threshold: the one-series
+    view of `pr_curves`."""
+    precision, recall = pr_curves([p_series], truth, window, thresholds)
+    ths = sorted(float(th) for th in thresholds)
+    return PRCurve(tuple(map(PRPoint, ths, precision[0].tolist(), recall[0].tolist())))
 
 
-def recall_at_fdr(curve: PRCurve, fdr: float) -> float:
-    """Best recall among points whose precision keeps the false discovery
-    rate at or under `fdr`; 0 when no point qualifies."""
-    if not curve.points:
+def _rates(precision, recall) -> tuple[np.ndarray, np.ndarray]:
+    """Precision and recall as float arrays of one shape, each in [0, 1]."""
+    p = np.asarray(precision, dtype=float)
+    r = np.asarray(recall, dtype=float)
+    if p.shape != r.shape:
+        raise DomainError(f"precision {p.shape} and recall {r.shape} differ in shape")
+    for v in (p, r):
+        bad = ~((v >= 0.0) & (v <= 1.0))
+        if bad.any():
+            raise DomainError(f"precision/recall must lie in [0, 1], got {v[bad][0]!r}")
+    return p, r
+
+
+def recall_at_fdr(precision, recall, fdr: float):
+    """Best recall along the last axis among points whose precision keeps
+    the false discovery rate at or under `fdr`; 0 where no point qualifies."""
+    p, r = _rates(precision, recall)
+    if p.ndim == 0 or p.shape[-1] == 0:
         raise DomainError("cannot summarize an empty curve")
     if not 0.0 <= fdr <= 1.0:
         raise DomainError(f"fdr must lie in [0, 1], got {fdr!r}")
-    qualifying = [pt.recall for pt in curve.points if pt.precision >= 1.0 - fdr]
-    return max(qualifying) if qualifying else 0.0
+    return np.where(p >= 1.0 - fdr, r, 0.0).max(axis=-1)
 
 
-def f1(precision: float, recall: float) -> float:
-    """Harmonic mean of precision and recall; 0 when both are 0."""
-    for v in (precision, recall):
-        if not 0.0 <= v <= 1.0:
-            raise DomainError(f"precision/recall must lie in [0, 1], got {v!r}")
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+def f1(precision, recall):
+    """Elementwise harmonic mean of precision and recall; 0 where both are 0."""
+    p, r = _rates(precision, recall)
+    total = p + r
+    return np.divide(2.0 * p * r, total, out=np.zeros(total.shape), where=total != 0.0)[()]

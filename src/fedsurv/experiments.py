@@ -90,19 +90,20 @@ class PowerCurveConfig:
     power_reps: int = 50_000
 
     def __post_init__(self) -> None:
-        if not self.n_total >= 1:
-            raise ConfigError("n_total must be positive")
+        if not (self.n_total >= 1 and float(self.n_total).is_integer()):
+            raise ConfigError("n_total must be a positive integer")
         ShareVector(tuple(float(s) for s in self.shares))
         if not self.theta_grid:
             raise ConfigError("theta_grid must be nonempty")
         for th in self.theta_grid:
-            if not th > -1.0:
-                raise ConfigError(f"theta_alt must exceed -1, got {th!r}")
+            if not (th > -1.0 and math.isfinite(th)):
+                raise ConfigError(f"theta_grid entries must be finite and exceed -1, got {th!r}")
         for m in self.methods:
             if m not in POWER_METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {POWER_METHODS}")
-        if not (self.calibration_reps >= 1000 and self.power_reps >= 1000):
-            raise ConfigError("Monte Carlo replicate counts must be at least 1000")
+        for reps in (self.calibration_reps, self.power_reps):
+            if not (reps >= 1000 and float(reps).is_integer()):
+                raise ConfigError("Monte Carlo replicate counts must be integers >= 1000")
 
     @property
     def baseline_rate(self) -> float:
@@ -273,14 +274,14 @@ class SemisynthConfig:
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
 
     def __post_init__(self) -> None:
-        if not self.n_replicates >= 1:
-            raise ConfigError("n_replicates must be positive")
+        if not (self.n_replicates >= 1 and float(self.n_replicates).is_integer()):
+            raise ConfigError("n_replicates must be a positive integer")
         if not self.site_sweep_magnitude > 0:
             raise ConfigError("site_sweep_magnitude must be positive")
-        if not self.entropy_sites >= 2:
-            raise ConfigError("entropy sweep needs at least two sites")
+        if not (self.entropy_sites >= 2 and float(self.entropy_sites).is_integer()):
+            raise ConfigError("entropy sweep needs an integer count of at least two sites")
         for n in self.site_sweep:
-            if not (1 <= n < math.inf and int(n) == n):
+            if not (n >= 1 and float(n).is_integer()):
                 raise ConfigError(f"site counts must be positive integers, got {n!r}")
         for m in self.magnitude_sweep:
             if not m > 0:
@@ -329,32 +330,28 @@ def _sweep_point(
     ending at t = l, ..., T - 1, in two batched `pr_curves` calls; batching
     per replicate rather than per sweep point keeps the alarm tables small.
     The growth truth is shifted by -l into the series' own indices once.
-    The first l periods have no window, so they could never alarm."""
+    The first l periods have no window, so they could never alarm.
+    Scores fill C-contiguous (methods, replicates) arrays, so each method's
+    mean sums its replicates in the same order as a 1-D `np.mean`."""
     hyp = cfg.hypothesis
     l = hyp.baseline_len
     alpha = hyp.alpha
     largest = int(np.argmax(shares.shares))
     truth_growth = AlarmSeries(tuple(t - l for t in truth_growth.period_indices))
-    scores = {m: [] for m in cfg.methods}
-    for seq in replicate_seqs:
+    recall_fdr = np.empty((len(cfg.methods), len(replicate_seqs)))
+    f1_central = np.empty_like(recall_fdr)
+    for i, seq in enumerate(replicate_seqs):
         sample_seq, split_seq = seq.spawn(2)
         central = poisson_sample(prev, _child_seed(sample_seq), site_id="pooled")
         counts_matrix = _multinomial_table(central.counts, shares, _child_seed(split_seq)).T
         c_site, n_site = window_totals(counts_matrix, l)
         p_central, rows = _method_pvalues(cfg.methods, c_site, n_site, hyp, largest)
         truth_central = alarms_from_pvalues(p_central, alpha)
-        growth_curves = pr_curves(rows, truth_growth, window, cfg.thresholds)
-        central_curves = pr_curves(rows, truth_central, window, (alpha,))
-        for method, growth, central in zip(cfg.methods, growth_curves, central_curves):
-            _, precision, recall = central.points[0]
-            scores[method].append((recall_at_fdr(growth, 0.1), f1(precision, recall)))
-    return {
-        m: (
-            float(np.mean([s[0] for s in scores[m]])),
-            float(np.mean([s[1] for s in scores[m]])),
-        )
-        for m in cfg.methods
-    }
+        growth = pr_curves(rows, truth_growth, window, cfg.thresholds)
+        recall_fdr[:, i] = recall_at_fdr(*growth, 0.1)
+        f1_central[:, i] = f1(*pr_curves(rows, truth_central, window, (alpha,)))[:, 0]
+    means = zip(recall_fdr.mean(axis=1).tolist(), f1_central.mean(axis=1).tolist())
+    return dict(zip(cfg.methods, means))
 
 
 def dominant_profile(dominant: float, n_sites: int) -> ShareVector:

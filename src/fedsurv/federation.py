@@ -137,9 +137,9 @@ class FederationConfig:
                 f"method {self.method!r} weights by shares; share_source "
                 f"must be 'known' or 'estimated'"
             )
-        if int(self.reporting_cycle) != self.reporting_cycle or self.reporting_cycle < 1:
+        if not (self.reporting_cycle >= 1 and float(self.reporting_cycle).is_integer()):
             raise ConfigError("reporting_cycle must be a positive integer")
-        if int(self.lag) != self.lag or self.lag < 0:
+        if not (self.lag >= 0 and float(self.lag).is_integer()):
             raise ConfigError("lag must be a nonnegative integer")
 
 

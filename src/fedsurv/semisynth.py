@@ -158,7 +158,7 @@ def moving_average(series: CountSeries, window: int) -> PrevalenceSeries:
     however many observations exist, so the output stays aligned with the
     input timeline and a window longer than the series is still defined.
     """
-    if int(window) != window or window < 1:
+    if not (window >= 1 and float(window).is_integer()):
         raise DomainError(f"window must be a positive integer, got {window!r}")
     if series.length == 0:
         raise DomainError("cannot smooth an empty series")

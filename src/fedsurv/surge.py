@@ -52,7 +52,7 @@ class SurgeHypothesis:
     def __post_init__(self):
         if not math.isfinite(self.theta) or self.theta < 0:
             raise DomainError("theta must be finite and >= 0")
-        if int(self.baseline_len) != self.baseline_len or self.baseline_len < 1:
+        if not (self.baseline_len >= 1 and float(self.baseline_len).is_integer()):
             raise DomainError("baseline_len must be a positive integer")
         if not 0 < self.alpha < 1:
             raise DomainError("alpha must lie strictly inside (0, 1)")
@@ -103,7 +103,7 @@ class PowerScenario:
     hypothesis: SurgeHypothesis
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
+        if not (self.n >= 1 and float(self.n).is_integer()):
             raise DomainError("n must be a positive integer")
         if not math.isfinite(self.theta_alt) or self.theta_alt < 0:
             raise DomainError("theta_alt must be finite and >= 0")

@@ -207,6 +207,15 @@ def best_matching_bruteforce(truth, predicted, before: int, after: int) -> int:
     return best
 
 
+def precision_recall(counts) -> tuple[float, float]:
+    """Precision and recall of one `evaluation.MatchCounts` with the
+    empty-side conventions: raising no alarms yields precision 1, and an
+    empty truth set yields recall 1."""
+    precision = counts.tp / (counts.tp + counts.fp) if counts.tp + counts.fp else 1.0
+    recall = counts.tp / (counts.tp + counts.fn) if counts.tp + counts.fn else 1.0
+    return precision, recall
+
+
 def pr_points_by_matching(p_series, truth, window, thresholds) -> list[tuple]:
     """(threshold, precision, recall) per sorted threshold, one series at a
     time, through the library's scalar `alarms_from_pvalues` and
@@ -217,7 +226,7 @@ def pr_points_by_matching(p_series, truth, window, thresholds) -> list[tuple]:
     for th in sorted(thresholds):
         predicted = evaluation.alarms_from_pvalues(p_series, th)
         counts = evaluation.match_alarms(truth, predicted, window)
-        points.append((float(th),) + evaluation.precision_recall(counts))
+        points.append((float(th),) + precision_recall(counts))
     return points
 
 

@@ -348,6 +348,17 @@ class TestCmdPowerCurve:
         assert code == 2 and out == ""
         assert field in err
 
+    def test_overflowing_theta_grid_exits_2(self, tmp_path, capsys):
+        # JSON reads 1e400 as inf, which must fail as config, not in the Poisson draw
+        cfg = tmp_path / "config.json"
+        cfg.write_text(
+            '{"theta_grid": [1e400], "calibration_reps": 1000, "power_reps": 1000}',
+            encoding="utf-8",
+        )
+        code, out, err = run(["power-curve", "--config", cfg, "--seed", 1], capsys)
+        assert code == 2 and out == ""
+        assert "theta_grid" in err
+
     def test_missing_seed_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, calibration_reps=1000, power_reps=1000)
         code, _, err = run(["power-curve", "--config", cfg], capsys)
@@ -392,6 +403,14 @@ class TestCmdSemisynth:
         assert run(["semisynth", "--config", cfg, "--seed", 7, "--out", out1], capsys)[0] == 0
         assert run(["semisynth", "--config", cfg, "--seed", 7, "--out", out2], capsys)[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_committed_golden_sweep(self, tmp_path, capsys):
+        # all three sweeps, every method, 3 replicates: pins the sweep's bytes
+        out = tmp_path / "sweep.csv"
+        cfg = DATA_DIR / "golden_semisynth_config.json"
+        code, _, _ = run(["semisynth", "--config", cfg, "--seed", 42, "--out", out], capsys)
+        assert code == 0
+        assert out.read_bytes() == (DATA_DIR / "golden_semisynth.csv").read_bytes()
 
     def test_custom_csv_input(self, tmp_path, counts_csv, capsys):
         cfg = write_config(

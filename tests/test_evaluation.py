@@ -17,6 +17,12 @@ def prevalence(rates):
     return PrevalenceSeries("daily", date_range(D0, len(rates), "daily"), tuple(rates))
 
 
+def curve_points(thresholds, precision, recall):
+    """Rows of `pr_curves`' arrays as lists of (threshold, precision, recall)."""
+    ths = sorted(float(th) for th in thresholds)
+    return [list(zip(ths, p, r)) for p, r in zip(precision.tolist(), recall.tolist())]
+
+
 class TestTypes:
     def test_alarm_series_must_be_sorted_unique(self):
         with pytest.raises(DomainError):
@@ -84,6 +90,11 @@ class TestAlarmsFromGrowth:
     def test_short_series_rejected(self):
         with pytest.raises(DomainError):
             ev.alarms_from_growth(prevalence([1.0, 2.0]), theta=0.3, l=4)
+
+    def test_baseline_length_must_be_positive_integer(self):
+        for bad in (0, 2.5, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="baseline length"):
+                ev.alarms_from_growth(prevalence([10.0] * 8), theta=0.3, l=bad)
 
     def test_wave_fixture_matches_exact_recomputation(self):
         rng = np.random.default_rng(606)
@@ -162,7 +173,7 @@ class TestPRCurve:
         w = ev.MatchWindow(1, 2)
         curve = ev.pr_curve(ps, truth, w, [0.3])
         counts = ev.match_alarms(truth, ev.alarms_from_pvalues(ps, 0.3), w)
-        precision, recall = ev.precision_recall(counts)
+        precision, recall = oracles.precision_recall(counts)
         assert curve.points[0] == (0.3, precision, recall)
 
     def test_thresholds_sorted_in_output(self):
@@ -204,47 +215,48 @@ class TestPRCurves:
             # truth may be empty and may sit past either end of the series
             truth = ev.AlarmSeries.of(rng.integers(-2, length + 2, size=rng.integers(0, 8)))
             window = ev.MatchWindow(int(rng.integers(0, 4)), int(rng.integers(0, 4)))
-            curves = ev.pr_curves(p, truth, window, thresholds)
-            assert len(curves) == n_series
-            for row, curve in zip(p, curves):
+            precision, recall = ev.pr_curves(p, truth, window, thresholds)
+            assert precision.shape == recall.shape == (n_series, len(thresholds))
+            for row, got in zip(p, curve_points(thresholds, precision, recall)):
                 want = oracles.pr_points_by_matching(row, truth, window, thresholds)
-                assert [tuple(pt) for pt in curve.points] == want
+                assert got == want
 
     def test_window_clipped_at_both_ends(self):
         p = [[0.01, 0.9, 0.9, 0.9, 0.01]]
         truth = ev.AlarmSeries((0, 4))
         wide = ev.MatchWindow(3, 3)
-        (curve,) = ev.pr_curves(p, truth, wide, [0.05])
-        assert curve.points[0] == (0.05, 1.0, 1.0)
+        (got,) = curve_points([0.05], *ev.pr_curves(p, truth, wide, [0.05]))
+        assert got[0] == (0.05, 1.0, 1.0)
         want = oracles.pr_points_by_matching(p[0], truth, wide, [0.05])
-        assert [tuple(pt) for pt in curve.points] == want
+        assert got == want
         # truth alarms whose whole window lies outside the series match nothing
         outside = ev.AlarmSeries((-5, 9))
-        (curve,) = ev.pr_curves(p, outside, ev.MatchWindow(1, 1), [0.05])
-        assert curve.points[0] == (0.05, 0.0, 0.0)
+        (got,) = curve_points([0.05], *ev.pr_curves(p, outside, ev.MatchWindow(1, 1), [0.05]))
+        assert got[0] == (0.05, 0.0, 0.0)
 
     def test_zero_extents_need_exact_hits(self):
         p = [[0.9, 0.01, 0.9, 0.01], [0.01, 0.9, 0.01, 0.9]]
         truth = ev.AlarmSeries((1, 3))
-        exact, late = ev.pr_curves(p, truth, ev.MatchWindow(0, 0), [0.05])
-        assert exact.points[0] == (0.05, 1.0, 1.0)
-        assert late.points[0] == (0.05, 0.0, 0.0)
-        (late,) = ev.pr_curves(p[1:], truth, ev.MatchWindow(1, 0), [0.05])
-        assert late.points[0] == (0.05, 1.0, 1.0)
+        exact, late = curve_points([0.05], *ev.pr_curves(p, truth, ev.MatchWindow(0, 0), [0.05]))
+        assert exact[0] == (0.05, 1.0, 1.0)
+        assert late[0] == (0.05, 0.0, 0.0)
+        (late,) = curve_points([0.05], *ev.pr_curves(p[1:], truth, ev.MatchWindow(1, 0), [0.05]))
+        assert late[0] == (0.05, 1.0, 1.0)
 
     def test_tie_with_threshold_does_not_alarm(self):
         truth = ev.AlarmSeries((0,))
-        (curve,) = ev.pr_curves([[0.05, 0.04]], truth, ev.MatchWindow(0, 0), [0.05])
-        assert curve.points[0] == (0.05, 0.0, 0.0)
+        precision, recall = ev.pr_curves([[0.05, 0.04]], truth, ev.MatchWindow(0, 0), [0.05])
+        assert curve_points([0.05], precision, recall)[0][0] == (0.05, 0.0, 0.0)
 
     def test_duplicate_unsorted_thresholds(self):
         p = [[0.2, 0.01, 0.5, 0.05]]
         truth = ev.AlarmSeries((1,))
         thresholds = [0.3, 0.05, 0.3, 0.02]
-        (curve,) = ev.pr_curves(p, truth, ev.MatchWindow(1, 1), thresholds)
-        assert [pt.threshold for pt in curve.points] == [0.02, 0.05, 0.3, 0.3]
+        precision, recall = ev.pr_curves(p, truth, ev.MatchWindow(1, 1), thresholds)
+        (got,) = curve_points(thresholds, precision, recall)
+        assert [pt[0] for pt in got] == [0.02, 0.05, 0.3, 0.3]
         want = oracles.pr_points_by_matching(p[0], truth, ev.MatchWindow(1, 1), thresholds)
-        assert [tuple(pt) for pt in curve.points] == want
+        assert got == want
 
     def test_single_series_is_pr_curve(self):
         rng = np.random.default_rng(11)
@@ -252,12 +264,14 @@ class TestPRCurves:
             row = rng.uniform(size=25)
             truth = ev.AlarmSeries.of(rng.integers(0, 25, size=4))
             window = ev.MatchWindow(int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-            (batched,) = ev.pr_curves(row[None, :], truth, window, [0.1, 0.4])
-            assert batched == ev.pr_curve(row, truth, window, [0.1, 0.4])
+            arrays = ev.pr_curves(row[None, :], truth, window, [0.1, 0.4])
+            (batched,) = curve_points([0.1, 0.4], *arrays)
+            assert batched == list(ev.pr_curve(row, truth, window, [0.1, 0.4]).points)
 
     def test_no_series_gives_no_curves(self):
         truth = ev.AlarmSeries((1,))
-        assert ev.pr_curves(np.ones((0, 5)), truth, ev.MatchWindow(1, 1), [0.1]) == ()
+        precision, recall = ev.pr_curves(np.ones((0, 5)), truth, ev.MatchWindow(1, 1), [0.1])
+        assert precision.shape == recall.shape == (0, 1)
 
     def test_bad_pvalue_in_any_row_rejected(self):
         truth = ev.AlarmSeries((1,))
@@ -279,37 +293,63 @@ class TestPRCurves:
 
 class TestRecallAtFdr:
     def test_qualifying_point_found(self):
-        curve = ev.PRCurve(
-            (ev.PRPoint(0.01, 1.0, 0.8), ev.PRPoint(0.05, 0.85, 0.95))
-        )
-        assert ev.recall_at_fdr(curve, 0.1) >= 0.8
+        assert ev.recall_at_fdr([1.0, 0.85], [0.8, 0.95], 0.1) >= 0.8
 
     def test_no_qualifying_point_gives_zero(self):
-        curve = ev.PRCurve((ev.PRPoint(0.01, 0.7, 0.9), ev.PRPoint(0.05, 0.8, 0.99)))
-        assert ev.recall_at_fdr(curve, 0.1) == 0.0
+        assert ev.recall_at_fdr([0.7, 0.8], [0.9, 0.99], 0.1) == 0.0
 
     def test_linear_scan_oracle_and_monotonicity(self):
         rng = np.random.default_rng(99)
         for _ in range(50):
-            pts = tuple(
-                ev.PRPoint(float(t), float(rng.uniform()), float(rng.uniform()))
-                for t in sorted(rng.uniform(size=8))
-            )
-            curve = ev.PRCurve(pts)
+            precision = rng.uniform(size=8)
+            recall = rng.uniform(size=8)
             prev = None
             for fdr in (0.5, 0.3, 0.2, 0.1, 0.05, 0.0):
-                got = ev.recall_at_fdr(curve, fdr)
+                got = ev.recall_at_fdr(precision, recall, fdr)
                 want = max(
-                    [p.recall for p in pts if p.precision >= 1 - fdr], default=0.0
+                    [r for p, r in zip(precision, recall) if p >= 1 - fdr], default=0.0
                 )
                 assert got == want
                 if prev is not None:
                     assert got <= prev
                 prev = got
 
+    def test_rows_equal_scalar_max_over_matching_points(self):
+        rng = np.random.default_rng(515)
+        thresholds = [0.01, 0.05, 0.1, 0.2, 0.5, 0.8]
+        for _ in range(100):
+            length = int(rng.integers(1, 30))
+            p = rng.uniform(size=(int(rng.integers(1, 6)), length)) ** 3
+            truth = ev.AlarmSeries.of(rng.integers(0, length, size=rng.integers(0, 6)))
+            window = ev.MatchWindow(int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+            precision, recall = ev.pr_curves(p, truth, window, thresholds)
+            for fdr in (0.0, 0.1, 0.5, 1.0):
+                got = ev.recall_at_fdr(precision, recall, fdr)
+                assert got.shape == (p.shape[0],)
+                for row, value in zip(p, got.tolist()):
+                    points = oracles.pr_points_by_matching(row, truth, window, thresholds)
+                    want = max([r for _, q, r in points if q >= 1.0 - fdr], default=0.0)
+                    assert value == want
+
     def test_empty_curve_rejected(self):
-        with pytest.raises(DomainError):
-            ev.recall_at_fdr(ev.PRCurve(()), 0.1)
+        for empty in ([], np.ones((3, 0)), 0.5):
+            with pytest.raises(DomainError, match="empty curve"):
+                ev.recall_at_fdr(empty, empty, 0.1)
+
+    def test_domain(self):
+        curve = np.full((2, 3), 0.5)
+        for fdr in (-0.1, 1.1, float("nan")):
+            with pytest.raises(DomainError, match="fdr"):
+                ev.recall_at_fdr(curve, curve, fdr)
+        for bad in (float("nan"), -0.1, 1.5):
+            broken = curve.copy()
+            broken[1, 2] = bad
+            with pytest.raises(DomainError, match="precision/recall"):
+                ev.recall_at_fdr(broken, curve, 0.1)
+            with pytest.raises(DomainError, match="precision/recall"):
+                ev.recall_at_fdr(curve, broken, 0.1)
+        with pytest.raises(DomainError, match="shape"):
+            ev.recall_at_fdr(curve, curve[:, :2], 0.1)
 
 
 class TestF1:
@@ -322,3 +362,25 @@ class TestF1:
     def test_domain(self):
         with pytest.raises(DomainError):
             ev.f1(1.2, 0.5)
+        for bad in (float("nan"), -0.1, 1.5):
+            with pytest.raises(DomainError, match="precision/recall"):
+                ev.f1([0.5, bad], [0.5, 0.5])
+            with pytest.raises(DomainError, match="precision/recall"):
+                ev.f1([0.5, 0.5], [bad, 0.5])
+        with pytest.raises(DomainError, match="shape"):
+            ev.f1([0.5, 0.5], [0.5])
+
+    def test_elementwise_equals_python_formula_bit_for_bit(self):
+        rng = np.random.default_rng(808)
+        precision = rng.uniform(size=(7, 9))
+        recall = rng.uniform(size=(7, 9))
+        precision[rng.uniform(size=precision.shape) < 0.3] = 0.0
+        recall[rng.uniform(size=recall.shape) < 0.3] = 0.0
+        precision[0, :3] = recall[0, :3] = 0.0
+        got = ev.f1(precision, recall)
+        want = [
+            [2.0 * p * r / (p + r) if p + r != 0.0 else 0.0 for p, r in zip(prow, rrow)]
+            for prow, rrow in zip(precision.tolist(), recall.tolist())
+        ]
+        assert got.shape == precision.shape
+        assert got.tobytes() == np.array(want).tobytes()

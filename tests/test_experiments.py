@@ -63,7 +63,7 @@ class TestPowerCurveConfig:
         with pytest.raises(ConfigError):
             PowerCurveConfig(theta_grid=())
 
-    @pytest.mark.parametrize("theta", [-1.0, -2.0, float("nan")])
+    @pytest.mark.parametrize("theta", [-1.0, -2.0, float("nan"), float("inf")])
     def test_rejects_grid_point_at_or_below_minus_one(self, theta):
         with pytest.raises(ConfigError):
             PowerCurveConfig(theta_grid=(0.3, theta))
@@ -76,6 +76,21 @@ class TestPowerCurveConfig:
     def test_rejects_nan_bound(self, field):
         with pytest.raises(ConfigError):
             PowerCurveConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_total", float("inf")),
+            ("n_total", 200.5),
+            ("calibration_reps", 1000.5),
+            ("calibration_reps", float("inf")),
+            ("power_reps", 1000.5),
+            ("power_reps", float("inf")),
+        ],
+    )
+    def test_rejects_non_integer_count(self, field, value):
+        with pytest.raises(ConfigError):
+            PowerCurveConfig(**{field: value})
 
 
 class TestCalibrateThreshold:
@@ -219,6 +234,10 @@ class TestSemisynthConfig:
             {"site_sweep": (2, float("nan"))},
             {"site_sweep": (float("inf"),)},
             {"magnitude_sweep": (float("nan"),)},
+            {"n_replicates": 2.5},
+            {"n_replicates": float("inf")},
+            {"entropy_sites": 4.5, "dominant_sweep": (0.6,)},
+            {"entropy_sites": float("inf")},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

@@ -45,6 +45,11 @@ class TestConfig:
             fed.FederationConfig(HYP, "fisher", reporting_cycle=0)
         with pytest.raises(ConfigError):
             fed.FederationConfig(HYP, "fisher", lag=-1)
+        for bad in (float("nan"), float("inf"), 1.5):
+            with pytest.raises(ConfigError):
+                fed.FederationConfig(HYP, "fisher", reporting_cycle=bad)
+            with pytest.raises(ConfigError):
+                fed.FederationConfig(HYP, "fisher", lag=bad)
 
 
 class TestSiteReports:

@@ -95,6 +95,9 @@ class TestMovingAverage:
             ss.moving_average(counts([]), 3)
         with pytest.raises(DomainError):
             ss.moving_average(counts([1, 2, 3]), 0)
+        for bad in (float("nan"), float("inf"), 2.5):
+            with pytest.raises(DomainError):
+                ss.moving_average(counts([1, 2, 3]), bad)
 
     def test_mean_preserved_within_edge_tolerance(self):
         rng = np.random.default_rng(90)

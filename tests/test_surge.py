@@ -32,6 +32,11 @@ class TestHypothesis:
             SurgeHypothesis(theta=0.3, baseline_len=0)
         with pytest.raises(DomainError):
             SurgeHypothesis(theta=0.3, baseline_len=4, alpha=1.0)
+        for bad in (float("nan"), float("inf"), 2.5):
+            with pytest.raises(DomainError):
+                SurgeHypothesis(theta=0.3, baseline_len=bad)
+            with pytest.raises(DomainError):
+                PowerScenario(n=bad, theta_alt=0.6, hypothesis=HYP)
 
     def test_window_validation(self):
         with pytest.raises(DomainError):
