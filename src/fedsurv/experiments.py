@@ -29,6 +29,8 @@ from .evaluation import (
 )
 from .semisynth import (
     _multinomial_table,
+    _poisson,
+    _poisson_counts,
     _seed_sequence,
     CountSeries,
     PrevalenceSeries,
@@ -36,7 +38,6 @@ from .semisynth import (
     date_range,
     moving_average,
     normalized_entropy,
-    poisson_sample,
     scale_magnitude,
 )
 from .surge import SurgeHypothesis, window_p_values, window_totals
@@ -166,8 +167,8 @@ def _simulate_method_pvalues(
     shares = np.asarray(cfg.shares, dtype=float)
     n_sites = shares.size
     lam_site = cfg.baseline_rate * shares
-    base = rng.poisson(lam_site[:, None, None], size=(n_sites, hyp.baseline_len, reps))
-    test = rng.poisson(lam_site[:, None] * (1.0 + theta_alt), size=(n_sites, reps))
+    base = _poisson(rng, lam_site[:, None, None], (n_sites, hyp.baseline_len, reps))
+    test = _poisson(rng, lam_site[:, None] * (1.0 + theta_alt), (n_sites, reps))
 
     c_site = base.sum(axis=1)
     _, rows = _method_pvalues(cfg.methods, c_site, c_site + test, hyp, int(np.argmax(shares)))
@@ -249,7 +250,7 @@ def builtin_wave_counts() -> CountSeries:
     for start in range(20, length - len(profile), 36):
         burst[start : start + len(profile)] *= profile
     rng = _rng(np.random.SeedSequence(780331))
-    noisy = rng.poisson(seasonal * burst * rng.lognormal(0.0, 0.06, size=length))
+    noisy = _poisson(rng, seasonal * burst * rng.lognormal(0.0, 0.06, size=length))
     return CountSeries(
         "builtin",
         "weekly",
@@ -316,6 +317,13 @@ class SweepResult:
     truth_alarm_counts: dict
 
 
+# Site-windows (sites x windows per replicate) that one sweep group scores
+# in one `_method_pvalues` call. Larger groups share more combiner calls and
+# Gamma inversions; this size keeps the kernel's temporaries within about a
+# megabyte of scoring one replicate at a time on the default sweep.
+_SWEEP_GROUP_SITE_WINDOWS = 8_000
+
+
 def _sweep_point(
     cfg: SemisynthConfig,
     prev: PrevalenceSeries,
@@ -326,30 +334,51 @@ def _sweep_point(
 ) -> dict:
     """Replicate-averaged (recall@FDR0.1, F1-vs-centralized) per method.
 
-    Each replicate scores all methods' series, one p-value per window
-    ending at t = l, ..., T - 1, in two batched `pr_curves` calls; batching
-    per replicate rather than per sweep point keeps the alarm tables small.
-    The growth truth is shifted by -l into the series' own indices once.
-    The first l periods have no window, so they could never alarm.
+    Each replicate draws its pooled series and site split from its own
+    seeds. Replicates are scored in groups of as many whole replicates as
+    fit in ``_SWEEP_GROUP_SITE_WINDOWS`` site-windows, and at least one:
+    one `_method_pvalues` call per group, one p-value per window ending at
+    t = l, ..., T - 1. Every p-value is computed column by column, so the
+    grouping does not change a bit. Each replicate's rows are then matched
+    in two `pr_curves` calls of their own, which keeps the alarm tables
+    small. The growth truth is shifted by -l into the series' own indices
+    once. The first l periods have no window, so they could never alarm.
     Scores fill C-contiguous (methods, replicates) arrays, so each method's
     mean sums its replicates in the same order as a 1-D `np.mean`."""
     hyp = cfg.hypothesis
     l = hyp.baseline_len
     alpha = hyp.alpha
+    n_sites = shares.n_sites
     largest = int(np.argmax(shares.shares))
     truth_growth = AlarmSeries(tuple(t - l for t in truth_growth.period_indices))
+    group = max(1, _SWEEP_GROUP_SITE_WINDOWS // (n_sites * (prev.length - l)))
     recall_fdr = np.empty((len(cfg.methods), len(replicate_seqs)))
     f1_central = np.empty_like(recall_fdr)
-    for i, seq in enumerate(replicate_seqs):
-        sample_seq, split_seq = seq.spawn(2)
-        central = poisson_sample(prev, _child_seed(sample_seq), site_id="pooled")
-        counts_matrix = _multinomial_table(central.counts, shares, _child_seed(split_seq)).T
-        c_site, n_site = window_totals(counts_matrix, l)
-        p_central, rows = _method_pvalues(cfg.methods, c_site, n_site, hyp, largest)
-        truth_central = alarms_from_pvalues(p_central, alpha)
-        growth = pr_curves(rows, truth_growth, window, cfg.thresholds)
-        recall_fdr[:, i] = recall_at_fdr(*growth, 0.1)
-        f1_central[:, i] = f1(*pr_curves(rows, truth_central, window, (alpha,)))[:, 0]
+    for first in range(0, len(replicate_seqs), group):
+        counts = []
+        for seq in replicate_seqs[first : first + group]:
+            sample_seq, split_seq = seq.spawn(2)
+            pooled = _poisson_counts(prev, _child_seed(sample_seq))
+            counts.append(_multinomial_table(pooled, shares, _child_seed(split_seq)).T)
+        # (N, R, K) totals; each site's row holds the replicates side by side
+        c_site, n_site = window_totals(np.stack(counts, axis=1), l)
+        _, n_reps, k = c_site.shape
+        p_central, rows = _method_pvalues(
+            cfg.methods,
+            c_site.reshape(n_sites, n_reps * k),
+            n_site.reshape(n_sites, n_reps * k),
+            hyp,
+            largest,
+        )
+        p_central = p_central.reshape(n_reps, k)
+        rows = rows.reshape(len(cfg.methods), n_reps, k)
+        for j in range(n_reps):
+            truth_central = alarms_from_pvalues(p_central[j], alpha)
+            growth = pr_curves(rows[:, j], truth_growth, window, cfg.thresholds)
+            recall_fdr[:, first + j] = recall_at_fdr(*growth, 0.1)
+            f1_central[:, first + j] = f1(
+                *pr_curves(rows[:, j], truth_central, window, (alpha,))
+            )[:, 0]
     means = zip(recall_fdr.mean(axis=1).tolist(), f1_central.mean(axis=1).tolist())
     return dict(zip(cfg.methods, means))
 

@@ -177,18 +177,39 @@ def moving_average(series: CountSeries, window: int) -> PrevalenceSeries:
     return PrevalenceSeries(series.period, series.timestamps, tuple(rates))
 
 
+# numpy's Poisson sampler rejects any rate above this: the int64 maximum
+# less ten standard deviations of a draw at that rate
+_POISSON_MAX_RATE = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+
+
+def _poisson(rng: np.random.Generator, rates, size=None) -> np.ndarray:
+    """``rng.poisson(rates, size)``, the one Poisson draw of every engine;
+    a rate past numpy's limit raises DomainError instead of ValueError."""
+    rates = np.asarray(rates, dtype=float)
+    top = rates.max(initial=0.0)
+    if not top <= _POISSON_MAX_RATE:
+        raise DomainError(
+            f"Poisson rate {top:g} exceeds the largest rate numpy can draw "
+            f"from ({_POISSON_MAX_RATE:g})"
+        )
+    return rng.poisson(rates, size)
+
+
+def _poisson_counts(prev: PrevalenceSeries, seed: int) -> np.ndarray:
+    """The (T,) draw behind ``poisson_sample``; engines that need only the
+    counts call it directly."""
+    rng = _generator(seed)
+    if prev.length:
+        return _poisson(rng, prev.rates)
+    return np.zeros(0, dtype=np.int64)
+
+
 def poisson_sample(
     prev: PrevalenceSeries, seed: int, site_id: str = "sampled"
 ) -> CountSeries:
     """Draw one Poisson observation per timestamp, deterministically in seed."""
-    rng = _generator(seed)
-    if prev.length:
-        counts = rng.poisson(np.asarray(prev.rates, dtype=float))
-    else:
-        counts = np.zeros(0, dtype=np.int64)
-    return CountSeries(
-        site_id, prev.period, prev.timestamps, tuple(int(c) for c in counts)
-    )
+    counts = _poisson_counts(prev, seed)
+    return CountSeries(site_id, prev.period, prev.timestamps, tuple(counts.tolist()))
 
 
 def split_multinomial(

@@ -359,6 +359,13 @@ class TestCmdPowerCurve:
         assert code == 2 and out == ""
         assert "theta_grid" in err
 
+    @pytest.mark.parametrize("fields", [{"theta_grid": [1e300]}, {"n_total": 1e300}])
+    def test_poisson_rate_past_numpy_limit_exits_2(self, tmp_path, capsys, fields):
+        cfg = write_config(tmp_path, calibration_reps=1000, power_reps=1000, **fields)
+        code, out, err = run(["power-curve", "--config", cfg, "--seed", 1], capsys)
+        assert code == 2 and out == ""
+        assert "Poisson rate" in err
+
     def test_missing_seed_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, calibration_reps=1000, power_reps=1000)
         code, _, err = run(["power-curve", "--config", cfg], capsys)
@@ -460,6 +467,19 @@ class TestCmdSemisynth:
         code, out, err = run(["semisynth", "--config", cfg, "--seed", 1], capsys)
         assert code == 2 and out == ""
         assert field in err
+
+    def test_poisson_rate_past_numpy_limit_exits_2(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            site_sweep_magnitude=1e300,
+            n_replicates=1,
+            site_sweep=[2],
+            magnitude_sweep=[1.0],
+            dominant_sweep=[0.4],
+        )
+        code, out, err = run(["semisynth", "--config", cfg, "--seed", 1], capsys)
+        assert code == 2 and out == ""
+        assert "Poisson rate" in err
 
     @pytest.mark.parametrize("seed", [1.5, False, "7"])
     def test_malformed_seed_in_config_exits_2(self, tmp_path, capsys, seed):

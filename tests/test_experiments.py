@@ -20,6 +20,7 @@ from fedsurv.experiments import (
     run_power_curve,
     run_semisynth_sweep,
 )
+from fedsurv import experiments
 from fedsurv.combine import METHOD_IDS, EvidenceSet, combine_by_id
 from fedsurv.experiments import _method_pvalues, _simulate_method_pvalues
 from fedsurv.federation import (
@@ -36,6 +37,7 @@ from fedsurv.semisynth import (
     moving_average,
     normalized_entropy,
     poisson_sample,
+    scale_magnitude,
     split_multinomial,
 )
 from fedsurv.surge import SurgeHypothesis, SurgeWindow, exact_p_value, window_totals
@@ -497,3 +499,85 @@ class TestRunSemisynthSweep:
         for row in run_semisynth_sweep(cfg, 21).rows:
             assert 0.0 <= row.recall_at_fdr <= 1.0
             assert 0.0 <= row.f1 <= 1.0
+
+
+class TestSweepGroups:
+    """The sweep scores each point's replicates in groups of whole
+    replicates that fit ``_SWEEP_GROUP_SITE_WINDOWS`` site-windows; the
+    grouping must not change a score."""
+
+    N_REPS = 7  # groups of 2 and 3 leave a ragged last group
+
+    def windows_per_site(self, cfg):
+        return builtin_wave_counts().length - cfg.hypothesis.baseline_len
+
+    @pytest.mark.parametrize("n_sites", [2, 5])
+    def test_rows_do_not_depend_on_group_size(self, monkeypatch, n_sites):
+        cfg = SemisynthConfig(
+            site_sweep=(n_sites,),
+            magnitude_sweep=(),
+            dominant_sweep=(),
+            n_replicates=self.N_REPS,
+        )
+        replicate_site_windows = n_sites * self.windows_per_site(cfg)
+        results = []
+        for per_group in (1, 2, 3, self.N_REPS):
+            budget = per_group * replicate_site_windows
+            monkeypatch.setattr(experiments, "_SWEEP_GROUP_SITE_WINDOWS", budget)
+            results.append(run_semisynth_sweep(cfg, 5).rows)
+        for rows in results[1:]:
+            assert rows == results[0]
+
+    def test_each_replicate_scored_once_within_budget(self, monkeypatch):
+        cfg = SemisynthConfig(
+            site_sweep=(2, 5),
+            magnitude_sweep=(),
+            dominant_sweep=(),
+            n_replicates=self.N_REPS,
+            methods=("centralized", "fisher"),
+        )
+        l = cfg.hypothesis.baseline_len
+        k = self.windows_per_site(cfg)
+        # three 2-site replicates fit, but not two 5-site ones
+        budget = 3 * 2 * k
+        monkeypatch.setattr(experiments, "_SWEEP_GROUP_SITE_WINDOWS", budget)
+        calls = []
+        real = experiments._method_pvalues
+
+        def spy(methods, c_site, n_site, hyp, largest):
+            calls.append((c_site.copy(), n_site.copy()))
+            return real(methods, c_site, n_site, hyp, largest)
+
+        monkeypatch.setattr(experiments, "_method_pvalues", spy)
+        seed = 5
+        run_semisynth_sweep(cfg, seed)
+
+        # each replicate's window totals, drawn through the public API from
+        # the replicate's own branch of the seed tree
+        def child(seq):
+            return int(seq.generate_state(1, np.uint64)[0])
+
+        prev = moving_average(builtin_wave_counts(), cfg.smoothing_window)
+        scaled = scale_magnitude(prev, cfg.site_sweep_magnitude)
+        expected = []
+        point_seqs = np.random.SeedSequence(seed).spawn(len(cfg.site_sweep))
+        for n_sites, point_seq in zip(cfg.site_sweep, point_seqs):
+            for rep_seq in point_seq.spawn(self.N_REPS):
+                sample_seq, split_seq = rep_seq.spawn(2)
+                pooled = poisson_sample(scaled, child(sample_seq))
+                sites = split_multinomial(pooled, ShareVector.equal(n_sites), child(split_seq))
+                expected.append(window_totals(np.array([s.counts for s in sites]), l))
+
+        group_sizes = []
+        remaining = iter(expected)
+        for c_site, n_site in calls:
+            assert c_site.shape == n_site.shape and c_site.shape[1] % k == 0
+            n_reps = c_site.shape[1] // k
+            assert n_reps == 1 or c_site.size <= budget
+            group_sizes.append(n_reps)
+            for j in range(n_reps):
+                want_c, want_n = next(remaining)
+                np.testing.assert_array_equal(c_site[:, j * k : (j + 1) * k], want_c)
+                np.testing.assert_array_equal(n_site[:, j * k : (j + 1) * k], want_n)
+        assert next(remaining, None) is None
+        assert group_sizes == [3, 3, 1] + [1] * self.N_REPS

@@ -142,6 +142,13 @@ class TestPoissonSample:
             prev.timestamps,
         )
 
+    def test_rate_past_numpy_limit_is_a_domain_error(self):
+        # numpy draws at its limit and raises ValueError one step above it
+        limit = ss._POISSON_MAX_RATE
+        assert ss.poisson_sample(prevalence([limit, 1.0]), seed=3).counts[1] >= 0
+        with pytest.raises(DomainError, match="Poisson rate"):
+            ss.poisson_sample(prevalence([1.0, np.nextafter(limit, np.inf)]), seed=3)
+
 
 class TestSplitMultinomial:
     def test_single_site_identity(self):
