@@ -33,6 +33,18 @@ __all__ = [
 ]
 
 
+def _period_index(idx) -> int:
+    """`idx` as an int; anything that is not an integral number (NaN,
+    infinities, fractions, None, strings) is a DomainError."""
+    try:
+        as_int = int(idx)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != idx:
+        raise DomainError(f"alarm indices must be integers, got {idx!r}")
+    return as_int
+
+
 @dataclasses.dataclass(frozen=True)
 class AlarmSeries:
     """Period indices at which an alarm fired, strictly increasing."""
@@ -40,16 +52,15 @@ class AlarmSeries:
     period_indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        for idx in self.period_indices:
-            if int(idx) != idx:
-                raise DomainError(f"alarm indices must be integers, got {idx!r}")
-        for a, b in zip(self.period_indices, self.period_indices[1:]):
+        indices = tuple(_period_index(idx) for idx in self.period_indices)
+        for a, b in zip(indices, indices[1:]):
             if b <= a:
                 raise DomainError("alarm indices must be sorted and unique")
+        object.__setattr__(self, "period_indices", indices)
 
     @staticmethod
     def of(indices: Iterable[int]) -> "AlarmSeries":
-        return AlarmSeries(tuple(sorted(set(int(i) for i in indices))))
+        return AlarmSeries(tuple(sorted(set(_period_index(i) for i in indices))))
 
     def __len__(self) -> int:
         return len(self.period_indices)
@@ -122,6 +133,8 @@ def alarms_from_growth(prev: PrevalenceSeries, theta: float, l: int) -> AlarmSer
     a factor of 1+theta. Periods whose trailing mean is zero never alarm."""
     if not (l >= 1 and float(l).is_integer()):
         raise DomainError(f"baseline length must be a positive integer, got {l!r}")
+    if not (math.isfinite(theta) and theta >= 0):
+        raise DomainError(f"theta must be finite and >= 0, got {theta!r}")
     if prev.length <= l:
         raise DomainError(
             f"series of length {prev.length} leaves no period with a "
@@ -169,10 +182,15 @@ def pr_curves(
     `match_alarms(truth, alarms_from_pvalues(row, th), window)`; raising no
     alarms gives precision 1, and an empty truth set gives recall 1.
 
-    All S x K (series, sorted threshold) pairs are matched at once: a table
-    of the next alarm at or after each period lets every pair claim its
-    earliest alarm inside each truth alarm's window, clipped to the series,
-    past the first period the pair has not yet claimed or passed.
+    All S x K (series, sorted threshold) pairs are matched at once: every
+    pair claims its earliest alarm inside each truth alarm's window, clipped
+    to the series, past the first period the pair has not yet claimed or
+    passed. Only periods inside some clipped window can ever be claimed, so
+    the table of the next alarm at or after a period holds just those
+    periods plus a sentinel row, in the smallest unsigned dtype that holds
+    T, and `row_of` maps any period to the first covered row at or after
+    it. Alarm counts come from one `searchsorted` of the p-values into the
+    thresholds and one `bincount`, so they need no mask at all.
     """
     if not thresholds:
         raise DomainError("at least one threshold is required")
@@ -180,12 +198,13 @@ def pr_curves(
         if not 0.0 < th < 1.0:
             raise DomainError(f"thresholds must lie in (0, 1), got {th!r}")
     ths = sorted(thresholds)
+    th_values = np.asarray(ths, dtype=float)
     p = np.asarray(p_matrix, dtype=float)
     if p.ndim != 2:
         raise DomainError(f"p-values must form an (S, T) matrix, got shape {p.shape}")
-    bad = np.argwhere(np.isnan(p) | (p < 0.0) | (p > 1.0))
-    if bad.size:
-        s, i = (int(v) for v in bad[0])
+    bad = ~((p >= 0.0) & (p <= 1.0))
+    if bad.any():
+        s, i = (int(v) for v in np.argwhere(bad)[0])
         raise DomainError(
             f"p-values must lie in [0, 1], got {float(p[s, i])!r} "
             f"at index {i} of series {s}"
@@ -193,29 +212,51 @@ def pr_curves(
 
     n_series, length = p.shape
     n_rows = n_series * len(ths)
-    # one column per (series, threshold) pair, series-major
-    mask = (p.T[:, :, None] < np.asarray(ths, dtype=float)).reshape(length, n_rows)
-    # next_alarm[u, r]: first alarm period >= u in column r, `length` if none
-    next_alarm = np.full((length + 1, n_rows), length, dtype=np.int32)
-    np.copyto(next_alarm[:length], np.arange(length, dtype=np.int32)[:, None], where=mask)
+    # each truth alarm's window clipped to the series; windows wholly
+    # outside the series can claim nothing and are dropped
+    spans = [
+        (max(t - window.before, 0), min(t + window.after, length - 1))
+        for t in truth.period_indices
+    ]
+    spans = [(lo, hi) for lo, hi in spans if lo <= hi]
+    covered = np.zeros(length, dtype=bool)
+    for lo, hi in spans:
+        covered[lo : hi + 1] = True
+    periods = np.flatnonzero(covered)
+    # row_of[u]: the first covered row at or after period u; the sentinel
+    # row len(periods) for periods past the last covered one
+    row_of = np.zeros(length + 1, dtype=np.intp)
+    np.cumsum(covered, out=row_of[1:])
+    # one column per (series, threshold) pair, series-major; a claim always
+    # lies inside its window, so alarms outside every window never matter
+    mask = (p[:, periods].T[:, :, None] < th_values).reshape(periods.size, n_rows)
+    # next_alarm[i, r]: first covered alarm period >= periods[i] in column
+    # r, `length` if none; the last row is the sentinel
+    dtype = np.min_scalar_type(length)
+    next_alarm = np.full((periods.size + 1, n_rows), length, dtype=dtype)
+    np.copyto(next_alarm[:-1], periods.astype(dtype)[:, None], where=mask)
     np.minimum.accumulate(next_alarm[::-1], axis=0, out=next_alarm[::-1])
 
-    rows = np.arange(n_rows)
-    first_free = np.zeros(n_rows, dtype=np.int32)
+    columns = np.arange(n_rows)
+    flat = next_alarm.ravel()
+    first_free = np.zeros(n_rows, dtype=np.int64)
     tp = np.zeros(n_rows, dtype=np.int64)
-    for t in truth.period_indices:
-        lo = max(t - window.before, 0)
-        hi = min(t + window.after, length - 1)
-        if lo > hi:
-            continue
-        claimed = next_alarm[np.maximum(first_free, lo), rows]
+    for lo, hi in spans:
+        # next_alarm[row_of[max(first_free, lo)], columns], gathered flat
+        claimed = flat[row_of[np.maximum(first_free, lo)] * n_rows + columns]
         hit = claimed <= hi
         tp += hit
-        first_free = np.where(hit, claimed + 1, first_free)
+        # in int64, so that claimed + 1 cannot wrap in the table's dtype
+        first_free = np.where(hit, claimed + np.int64(1), first_free)
 
     shape = (n_series, len(ths))
     tp = tp.reshape(shape)
-    n_pred = np.count_nonzero(mask, axis=0).reshape(shape)
+    # alarms per pair: a p-value alarms at every threshold from the first
+    # one above it on, so count first thresholds per series and accumulate
+    first_th = np.searchsorted(th_values, p, side="right")
+    first_th += (np.arange(n_series) * (len(ths) + 1))[:, None]
+    n_pred = np.bincount(first_th.ravel(), minlength=n_series * (len(ths) + 1))
+    n_pred = n_pred.reshape(n_series, len(ths) + 1).cumsum(axis=1)[:, : len(ths)]
     precision = np.divide(tp, n_pred, out=np.ones(shape), where=n_pred > 0)
     recall = tp / len(truth) if len(truth) else np.ones(shape)
     return precision, recall

@@ -339,12 +339,15 @@ def _sweep_point(
     fit in ``_SWEEP_GROUP_SITE_WINDOWS`` site-windows, and at least one:
     one `_method_pvalues` call per group, one p-value per window ending at
     t = l, ..., T - 1. Every p-value is computed column by column, so the
-    grouping does not change a bit. Each replicate's rows are then matched
-    in two `pr_curves` calls of their own, which keeps the alarm tables
-    small. The growth truth is shifted by -l into the series' own indices
-    once. The first l periods have no window, so they could never alarm.
-    Scores fill C-contiguous (methods, replicates) arrays, so each method's
-    mean sums its replicates in the same order as a 1-D `np.mean`."""
+    grouping does not change a bit. The whole group's rows are matched
+    against the growth truth in one `pr_curves` call, stacked replicate by
+    replicate; each replicate's rows are matched against its own
+    centralized alarms in one call more. Every (row, threshold) pair is
+    scored on its own, so neither stacking changes a bit either. The growth
+    truth is shifted by -l into the series' own indices once. The first l
+    periods have no window, so they could never alarm. Scores fill
+    C-contiguous (methods, replicates) arrays, so each method's mean sums
+    its replicates in the same order as a 1-D `np.mean`."""
     hyp = cfg.hypothesis
     l = hyp.baseline_len
     alpha = hyp.alpha
@@ -371,13 +374,16 @@ def _sweep_point(
             largest,
         )
         p_central = p_central.reshape(n_reps, k)
-        rows = rows.reshape(len(cfg.methods), n_reps, k)
+        # (replicates, methods, windows): each replicate's rows are adjacent
+        rows = rows.reshape(len(cfg.methods), n_reps, k).transpose(1, 0, 2)
+        growth = pr_curves(rows.reshape(-1, k), truth_growth, window, cfg.thresholds)
+        recall_fdr[:, first : first + n_reps] = (
+            recall_at_fdr(*growth, 0.1).reshape(n_reps, -1).T
+        )
         for j in range(n_reps):
             truth_central = alarms_from_pvalues(p_central[j], alpha)
-            growth = pr_curves(rows[:, j], truth_growth, window, cfg.thresholds)
-            recall_fdr[:, first + j] = recall_at_fdr(*growth, 0.1)
             f1_central[:, first + j] = f1(
-                *pr_curves(rows[:, j], truth_central, window, (alpha,))
+                *pr_curves(rows[j], truth_central, window, (alpha,))
             )[:, 0]
     means = zip(recall_fdr.mean(axis=1).tolist(), f1_central.mean(axis=1).tolist())
     return dict(zip(cfg.methods, means))

@@ -31,6 +31,21 @@ class TestTypes:
             ev.AlarmSeries((2, 2))
         assert ev.AlarmSeries.of([5, 1, 5, 3]).period_indices == (1, 3, 5)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), None, 1.5, "3"])
+    def test_alarm_series_rejects_non_integral_indices(self, bad):
+        with pytest.raises(DomainError, match="alarm indices must be integers"):
+            ev.AlarmSeries((bad,))
+        with pytest.raises(DomainError, match="alarm indices must be integers"):
+            ev.AlarmSeries((0, bad))
+        with pytest.raises(DomainError, match="alarm indices must be integers"):
+            ev.AlarmSeries.of([2, bad])
+
+    def test_alarm_series_of_keeps_integral_values_as_ints(self):
+        got = ev.AlarmSeries.of([3.0, np.int64(1), np.float64(2.0)])
+        assert got.period_indices == (1, 2, 3)
+        assert all(type(i) is int for i in got.period_indices)
+        assert ev.AlarmSeries((1.0, 4)).period_indices == (1, 4)
+
     def test_match_window_validation(self):
         with pytest.raises(DomainError):
             ev.MatchWindow(-1, 2)
@@ -95,6 +110,11 @@ class TestAlarmsFromGrowth:
         for bad in (0, 2.5, float("nan"), float("inf")):
             with pytest.raises(DomainError, match="baseline length"):
                 ev.alarms_from_growth(prevalence([10.0] * 8), theta=0.3, l=bad)
+
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf"), -5.0, -1e-9])
+    def test_theta_must_be_finite_and_nonnegative(self, theta):
+        with pytest.raises(DomainError, match="theta"):
+            ev.alarms_from_growth(prevalence([10, 10, 10, 10, 14.0]), theta=theta, l=4)
 
     def test_wave_fixture_matches_exact_recomputation(self):
         rng = np.random.default_rng(606)
@@ -289,6 +309,92 @@ class TestPRCurves:
                 ev.pr_curves([[0.5, 0.5]], truth, ev.MatchWindow(1, 1), thresholds)
         with pytest.raises(DomainError):
             ev.pr_curves([0.5, 0.5], truth, ev.MatchWindow(1, 1), [0.1])
+
+
+class TestPRCurvesRestrictedTable:
+    """`pr_curves` tabulates only the periods some clipped truth window
+    covers; every case is checked against the scalar definition."""
+
+    THRESHOLDS = (0.005, 0.02, 0.05, 0.3, 0.3, 0.9)
+
+    def assert_matches_oracle(self, p, truth, window, thresholds=THRESHOLDS):
+        precision, recall = ev.pr_curves(p, truth, window, thresholds)
+        assert precision.shape == recall.shape == (len(p), len(thresholds))
+        for row, got in zip(p, curve_points(thresholds, precision, recall)):
+            assert got == oracles.pr_points_by_matching(row, truth, window, thresholds)
+
+    def sparse_series(self, rng, n_series, length, n_alarms):
+        """Silent rows with a few alarms, some tied with a threshold."""
+        p = np.ones((n_series, length))
+        for row in p:
+            at = rng.choice(length, size=n_alarms, replace=False)
+            row[at] = rng.choice([0.001, 0.01, 0.02, 0.04, 0.3, 0.5], size=n_alarms)
+        return p
+
+    @pytest.mark.parametrize("length", [254, 255, 256, 65_535, 65_536])
+    def test_dtype_boundary_lengths_with_alarm_in_last_period(self, length):
+        rng = np.random.default_rng(length)
+        p = self.sparse_series(rng, 3, length, 40)
+        p[:, -1] = [0.01, 0.001, 1.0]
+        # the last period's window, windows with and without an alarm in
+        # them, and a window that runs past the end of the series
+        near_alarm = int(np.flatnonzero(p[0] < 1.0)[0])
+        truth = ev.AlarmSeries.of([3, near_alarm, length // 2, length - 3, length - 1])
+        self.assert_matches_oracle(p, truth, ev.MatchWindow(1, 2))
+        self.assert_matches_oracle(p, truth, ev.MatchWindow(0, 0))
+
+    def test_long_series_with_sparse_truth(self):
+        rng = np.random.default_rng(1313)
+        length = 5_000
+        p = self.sparse_series(rng, 4, length, 300)
+        truth = ev.AlarmSeries.of(rng.integers(0, length, size=12))
+        self.assert_matches_oracle(p, truth, ev.MatchWindow(1, 2))
+        # truth placed on alarms, so some windows do claim them
+        on_alarms = ev.AlarmSeries.of(np.flatnonzero(p[0] < 0.05)[::7] + 1)
+        self.assert_matches_oracle(p, on_alarms, ev.MatchWindow(1, 2))
+
+    def test_overlapping_windows_clipped_at_both_ends(self):
+        rng = np.random.default_rng(77)
+        for length in (1, 2, 5, 9, 16):
+            for _ in range(20):
+                p = rng.uniform(size=(3, length)) ** 3
+                truth = ev.AlarmSeries.of(
+                    [-4, -1, 0, 1, length // 2, length - 2, length - 1, length + 1, length + 6]
+                )
+                self.assert_matches_oracle(p, truth, ev.MatchWindow(3, 3))
+                self.assert_matches_oracle(p, truth, ev.MatchWindow(2, 5))
+
+    def test_daily_window(self):
+        rng = np.random.default_rng(714)
+        window = ev.MatchWindow.default_for("daily")
+        for _ in range(10):
+            length = int(rng.integers(30, 400))
+            p = rng.uniform(size=(5, length)) ** 4
+            truth = ev.AlarmSeries.of(rng.integers(-10, length + 10, size=rng.integers(1, 25)))
+            self.assert_matches_oracle(p, truth, window)
+
+    def test_empty_truth(self):
+        rng = np.random.default_rng(0)
+        p = rng.uniform(size=(4, 50)) ** 2
+        p[1] = 1.0
+        self.assert_matches_oracle(p, ev.AlarmSeries(()), ev.MatchWindow(1, 2))
+        precision, recall = ev.pr_curves(p, ev.AlarmSeries(()), ev.MatchWindow(1, 2), [0.5])
+        assert recall.tolist() == [[1.0]] * 4
+        assert precision[1, 0] == 1.0 and precision[0, 0] == 0.0
+
+    def test_stacked_rows_equal_separate_calls_bit_for_bit(self):
+        rng = np.random.default_rng(2307)
+        thresholds = [float(t) for t in np.geomspace(1e-4, 0.5, 12)] + [0.9]
+        window = ev.MatchWindow(1, 2)
+        for _ in range(20):
+            length = int(rng.integers(20, 200))
+            a = rng.uniform(size=(int(rng.integers(1, 6)), length)) ** 3
+            b = rng.uniform(size=(int(rng.integers(1, 6)), length)) ** 5
+            truth = ev.AlarmSeries.of(rng.integers(0, length, size=rng.integers(0, 20)))
+            stacked = ev.pr_curves(np.vstack([a, b]), truth, window, thresholds)
+            separate = [ev.pr_curves(x, truth, window, thresholds) for x in (a, b)]
+            for got, parts in zip(stacked, zip(*separate)):
+                assert got.tobytes() == np.concatenate(parts).tobytes()
 
 
 class TestRecallAtFdr:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fedsurv.errors import ConfigError, DomainError
-from fedsurv.evaluation import alarms_from_growth
+from fedsurv.evaluation import alarms_from_growth, alarms_from_pvalues
 from fedsurv.experiments import (
     DEFAULT_THRESHOLDS,
     POWER_METHODS,
@@ -581,3 +581,56 @@ class TestSweepGroups:
                 np.testing.assert_array_equal(n_site[:, j * k : (j + 1) * k], want_n)
         assert next(remaining, None) is None
         assert group_sizes == [3, 3, 1] + [1] * self.N_REPS
+
+    def test_one_growth_match_per_group_and_one_f1_match_per_replicate(self, monkeypatch):
+        cfg = SemisynthConfig(
+            site_sweep=(2, 5),
+            magnitude_sweep=(),
+            dominant_sweep=(),
+            n_replicates=self.N_REPS,
+            methods=("centralized", "fisher", "stouffer"),
+        )
+        alpha = cfg.hypothesis.alpha
+        n_methods = len(cfg.methods)
+        k = self.windows_per_site(cfg)
+        # three 2-site replicates fit, but not two 5-site ones
+        monkeypatch.setattr(experiments, "_SWEEP_GROUP_SITE_WINDOWS", 3 * 2 * k)
+        events = []
+        real_pvalues = experiments._method_pvalues
+        real_pr_curves = experiments.pr_curves
+
+        def spy_pvalues(methods, c_site, n_site, hyp, largest):
+            p_central, rows = real_pvalues(methods, c_site, n_site, hyp, largest)
+            events.append(("scored", p_central.copy(), rows.copy()))
+            return p_central, rows
+
+        def spy_pr_curves(p, truth, window, thresholds):
+            events.append(("matched", np.array(p), truth, tuple(thresholds)))
+            return real_pr_curves(p, truth, window, thresholds)
+
+        monkeypatch.setattr(experiments, "_method_pvalues", spy_pvalues)
+        monkeypatch.setattr(experiments, "pr_curves", spy_pr_curves)
+        run_semisynth_sweep(cfg, 5)
+
+        group_sizes = []
+        pending = iter(events)
+        for event in pending:
+            assert event[0] == "scored"
+            _, p_central, rows = event
+            n_reps = p_central.size // k
+            group_sizes.append(n_reps)
+            rows = rows.reshape(n_methods, n_reps, k)
+            # one growth match for the whole group, rows replicate-major
+            kind, p, _, thresholds = next(pending)
+            assert kind == "matched" and thresholds == cfg.thresholds
+            assert p.shape == (n_reps * n_methods, k)
+            np.testing.assert_array_equal(p, rows.transpose(1, 0, 2).reshape(-1, k))
+            # then one F1 match per replicate, against its own central alarms
+            for j in range(n_reps):
+                kind, p, truth, thresholds = next(pending)
+                assert kind == "matched" and thresholds == (alpha,)
+                np.testing.assert_array_equal(p, rows[:, j])
+                assert truth == alarms_from_pvalues(p_central.reshape(n_reps, k)[j], alpha)
+        assert group_sizes == [3, 3, 1] + [1] * self.N_REPS
+        matched = [e for e in events if e[0] == "matched"]
+        assert len(matched) == len(group_sizes) + 2 * self.N_REPS
