@@ -41,7 +41,7 @@ from .experiments import (
     run_semisynth_sweep,
 )
 from .federation import FederationConfig, SiteNode, run_federation
-from .semisynth import CountSeries, ShareVector, split_multinomial
+from .semisynth import _PERIOD_DAYS, CountSeries, ShareVector, split_multinomial
 from .surge import SurgeHypothesis, SurgeWindow, exact_p_value
 
 __all__ = ["main", "read_counts_csv"]
@@ -52,6 +52,40 @@ CSV_COLUMNS = ("site_id", "date", "count")
 # ------------------------------------------------------------- ingestion
 
 
+def _csv_rows(path: Path, columns: Sequence[str], only_these: bool):
+    """Yield ``(line, row)`` for each data row of a CSV file, the row as a
+    dict keyed by the header. The header must name every one of `columns`,
+    each name once, and with `only_these` no other column. Every row must
+    have exactly the header's cells; blank lines are skipped."""
+    with path.open(newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        for fault, names in (
+            ("missing", [c for c in columns if c not in header]),
+            ("repeated", sorted({c for c in header if header.count(c) > 1})),
+            ("unknown", [c for c in header if only_these and c not in columns]),
+        ):
+            if names:
+                raise ConfigError(f"{path}: {fault} column {', '.join(map(repr, names))}")
+        for cells in reader:
+            if not cells:
+                continue
+            if len(cells) != len(header):
+                raise ConfigError(
+                    f"{path}: line {reader.line_num}: {len(cells)} cells "
+                    f"where the header has {len(header)}"
+                )
+            yield reader.line_num, dict(zip(header, cells))
+
+
+def _cell(path: Path, line: int, row: dict, column: str, parse):
+    """One cell of a row, converted by `parse`; a ValueError names the line."""
+    try:
+        return parse(row[column])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: line {line}: bad {column}: {exc}") from exc
+
+
 def read_counts_csv(path: Path | str) -> list[CountSeries]:
     """Parse a site_id,date,count CSV into one series per site.
 
@@ -60,41 +94,19 @@ def read_counts_csv(path: Path | str) -> list[CountSeries]:
     Errors carry the offending line number.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames
-        if header is None:
-            raise ConfigError(f"{path}: empty file, expected columns {CSV_COLUMNS}")
-        missing = [c for c in CSV_COLUMNS if c not in header]
-        if missing:
-            raise ConfigError(
-                f"{path}: missing column {', '.join(repr(c) for c in missing)}"
-            )
-        unknown = [c for c in header if c not in CSV_COLUMNS]
-        if unknown:
-            raise ConfigError(
-                f"{path}: unknown column {', '.join(repr(c) for c in unknown)}"
-            )
-        rows: dict[str, list[tuple[datetime.date, int]]] = {}
-        for row in reader:
-            line = reader.line_num
-            site = row["site_id"]
-            if site is None or site == "" or any(v is None for v in row.values()):
-                raise ConfigError(f"{path}: line {line}: malformed row")
-            try:
-                date = datetime.date.fromisoformat(row["date"])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: line {line}: bad date: {exc}") from exc
-            try:
-                count = int(row["count"])
-            except ValueError as exc:
-                raise ConfigError(f"{path}: line {line}: bad count: {exc}") from exc
-            if count < 0:
-                raise ConfigError(f"{path}: line {line}: count must be nonnegative")
-            rows.setdefault(site, []).append((date, count))
+    rows: dict[str, list[tuple[datetime.date, int]]] = {}
+    for line, row in _csv_rows(path, CSV_COLUMNS, True):
+        if row["site_id"] == "":
+            raise ConfigError(f"{path}: line {line}: empty site_id")
+        date = _cell(path, line, row, "date", datetime.date.fromisoformat)
+        count = _cell(path, line, row, "count", int)
+        if count < 0:
+            raise ConfigError(f"{path}: line {line}: count must be nonnegative")
+        rows.setdefault(row["site_id"], []).append((date, count))
     if not rows:
         raise ConfigError(f"{path}: no data rows")
 
+    cadences = {days: name for name, days in _PERIOD_DAYS.items()}
     series = []
     for site in sorted(rows):
         entries = sorted(rows[site])
@@ -103,21 +115,33 @@ def read_counts_csv(path: Path | str) -> list[CountSeries]:
                 f"{path}: site {site!r} has a single row; cadence cannot be inferred"
             )
         gap = (entries[1][0] - entries[0][0]).days
-        period = {1: "daily", 7: "weekly"}.get(gap)
-        if period is None:
+        if gap not in cadences:
             raise ConfigError(
                 f"{path}: site {site!r} rows are {gap} days apart; "
-                f"expected daily or weekly"
+                f"expected {' or '.join(_PERIOD_DAYS)}"
             )
+        dates, counts = zip(*entries)
         try:
-            series.append(
-                CountSeries(
-                    site, period, tuple(d for d, _ in entries), tuple(c for _, c in entries)
-                )
-            )
+            series.append(CountSeries(site, cadences[gap], dates, counts))
         except DomainError as exc:
             raise ConfigError(f"{path}: site {site!r}: {exc}") from exc
     return series
+
+
+def _read_column(path: Path, column: str, parse) -> list:
+    """One column of a CSV file, converted by `parse`, in row order. A
+    `period` column beside it numbers the rows: it must read 0, 1, 2, ...,
+    so that the values line up with the periods they are scored against."""
+    values = []
+    for line, row in _csv_rows(path, (column,), False):
+        if column != "period" and "period" in row:
+            if _cell(path, line, row, "period", int) != len(values):
+                raise ConfigError(
+                    f"{path}: line {line}: period {row['period']!r} is not "
+                    f"the row's position {len(values)}"
+                )
+        values.append(_cell(path, line, row, column, parse))
+    return values
 
 
 def _pooled(series: Sequence[CountSeries]) -> CountSeries:
@@ -280,7 +304,7 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_text(out: Optional[str], text: str) -> None:
+def _write_text(out: Optional[str | Path], text: str) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
@@ -443,44 +467,9 @@ def cmd_federation(args) -> int:
         },
     }
     _write_text(args.out, _json_text(doc))
-    alarm_text = _csv_text(("period", "date", "p"), alarm_rows)
-    if args.out is not None:
-        Path(args.out).with_suffix(".alarms.csv").write_text(
-            alarm_text, encoding="utf-8", newline=""
-        )
-    else:
-        sys.stdout.write(alarm_text)
+    alarms_out = None if args.out is None else Path(args.out).with_suffix(".alarms.csv")
+    _write_text(alarms_out, _csv_text(("period", "date", "p"), alarm_rows))
     return 0
-
-
-def _read_scores_csv(path: Path) -> list[float]:
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "p" not in reader.fieldnames:
-            raise ConfigError(f"{path}: missing column 'p'")
-        out = []
-        for row in reader:
-            try:
-                out.append(float(row["p"]))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: line {reader.line_num}: bad p-value") from exc
-    if not out:
-        raise ConfigError(f"{path}: no data rows")
-    return out
-
-
-def _read_truth_csv(path: Path) -> AlarmSeries:
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or "period" not in reader.fieldnames:
-            raise ConfigError(f"{path}: missing column 'period'")
-        periods = []
-        for row in reader:
-            try:
-                periods.append(int(row["period"]))
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"{path}: line {reader.line_num}: bad period") from exc
-    return AlarmSeries.of(periods)
 
 
 def cmd_evaluate(args) -> int:
@@ -492,16 +481,17 @@ def cmd_evaluate(args) -> int:
     thresholds = cfg.take_list("thresholds", DEFAULT_THRESHOLDS)
     cfg.finish()
 
-    window = (
-        MatchWindow(*window_raw) if window_raw is not None else MatchWindow.default_for(cadence)
-    )
-    pvalues = _read_scores_csv(scores_path)
-    truth = _read_truth_csv(truth_path)
-    curve = pr_curve(pvalues, truth, window, thresholds)
-    _, precision, recall = zip(*curve.points)
+    # the cadence is checked even where an explicit window overrides its default
+    default_window = MatchWindow.default_for(cadence)
+    window = MatchWindow(*window_raw) if window_raw is not None else default_window
+    pvalues = _read_column(scores_path, "p", float)
+    if not pvalues:
+        raise ConfigError(f"{scores_path}: no data rows")
+    truth = AlarmSeries.of(_read_column(truth_path, "period", int))
+    precision, recall = pr_curve(pvalues, truth, window, thresholds)
     rows = [
-        tuple(map(_fmt, (*point, score)))
-        for point, score in zip(curve.points, f1(precision, recall).tolist())
+        tuple(map(_fmt, row))
+        for row in zip(sorted(thresholds), precision, recall, f1(precision, recall))
     ]
     _write_text(args.out, _csv_text(("threshold", "precision", "recall", "f1"), rows))
     return 0

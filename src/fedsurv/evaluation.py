@@ -21,8 +21,6 @@ __all__ = [
     "AlarmSeries",
     "MatchWindow",
     "MatchCounts",
-    "PRPoint",
-    "PRCurve",
     "alarms_from_pvalues",
     "alarms_from_growth",
     "match_alarms",
@@ -95,25 +93,6 @@ class MatchCounts(NamedTuple):
     tp: int
     fp: int
     fn: int
-
-
-class PRPoint(NamedTuple):
-    threshold: float
-    precision: float
-    recall: float
-
-
-@dataclasses.dataclass(frozen=True)
-class PRCurve:
-    points: tuple[PRPoint, ...]
-
-    def __post_init__(self) -> None:
-        for pt in self.points:
-            if not 0.0 <= pt.precision <= 1.0 or not 0.0 <= pt.recall <= 1.0:
-                raise DomainError(f"precision/recall out of range in {pt!r}")
-        for a, b in zip(self.points, self.points[1:]):
-            if b.threshold < a.threshold:
-                raise DomainError("curve thresholds must be sorted")
 
 
 def alarms_from_pvalues(p_series: Sequence[float], threshold: float) -> AlarmSeries:
@@ -267,12 +246,11 @@ def pr_curve(
     truth: AlarmSeries,
     window: MatchWindow,
     thresholds: Sequence[float],
-) -> PRCurve:
-    """One precision/recall point per sorted alarm threshold: the one-series
-    view of `pr_curves`."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The one-series view of `pr_curves`: precision and recall of one
+    p-value series as two (K,) arrays over the sorted thresholds."""
     precision, recall = pr_curves([p_series], truth, window, thresholds)
-    ths = sorted(float(th) for th in thresholds)
-    return PRCurve(tuple(map(PRPoint, ths, precision[0].tolist(), recall[0].tolist())))
+    return precision[0], recall[0]
 
 
 def _rates(precision, recall) -> tuple[np.ndarray, np.ndarray]:

@@ -707,6 +707,43 @@ class TestCmdEvaluate:
         got_float, got_int = (run(["evaluate", "--config", c], capsys) for c in (as_float, as_int))
         assert got_float[0] == 0 and got_float == got_int
 
+    def test_bad_cadence_with_match_window_exits_2(self, tmp_path, eval_inputs, capsys):
+        scores, truth = eval_inputs
+        cfg = write_config(
+            tmp_path, scores=str(scores), truth=str(truth), cadence="monthly", match_window=[1, 2]
+        )
+        code, out, err = run(["evaluate", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert "cadence" in err
+
+    def test_scores_without_period_column_read_by_position(self, tmp_path, eval_inputs, capsys):
+        scores, truth = eval_inputs
+        bare = tmp_path / "bare.csv"
+        bare.write_text("p\n1.0\n0.04\n0.2\n0.01\n0.5\n", encoding="utf-8")
+
+        def evaluate(scores_path):
+            cfg = write_config(tmp_path, scores=str(scores_path), truth=str(truth))
+            return run(["evaluate", "--config", cfg], capsys)
+
+        with_period = evaluate(scores)
+        assert with_period[0] == 0 and evaluate(bare) == with_period
+
+    @pytest.mark.parametrize(
+        "periods, line",
+        [((4, 5, 6, 7, 8), 2), ((0, 1, 3, 4, 5), 4), ((1, 0, 2, 3, 4), 2)],
+    )
+    def test_scores_period_out_of_position_exits_2(
+        self, tmp_path, eval_inputs, capsys, periods, line
+    ):
+        _, truth = eval_inputs
+        shifted = tmp_path / "shifted.csv"
+        rows = "".join(f"{t},{p}\n" for t, p in zip(periods, (1.0, 0.04, 0.2, 0.01, 0.5)))
+        shifted.write_text("period,p\n" + rows, encoding="utf-8")
+        cfg = write_config(tmp_path, scores=str(shifted), truth=str(truth))
+        code, out, err = run(["evaluate", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"fedsurv: error: {shifted}: line {line}:")
+
     def test_missing_p_column_exits_2(self, tmp_path, eval_inputs, capsys):
         _, truth = eval_inputs
         bad = tmp_path / "bad.csv"
@@ -733,6 +770,50 @@ def test_config_schema_round_trips(cls):
     cfg = ExperimentConfig(data, Path.cwd())
     assert cfg.take_fields(cls) == cls()
     cfg.finish()
+
+
+# Each input file is valid as written. A row fault goes on its third line,
+# and a repeated-name fault repeats its first column, header and cells alike.
+CSV_INPUTS = {
+    "test": COUNTS_CSV,
+    "scores": "p,period\n1.0,0\n0.04,1\n0.2,2\n0.01,3\n0.5,4\n",
+    "truth": "period,source\n1,lab\n3,lab\n",
+}
+
+
+def _csv_fault(text, fault):
+    lines = text.splitlines()
+    if fault == "extra cell":
+        lines[2] += ",9"
+    elif fault == "missing cell":
+        lines[2] = lines[2].rsplit(",", 1)[0]
+    else:
+        lines = [line + "," + line.split(",", 1)[0] for line in lines]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fault", ["extra cell", "missing cell", "repeated column"])
+@pytest.mark.parametrize("target", sorted(CSV_INPUTS))
+def test_csv_row_rule_exits_2_naming_file_and_place(tmp_path, capsys, target, fault):
+    """Every CSV input needs exactly the header's cells in each row and no
+    column named twice; the error names the file and the line or column."""
+    paths = {name: tmp_path / f"{name}.csv" for name in CSV_INPUTS}
+    for name, text in CSV_INPUTS.items():
+        text = _csv_fault(text, fault) if name == target else text
+        paths[name].write_text(text, encoding="utf-8")
+    if target == "test":
+        command = ["test", "--config", write_config(tmp_path, csv=str(paths["test"]), at=5)]
+    else:
+        files = {name: str(paths[name]) for name in ("scores", "truth")}
+        command = ["evaluate", "--config", write_config(tmp_path, **files)]
+    code, out, err = run(command, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(f"fedsurv: error: {paths[target]}: ")
+    if fault == "repeated column":
+        column = CSV_INPUTS[target].split(",", 1)[0]
+        assert f"repeated column {column!r}" in err
+    else:
+        assert "line 3" in err
 
 
 class TestExitCodes:

@@ -58,13 +58,6 @@ class TestTypes:
         assert ev.MatchWindow.default_for("weekly") == ev.MatchWindow(1, 2)
         assert ev.MatchWindow.default_for("daily") == ev.MatchWindow(7, 14)
 
-    def test_pr_curve_validation(self):
-        good = ev.PRPoint(0.1, 0.5, 0.5)
-        with pytest.raises(DomainError):
-            ev.PRCurve((ev.PRPoint(0.2, 0.5, 0.5), good))
-        with pytest.raises(DomainError):
-            ev.PRCurve((ev.PRPoint(0.1, 1.5, 0.5),))
-
 
 class TestAlarmsFromPValues:
     def test_zero_threshold_never_fires(self):
@@ -182,24 +175,27 @@ class TestPRCurve:
         ps = [0.9] * 14
         for t in truth.period_indices:
             ps[t] = 0.001
-        curve = ev.pr_curve(ps, truth, ev.MatchWindow(0, 0), [0.01, 0.05, 0.5])
-        for pt in curve.points:
-            assert pt.precision == 1.0 and pt.recall == 1.0
+        precision, recall = ev.pr_curve(ps, truth, ev.MatchWindow(0, 0), [0.01, 0.05, 0.5])
+        assert precision.tolist() == recall.tolist() == [1.0, 1.0, 1.0]
 
     def test_single_threshold_matches_direct_computation(self):
         rng = np.random.default_rng(7)
         ps = rng.uniform(size=40)
         truth = ev.AlarmSeries.of(rng.integers(0, 40, size=6))
         w = ev.MatchWindow(1, 2)
-        curve = ev.pr_curve(ps, truth, w, [0.3])
+        precision, recall = ev.pr_curve(ps, truth, w, [0.3])
         counts = ev.match_alarms(truth, ev.alarms_from_pvalues(ps, 0.3), w)
-        precision, recall = oracles.precision_recall(counts)
-        assert curve.points[0] == (0.3, precision, recall)
+        want_precision, want_recall = oracles.precision_recall(counts)
+        assert precision.tolist() == [want_precision] and recall.tolist() == [want_recall]
 
     def test_thresholds_sorted_in_output(self):
         truth = ev.AlarmSeries((3,))
-        curve = ev.pr_curve([0.5] * 6, truth, ev.MatchWindow(1, 1), [0.9, 0.1, 0.4])
-        assert [pt.threshold for pt in curve.points] == [0.1, 0.4, 0.9]
+        # 0.1 raises no alarm, 0.6 only the true one at 3, 0.9 adds a false
+        # one at 1; the columns follow the sorted thresholds
+        ps = [0.95, 0.7, 0.95, 0.5, 0.95, 0.95]
+        precision, recall = ev.pr_curve(ps, truth, ev.MatchWindow(0, 0), [0.9, 0.1, 0.6])
+        assert precision.tolist() == [1.0, 1.0, 0.5]
+        assert recall.tolist() == [0.0, 1.0, 1.0]
 
     def test_threshold_domain_enforced(self):
         with pytest.raises(DomainError):
@@ -209,13 +205,12 @@ class TestPRCurve:
 
     def test_empty_side_conventions(self):
         # no alarms raised: perfect precision, zero recall against real truth
-        curve = ev.pr_curve([0.9, 0.9], ev.AlarmSeries((0,)), ev.MatchWindow(0, 0), [0.1])
-        assert curve.points[0].precision == 1.0
-        assert curve.points[0].recall == 0.0
+        exact = ev.MatchWindow(0, 0)
+        precision, recall = ev.pr_curve([0.9, 0.9], ev.AlarmSeries((0,)), exact, [0.1])
+        assert (precision.tolist(), recall.tolist()) == ([1.0], [0.0])
         # empty truth: recall 1 by convention, precision punishes every alarm
-        curve = ev.pr_curve([0.01, 0.9], ev.AlarmSeries(()), ev.MatchWindow(0, 0), [0.1])
-        assert curve.points[0].precision == 0.0
-        assert curve.points[0].recall == 1.0
+        precision, recall = ev.pr_curve([0.01, 0.9], ev.AlarmSeries(()), exact, [0.1])
+        assert (precision.tolist(), recall.tolist()) == ([0.0], [1.0])
 
 
 class TestPRCurves:
@@ -284,9 +279,11 @@ class TestPRCurves:
             row = rng.uniform(size=25)
             truth = ev.AlarmSeries.of(rng.integers(0, 25, size=4))
             window = ev.MatchWindow(int(rng.integers(0, 3)), int(rng.integers(0, 3)))
-            arrays = ev.pr_curves(row[None, :], truth, window, [0.1, 0.4])
-            (batched,) = curve_points([0.1, 0.4], *arrays)
-            assert batched == list(ev.pr_curve(row, truth, window, [0.1, 0.4]).points)
+            precision, recall = ev.pr_curves(row[None, :], truth, window, [0.1, 0.4])
+            one_precision, one_recall = ev.pr_curve(row, truth, window, [0.1, 0.4])
+            assert one_precision.shape == one_recall.shape == (2,)
+            assert one_precision.tolist() == precision[0].tolist()
+            assert one_recall.tolist() == recall[0].tolist()
 
     def test_no_series_gives_no_curves(self):
         truth = ev.AlarmSeries((1,))
