@@ -128,11 +128,20 @@ def read_counts_csv(path: Path | str) -> list[CountSeries]:
     return series
 
 
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"must lie in [0, 1], got {value!r}")
+    return value
+
+
 def _read_column(path: Path, column: str, parse) -> list:
     """One column of a CSV file, converted by `parse`, in row order. A
     `period` column beside it numbers the rows: it must read 0, 1, 2, ...,
-    so that the values line up with the periods they are scored against."""
+    so that the values line up with the periods they are scored against.
+    A `period` column read for its own values lists each period once."""
     values = []
+    first_line = {}
     for line, row in _csv_rows(path, (column,), False):
         if column != "period" and "period" in row:
             if _cell(path, line, row, "period", int) != len(values):
@@ -140,7 +149,12 @@ def _read_column(path: Path, column: str, parse) -> list:
                     f"{path}: line {line}: period {row['period']!r} is not "
                     f"the row's position {len(values)}"
                 )
-        values.append(_cell(path, line, row, column, parse))
+        value = _cell(path, line, row, column, parse)
+        if column == "period" and first_line.setdefault(value, line) != line:
+            raise ConfigError(
+                f"{path}: line {line}: period {value} repeats line {first_line[value]}"
+            )
+        values.append(value)
     return values
 
 
@@ -484,7 +498,7 @@ def cmd_evaluate(args) -> int:
     # the cadence is checked even where an explicit window overrides its default
     default_window = MatchWindow.default_for(cadence)
     window = MatchWindow(*window_raw) if window_raw is not None else default_window
-    pvalues = _read_column(scores_path, "p", float)
+    pvalues = _read_column(scores_path, "p", _probability)
     if not pvalues:
         raise ConfigError(f"{scores_path}: no data rows")
     truth = AlarmSeries.of(_read_column(truth_path, "period", int))

@@ -150,6 +150,14 @@ def match_alarms(
     return MatchCounts(tp, len(preds) - tp, len(truth) - tp)
 
 
+# Cells ((covered periods + 1) x series x thresholds) of the alarm mask and
+# the next-alarm table that `pr_curves` builds at a time: it matches blocks
+# of as many series as fit, so its peak memory stops growing with the number
+# of series. The budget stays under the largest growth call of the default
+# sweep in groups of ten two-site replicates, 75 x 110 x 43 = 354,750 cells.
+_MATCH_BLOCK_CELLS = 350_000
+
+
 def pr_curves(
     p_matrix,
     truth: AlarmSeries,
@@ -161,36 +169,31 @@ def pr_curves(
     `match_alarms(truth, alarms_from_pvalues(row, th), window)`; raising no
     alarms gives precision 1, and an empty truth set gives recall 1.
 
-    All S x K (series, sorted threshold) pairs are matched at once: every
-    pair claims its earliest alarm inside each truth alarm's window, clipped
-    to the series, past the first period the pair has not yet claimed or
-    passed. Only periods inside some clipped window can ever be claimed, so
-    the table of the next alarm at or after a period holds just those
-    periods plus a sentinel row, in the smallest unsigned dtype that holds
-    T, and `row_of` maps any period to the first covered row at or after
-    it. Alarm counts come from one `searchsorted` of the p-values into the
-    thresholds and one `bincount`, so they need no mask at all.
+    The (series, sorted threshold) pairs are matched a block of series at a
+    time (`_true_positives`); every pair is matched on its own, so the
+    blocking changes no bit. Alarm counts come from one `searchsorted` of
+    the p-values into the thresholds and one `bincount` per block, so they
+    need no mask at all.
     """
     if not thresholds:
         raise DomainError("at least one threshold is required")
     for th in thresholds:
         if not 0.0 < th < 1.0:
             raise DomainError(f"thresholds must lie in (0, 1), got {th!r}")
-    ths = sorted(thresholds)
-    th_values = np.asarray(ths, dtype=float)
+    th_values = np.sort(np.asarray(thresholds, dtype=float))
     p = np.asarray(p_matrix, dtype=float)
     if p.ndim != 2:
         raise DomainError(f"p-values must form an (S, T) matrix, got shape {p.shape}")
-    bad = ~((p >= 0.0) & (p <= 1.0))
-    if bad.any():
-        s, i = (int(v) for v in np.argwhere(bad)[0])
+    # min and max propagate NaN, and build no (S, T) mask on valid input
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
+        s, i = (int(v) for v in np.argwhere(~((p >= 0.0) & (p <= 1.0)))[0])
         raise DomainError(
             f"p-values must lie in [0, 1], got {float(p[s, i])!r} "
             f"at index {i} of series {s}"
         )
 
     n_series, length = p.shape
-    n_rows = n_series * len(ths)
+    n_ths = th_values.size
     # each truth alarm's window clipped to the series; windows wholly
     # outside the series can claim nothing and are dropped
     spans = [
@@ -206,6 +209,41 @@ def pr_curves(
     # row len(periods) for periods past the last covered one
     row_of = np.zeros(length + 1, dtype=np.intp)
     np.cumsum(covered, out=row_of[1:])
+
+    precision = np.ones((n_series, n_ths))
+    recall = np.ones((n_series, n_ths))
+    block = max(1, _MATCH_BLOCK_CELLS // ((periods.size + 1) * n_ths))
+    for first in range(0, n_series, block):
+        p_block = p[first : first + block]
+        tp = _true_positives(p_block, spans, periods, row_of, th_values)
+        # alarms per pair: a p-value alarms at every threshold from the
+        # first one above it on, so count first thresholds per series and
+        # accumulate
+        n_block = p_block.shape[0]
+        first_th = np.searchsorted(th_values, p_block, side="right")
+        first_th += (np.arange(n_block) * (n_ths + 1))[:, None]
+        n_pred = np.bincount(first_th.ravel(), minlength=n_block * (n_ths + 1))
+        n_pred = n_pred.reshape(n_block, n_ths + 1).cumsum(axis=1)[:, :n_ths]
+        rows = slice(first, first + n_block)
+        np.divide(tp, n_pred, out=precision[rows], where=n_pred > 0)
+        if len(truth):
+            np.divide(tp, len(truth), out=recall[rows])
+    return precision, recall
+
+
+def _true_positives(p, spans, periods, row_of, th_values) -> np.ndarray:
+    """Matched truth alarms of every (series, threshold) pair of a (B, T)
+    block, as a (B, K) int64 array.
+
+    Every pair claims its earliest alarm inside each truth alarm's window
+    (`spans`, clipped to the series) past the first period the pair has not
+    yet claimed or passed. Only covered periods can ever be claimed, so the
+    table of the next alarm at or after a period holds just those periods
+    plus a sentinel row, in the smallest unsigned dtype that holds T, and
+    `row_of` maps any period to the first covered row at or after it.
+    """
+    n_series, length = p.shape
+    n_rows = n_series * th_values.size
     # one column per (series, threshold) pair, series-major; a claim always
     # lies inside its window, so alarms outside every window never matter
     mask = (p[:, periods].T[:, :, None] < th_values).reshape(periods.size, n_rows)
@@ -227,18 +265,7 @@ def pr_curves(
         tp += hit
         # in int64, so that claimed + 1 cannot wrap in the table's dtype
         first_free = np.where(hit, claimed + np.int64(1), first_free)
-
-    shape = (n_series, len(ths))
-    tp = tp.reshape(shape)
-    # alarms per pair: a p-value alarms at every threshold from the first
-    # one above it on, so count first thresholds per series and accumulate
-    first_th = np.searchsorted(th_values, p, side="right")
-    first_th += (np.arange(n_series) * (len(ths) + 1))[:, None]
-    n_pred = np.bincount(first_th.ravel(), minlength=n_series * (len(ths) + 1))
-    n_pred = n_pred.reshape(n_series, len(ths) + 1).cumsum(axis=1)[:, : len(ths)]
-    precision = np.divide(tp, n_pred, out=np.ones(shape), where=n_pred > 0)
-    recall = tp / len(truth) if len(truth) else np.ones(shape)
-    return precision, recall
+    return tp.reshape(n_series, th_values.size)
 
 
 def pr_curve(

@@ -318,10 +318,12 @@ class SweepResult:
 
 
 # Site-windows (sites x windows per replicate) that one sweep group scores
-# in one `_method_pvalues` call. Larger groups share more combiner calls and
-# Gamma inversions; this size keeps the kernel's temporaries within about a
-# megabyte of scoring one replicate at a time on the default sweep.
-_SWEEP_GROUP_SITE_WINDOWS = 8_000
+# in one `_method_pvalues` call: groups of 20, 8, 4 and 2 replicates at 2,
+# 5, 10 and 20 sites on the default sweep. Larger groups share more combiner
+# calls and Gamma inversions; with `pr_curves` matching in blocks of bounded
+# size, this size keeps the sweep's peak memory within about half a
+# megabyte of groups half as large.
+_SWEEP_GROUP_SITE_WINDOWS = 16_000
 
 
 def _sweep_point(
@@ -336,14 +338,16 @@ def _sweep_point(
 
     Each replicate draws its pooled series and site split from its own
     seeds. Replicates are scored in groups of as many whole replicates as
-    fit in ``_SWEEP_GROUP_SITE_WINDOWS`` site-windows, and at least one:
+    fit in ``_SWEEP_GROUP_SITE_WINDOWS`` site-windows, and at least one (20,
+    8, 4 and 2 replicates at 2, 5, 10 and 20 sites on the default sweep):
     one `_method_pvalues` call per group, one p-value per window ending at
     t = l, ..., T - 1. Every p-value is computed column by column, so the
     grouping does not change a bit. The whole group's rows are matched
     against the growth truth in one `pr_curves` call, stacked replicate by
-    replicate; each replicate's rows are matched against its own
-    centralized alarms in one call more. Every (row, threshold) pair is
-    scored on its own, so neither stacking changes a bit either. The growth
+    replicate, which matches them a bounded block of rows at a time; each
+    replicate's rows are matched against its own centralized alarms in one
+    call more. Every (row, threshold) pair is scored on its own, so neither
+    stacking nor blocking changes a bit either. The growth
     truth is shifted by -l into the series' own indices once. The first l
     periods have no window, so they could never alarm. Scores fill
     C-contiguous (methods, replicates) arrays, so each method's mean sums

@@ -1,8 +1,9 @@
 """Special-function kernels used by every statistical module.
 
 ``binomial_cdf_exact`` is the correctly rounded binomial tail for totals up
-to ``EXACT_MAX_N``, read from a per-rho table of exact big-integer tails,
-the same under any scipy build. Every other function wraps a
+to ``EXACT_MAX_N``, read from a per-rho table of fixed-point tails whose
+rounding is certified entry by entry, with the exact big-integer sum as the
+fallback: the same under any scipy build. Every other function wraps a
 ``scipy.special`` ufunc, among them ``binomial_cdf`` (the regularized
 incomplete beta function): accurate for totals in the thousands, with last
 digits that depend on the scipy build. All validate their domain up front,
@@ -85,8 +86,8 @@ def binomial_cdf(c, n, rho):
     return _ret(_clamp01(out), scalar)
 
 
-# Cap of the exact table: row n costs O(n**2) big-integer work and needs
-# every row below it, so callers send larger totals to binomial_cdf.
+# Cap of the exact table: row n costs n fixed-point steps and needs every
+# row below it, so callers send larger totals to binomial_cdf.
 EXACT_MAX_N = 300
 
 
@@ -103,22 +104,60 @@ def _dyadic_to_float(num: int, scale: int) -> float:
     return math.ldexp(float(top), shift - scale)
 
 
+# Fraction bits of the fixed-point rows. 1,150 bits resolve every tail down
+# to subnormal values; the constant sets only how often an entry falls back
+# to the exact sum, never a value.
+_FRACTION_BITS = 1150
+
+
+def _fixed_to_float(g: int, n: int, p: int) -> float | None:
+    """The double that every x in [g, g + n) / 2**p rounds to, or None where
+    two of them round to different doubles. Usually g / 2**p is normal, g
+    has a bit set below its top 64 and adding n does not carry into them:
+    then every such x has g's top 64 bits plus a sticky bit, as in
+    `_dyadic_to_float`, and one conversion settles it. Otherwise both ends
+    are converted and compared."""
+    size = g.bit_length()
+    if size > 64 and size - p > -1021:
+        shift = size - 64
+        top = g >> shift
+        if top << shift != g and (g + n) >> shift == top:
+            return math.ldexp(float(top | 1), shift - p)
+    value = _dyadic_to_float(g, p)
+    return value if value == _dyadic_to_float(g + n, p) else None
+
+
+def _exact_cdf(c: int, n: int, a: int, b: int, e: int) -> float:
+    """Pr[X <= c], X ~ Binomial(n, a / 2**e), with b = 2**e - a: the exact
+    sum of C(n,j) a**j b**(n-j) over j <= c, rounded once. The sum runs in
+    Horner form in b, term = C(n,j) a**j, and takes b**(n-c) at the end."""
+    num, term = 0, 1
+    for j in range(c + 1):
+        num = num * b + term
+        term = term * a * (n - j) // (j + 1)
+    return _dyadic_to_float(num * b ** (n - c), e * n)
+
+
 class _CdfTable:
     """Correctly rounded Pr[X <= c], X ~ Binomial(n, rho), for every c <= n
     of the rows built so far, flat at index n(n+1)/2 + c.
 
-    A double rho is a / d with d = 2**e; with b = d - a the tail is
-    N(c, n) / d**n, and N(c, n) = sum_{j<=c} C(n,j) a**j b**(n-j) obeys
-    Pascal's rule N(c, n+1) = b N(c, n) + a N(c-1, n), with N(n, n) = d**n.
-    Only the last integer row is kept, updated in place from the high c
-    down, to grow the table on demand.
+    A double rho is a / 2**e; with b = 2**e - a the tails obey
+    F(c, n) = (b F(c, n-1) + a F(c-1, n-1)) / 2**e. Row n holds them in
+    fixed point with P fraction bits, G(c, n) = (b G(c, n-1) + a G(c-1, n-1))
+    >> e and G(n, n) = 2**P, updated in place from the high c down. Each
+    row floors once and a + b = 2**e, so F 2**P - n < G <= F 2**P: the
+    table stores G / 2**P where (G + n) / 2**P rounds to the same double,
+    which F then rounds to as well, and the exact sum (`_exact_cdf`)
+    elsewhere. Only the last row is kept, to grow the table on demand.
     """
 
     def __init__(self, rho: float):
         self._a, d = rho.as_integer_ratio()
         self._b = d - self._a
         self._e = d.bit_length() - 1
-        self._row = [1]
+        self._p = _FRACTION_BITS
+        self._row = [1 << self._p]
         self.values = np.ones(1)
 
     def lookup(self, c: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -128,20 +167,23 @@ class _CdfTable:
         return self.values[n * (n + 1) // 2 + c]
 
     def _grow(self, top: int) -> None:
-        a, b, e, row = self._a, self._b, self._e, self._row
+        a, b, e, p, row = self._a, self._b, self._e, self._p, self._row
         values = np.empty((top + 1) * (top + 2) // 2)
         values[: self.values.size] = self.values
         for n in range(len(row), top + 1):
-            row.append(1 << (e * n))
+            row.append(1 << p)
             for c in range(n - 1, 0, -1):
-                row[c] = b * row[c] + a * row[c - 1]
-            row[0] *= b
+                row[c] = (b * row[c] + a * row[c - 1]) >> e
+            row[0] = (b * row[0]) >> e
             start = n * (n + 1) // 2
-            values[start : start + n + 1] = [_dyadic_to_float(num, e * n) for num in row]
+            for c, g in enumerate(row):
+                value = _fixed_to_float(g, n, p)
+                values[start + c] = _exact_cdf(c, n, a, b, e) if value is None else value
         self.values = values
 
 
-# tables for the 16 most recently used rho values, up to about 1 MB each
+# tables for the 16 most recently used rho values, about 0.4 MB each at
+# EXACT_MAX_N: 45,451 doubles plus one fixed-point row of about 43 KB
 _cdf_table = functools.lru_cache(maxsize=16)(_CdfTable)
 
 

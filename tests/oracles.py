@@ -91,6 +91,28 @@ def binom_cdf_fraction_all(n: int, rho: float) -> list[float]:
     return out
 
 
+def binom_cdf_table_bigint(top: int, rho: float) -> list[float]:
+    """binom_cdf_fraction(c, n, rho) for every c <= n <= top, flat at index
+    n(n+1)/2 + c: the exact big-integer table that numerics used before its
+    fixed-point rows. With rho = a / d, the integer tails N(c, n) =
+    sum_{j<=c} C(n,j) a**j b**(n-j), b = d - a, obey Pascal's rule
+    N(c, n) = b N(c, n-1) + a N(c-1, n-1) with N(n, n) = d**n; one row is
+    kept, updated in place from the high c down, and each entry is rounded
+    once by int / int true division."""
+    a, d = rho.as_integer_ratio()
+    b = d - a
+    row = [1]
+    out = [1.0]
+    for n in range(1, top + 1):
+        scale = d**n
+        row.append(scale)
+        for c in range(n - 1, 0, -1):
+            row[c] = b * row[c] + a * row[c - 1]
+        row[0] *= b
+        out.extend(num / scale for num in row)
+    return out
+
+
 def binom_cdf_mpmath(c: int, n: int, rho) -> float:
     rho = mpmath.mpf(rho)
     total = mpmath.mpf(0)

@@ -744,6 +744,27 @@ class TestCmdEvaluate:
         assert code == 2 and out == ""
         assert err.startswith(f"fedsurv: error: {shifted}: line {line}:")
 
+    @pytest.mark.parametrize("bad", ["1.5", "-0.25", "nan", "inf"])
+    def test_scores_p_outside_unit_interval_exits_2(
+        self, tmp_path, eval_inputs, capsys, bad
+    ):
+        _, truth = eval_inputs
+        scores = tmp_path / "out_of_range.csv"
+        scores.write_text(f"period,p\n0,0.5\n1,{bad}\n2,0.2\n", encoding="utf-8")
+        cfg = write_config(tmp_path, scores=str(scores), truth=str(truth))
+        code, out, err = run(["evaluate", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"fedsurv: error: {scores}: line 3: bad p: must lie in [0, 1]")
+
+    def test_truth_period_listed_twice_exits_2(self, tmp_path, eval_inputs, capsys):
+        scores, _ = eval_inputs
+        truth = tmp_path / "twice.csv"
+        truth.write_text("period\n1\n3\n1\n", encoding="utf-8")
+        cfg = write_config(tmp_path, scores=str(scores), truth=str(truth))
+        code, out, err = run(["evaluate", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err == f"fedsurv: error: {truth}: line 4: period 1 repeats line 2\n"
+
     def test_missing_p_column_exits_2(self, tmp_path, eval_inputs, capsys):
         _, truth = eval_inputs
         bad = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
 import datetime
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -392,6 +393,52 @@ class TestPRCurvesRestrictedTable:
             separate = [ev.pr_curves(x, truth, window, thresholds) for x in (a, b)]
             for got, parts in zip(stacked, zip(*separate)):
                 assert got.tobytes() == np.concatenate(parts).tobytes()
+
+
+class TestPRCurvesBlocks:
+    """`pr_curves` matches a block of series at a time within a cell
+    budget; the blocking must not change a bit, and its peak memory must
+    not grow with the number of series."""
+
+    def test_blocks_equal_one_unblocked_call(self, monkeypatch):
+        rng = np.random.default_rng(1502)
+        for window in (ev.MatchWindow(1, 2), ev.MatchWindow.default_for("daily")):
+            for _ in range(15):
+                n_series = int(rng.integers(1, 12))
+                length = int(rng.integers(1, 300))
+                p = rng.uniform(size=(n_series, length)) ** 4
+                thresholds = [float(t) for t in rng.uniform(1e-4, 0.99, rng.integers(1, 9))]
+                # truth spans clipped at both ends, some wholly outside
+                truth = ev.AlarmSeries.of(rng.integers(-20, length + 20, size=rng.integers(0, 30)))
+                monkeypatch.setattr(ev, "_MATCH_BLOCK_CELLS", 10**12)
+                whole = ev.pr_curves(p, truth, window, thresholds)
+                rows = np.zeros(length, dtype=bool)
+                for t in truth.period_indices:
+                    rows[max(t - window.before, 0) : t + window.after + 1] = True
+                cells = (int(rows.sum()) + 1) * len(thresholds)
+                # one series per block, then ragged blocks of 2, 3 and 5
+                for per_block in (0, 2, 3, 5):
+                    monkeypatch.setattr(ev, "_MATCH_BLOCK_CELLS", per_block * cells)
+                    blocked = ev.pr_curves(p, truth, window, thresholds)
+                    for got, want in zip(blocked, whole):
+                        assert got.tobytes() == want.tobytes()
+
+    def test_peak_memory_does_not_grow_with_series(self):
+        """2,200 series of 392 periods against 220: only the (S, K) results
+        grow with S, not the alarm mask or the next-alarm table."""
+        rng = np.random.default_rng(392)
+        thresholds = [float(t) for t in np.geomspace(1e-4, 0.5, 10)]
+        truth = ev.AlarmSeries(tuple(range(1, 392, 4)))  # covers every period
+        peaks = []
+        for n_series in (220, 2_200):
+            p = rng.uniform(size=(n_series, 392)) ** 4
+            tracemalloc.start()
+            try:
+                ev.pr_curves(p, truth, ev.MatchWindow(1, 2), thresholds)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 class TestRecallAtFdr:

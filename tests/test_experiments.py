@@ -528,6 +528,25 @@ class TestSweepGroups:
         for rows in results[1:]:
             assert rows == results[0]
 
+    def test_default_budget_groups_of_20_8_4_and_2_replicates(self, monkeypatch):
+        cfg = SemisynthConfig(
+            magnitude_sweep=(), dominant_sweep=(), methods=("centralized",)
+        )
+        assert cfg.site_sweep == (2, 5, 10, 20) and cfg.n_replicates == 20
+        k = self.windows_per_site(cfg)
+        group_sizes = []
+        real = experiments._method_pvalues
+
+        def spy(methods, c_site, n_site, hyp, largest):
+            group_sizes.append((c_site.shape[0], c_site.shape[1] // k))
+            return real(methods, c_site, n_site, hyp, largest)
+
+        monkeypatch.setattr(experiments, "_method_pvalues", spy)
+        run_semisynth_sweep(cfg, 5)
+        assert group_sizes == (
+            [(2, 20)] + [(5, 8), (5, 8), (5, 4)] + [(10, 4)] * 5 + [(20, 2)] * 10
+        )
+
     def test_each_replicate_scored_once_within_budget(self, monkeypatch):
         cfg = SemisynthConfig(
             site_sweep=(2, 5),

@@ -1,4 +1,7 @@
+import functools
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +71,16 @@ class TestBinomialCdf:
 HYPOTHESIS_RHOS = sorted(
     {SurgeHypothesis(theta, l).rho for theta in (0.1, 0.25, 0.3, 1.0) for l in (2, 4, 8)}
 )
+
+
+# the table's exactness rhos: every hypothesis rho, exact ties at 0.5, and
+# tails that reach zero and the subnormal range
+EXACT_RHOS = HYPOTHESIS_RHOS + [0.5, 1e-5, 0.999, 0.999999]
+
+
+@functools.cache
+def bigint_reference(rho: float) -> list[float]:
+    return oracles.binom_cdf_table_bigint(nm.EXACT_MAX_N, rho)
 
 
 class TestBinomialCdfBatchError:
@@ -145,6 +158,98 @@ class TestCdfTable:
             for n in TestBinomialCdfBatchError.GRID_N:
                 got = nm.binomial_cdf_exact(np.arange(n + 1), n, rho)
                 assert got.tolist() == oracles.binom_cdf_fraction_all(n, rho), (n, rho)
+
+    def test_every_entry_equals_bigint_reference(self):
+        # 0.999 and 0.999999 drive the low tails to zero and through the
+        # subnormal range; at 0.5 exact ties take the exact fallback
+        for rho in EXACT_RHOS:
+            table = nm._CdfTable(rho)
+            table.lookup(np.array([0]), np.array([nm.EXACT_MAX_N]))
+            assert table.values.tolist() == bigint_reference(rho), rho
+
+    def test_fallback_takes_ties_at_one_half(self, monkeypatch):
+        calls = []
+        real = nm._exact_cdf
+
+        def spy(c, n, a, b, e):
+            calls.append((c, n))
+            return real(c, n, a, b, e)
+
+        monkeypatch.setattr(nm, "_exact_cdf", spy)
+        table = nm._CdfTable(0.5)
+        table.lookup(np.array([0]), np.array([nm.EXACT_MAX_N]))
+        assert calls
+        assert table.values.tolist() == bigint_reference(0.5)
+
+    def test_forced_fallback_stays_exact(self, monkeypatch):
+        """With 64 fraction bits most small tails cannot be certified from
+        the fixed-point row and take the exact sum; rows up to 120 at five
+        of the rhos keep the test quick."""
+        top = 120
+        calls = []
+        real = nm._exact_cdf
+
+        def spy(c, n, a, b, e):
+            calls.append((c, n))
+            return real(c, n, a, b, e)
+
+        monkeypatch.setattr(nm, "_FRACTION_BITS", 64)
+        monkeypatch.setattr(nm, "_exact_cdf", spy)
+        nm._cdf_table.cache_clear()
+        try:
+            n = np.repeat(np.arange(top + 1), np.arange(1, top + 2))
+            c = np.arange(n.size) - n * (n + 1) // 2
+            for rho in (HYPOTHESIS_RHOS[0], HYPOTHESIS_RHOS[-1], 0.5, 1e-5, 0.999999):
+                got = nm.binomial_cdf_exact(c, n, rho)
+                assert got.tolist() == bigint_reference(rho)[: n.size], rho
+        finally:
+            nm._cdf_table.cache_clear()
+        assert len(calls) > 1000
+
+    def test_fixed_point_rows_bracket_exact_tails(self):
+        """Every fixed-point entry G of row n holds F 2**P - n < G <= F 2**P
+        for the exact tail F."""
+        for rho in (HYPOTHESIS_RHOS[0], 0.5, 1e-5, 0.999999):
+            table = nm._CdfTable(rho)
+            scale = 1 << table._p
+            a, d = rho.as_integer_ratio()
+            for n in range(1, 61):
+                table.lookup(np.array([0]), np.array([n]))
+                for c, g in enumerate(table._row):
+                    exact = Fraction(
+                        sum(math.comb(n, j) * a**j * (d - a) ** (n - j) for j in range(c + 1)),
+                        d**n,
+                    )
+                    assert exact * scale - n < g <= exact * scale, (rho, n, c)
+
+    def test_fixed_point_interval_certified_only_when_it_rounds_once(self):
+        """`_fixed_to_float(g, n, p)` answers a double only if every x in
+        [g, g + n) / 2**p rounds to it. Half the cases sit on or near a
+        rounding midpoint: below it, adding n often carries into g's top 64
+        bits and across the midpoint; on or above it, only the bits below
+        the top 64 tell g from the midpoint."""
+        rnd = random.Random(1150)
+        p = 80
+        certified = 0
+        for _ in range(4000):
+            size = rnd.randrange(56, 82)
+            n = rnd.randrange(1, 301)
+            g = rnd.getrandbits(size) | 1 << (size - 1)
+            if rnd.random() < 0.5:
+                cut = size - 53  # bits below the double's 53
+                off = rnd.choice((-1, 0, 1)) * rnd.randrange(1, 400)
+                g = (g >> cut << cut) + (1 << (cut - 1)) + off
+            got = nm._fixed_to_float(g, n, p)
+            low = float(Fraction(g, 1 << p))
+            # the supremum of the interval, approached from below
+            high = float(Fraction(((g + n) << 64) - 1, 1 << (p + 64)))
+            if got is not None:
+                assert got == low == high, (g, n)
+                certified += 1
+            else:
+                # and no double only when g and g + n themselves round apart
+                assert float(Fraction(g + n, 1 << p)) != low, (g, n)
+        assert certified > 2000
 
     def test_growth_order_does_not_change_values(self):
         rho = HYPOTHESIS_RHOS[0]
