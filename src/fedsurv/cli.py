@@ -24,8 +24,10 @@ import dataclasses
 import datetime
 import io
 import json
+import math
 import sys
 import typing
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -314,6 +316,9 @@ def _resolve_seed(args, cfg: ExperimentConfig) -> int:
 # --------------------------------------------------------------- output
 
 
+_JSON_LITERALS = {True: "true", False: "false", None: "null"}
+
+
 def _fmt(x) -> str:
     return repr(float(x))
 
@@ -334,7 +339,74 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def _json_text(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"``,
+    byte for byte, without the pure-Python encoder that any ``indent``
+    selects. Each distinct float is rendered once; zeros are not memoized,
+    since 0.0 and -0.0 are one dict key. NaN and infinities raise
+    ValueError and other types TypeError, as ``json.dumps`` does; the
+    document must be a tree (there is no cycle check)."""
+    floats: dict = {}
+    out: list[str] = []
+
+    def number(x) -> str:
+        text = floats.get(x)
+        if text is None:
+            if x != x or x in (math.inf, -math.inf):
+                raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+            text = float.__repr__(x)
+            if x:
+                floats[x] = text
+        return text
+
+    def key_text(key) -> str:
+        if isinstance(key, str):
+            return key
+        if isinstance(key, float):
+            return number(key)
+        if key is True or key is False or key is None:
+            return _JSON_LITERALS[key]
+        if isinstance(key, int):
+            return int.__repr__(key)
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+    def write(value, indent: str) -> None:
+        if isinstance(value, float):
+            out.append(number(value))
+        elif isinstance(value, str):
+            out.append(encode_basestring_ascii(value))
+        elif value is True or value is False or value is None:
+            out.append(_JSON_LITERALS[value])
+        elif isinstance(value, int):
+            out.append(int.__repr__(value))
+        elif isinstance(value, (list, tuple, dict)):
+            if not value:
+                out.append("{}" if isinstance(value, dict) else "[]")
+                return
+            inner = indent + "  "
+            comma = "," + inner
+            sep = inner
+            if isinstance(value, dict):
+                out.append("{")
+                for key, item in sorted(value.items()):
+                    out.append(sep)
+                    out.append(encode_basestring_ascii(key_text(key)))
+                    out.append(": ")
+                    write(item, inner)
+                    sep = comma
+                out.append(indent + "}")
+            else:
+                out.append("[")
+                for item in value:
+                    out.append(sep)
+                    write(item, inner)
+                    sep = comma
+                out.append(indent + "]")
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    write(doc, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 # -------------------------------------------------------------- commands
@@ -481,8 +553,9 @@ def cmd_federation(args) -> int:
         },
     }
     _write_text(args.out, _json_text(doc))
-    alarms_out = None if args.out is None else Path(args.out).with_suffix(".alarms.csv")
-    _write_text(alarms_out, _csv_text(("period", "date", "p"), alarm_rows))
+    if args.out is not None:  # on stdout the report alone, whose periods carry `alarm`
+        alarms_out = Path(args.out).with_suffix(".alarms.csv")
+        _write_text(alarms_out, _csv_text(("period", "date", "p"), alarm_rows))
     return 0
 
 

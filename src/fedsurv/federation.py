@@ -42,7 +42,6 @@ __all__ = [
     "FederationConfig",
     "CombinedPeriod",
     "site_compute_report",
-    "site_coarse_reports",
     "estimate_shares",
     "aggregate_period",
     "run_federation",
@@ -168,21 +167,6 @@ def site_compute_report(
     return PValueReport(site.site_id, t, exact_p_value(window, hyp))
 
 
-def site_coarse_reports(site: SiteNode, cfg: FederationConfig) -> tuple[CoarseReport, ...]:
-    """Totals over every complete reporting cycle in the site's history.
-    Cycle k covers periods [k*C, (k+1)*C - 1] and is released `lag` periods
-    after its last one."""
-    c = cfg.reporting_cycle
-    counts = site.private_series.counts
-    reports = []
-    k = 0
-    while (k + 1) * c <= len(counts):
-        total = sum(counts[k * c : (k + 1) * c])
-        reports.append(CoarseReport(site.site_id, k, total))
-        k += 1
-    return tuple(reports)
-
-
 def release_period(cycle_index: int, cfg: FederationConfig) -> int:
     """First period at which a cycle's coarse report is usable."""
     return (cycle_index + 1) * cfg.reporting_cycle - 1 + cfg.lag
@@ -272,19 +256,21 @@ def aggregate_period(
 
 
 def _estimated_weights(
-    sites: Sequence[SiteNode], cfg: FederationConfig, periods: np.ndarray
+    counts: np.ndarray, cfg: FederationConfig, periods: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``estimate_shares`` and ``estimated_window_total`` for every period
-    in ``periods`` at once, from the sites' coarse report values: an (N, K)
-    table of cycle totals behind a zero column for "nothing released yet",
-    and each period reads the column of the latest cycle released by it.
-    All sites share one timeline, so every site has released the same
-    cycles."""
-    table = np.array(
-        [[0] + [r.total_count for r in site_coarse_reports(s, cfg)] for s in sites],
-        dtype=np.int64,
-    )
-    released = [release_period(k, cfg) for k in range(table.shape[1] - 1)]
+    in ``periods`` at once, from the values of the sites' coarse reports:
+    the (N, K) totals of the K complete cycles in the (N, T) int64
+    ``counts`` (cycle k covers periods [k*C, (k+1)*C - 1]) behind a zero
+    column for "nothing released yet", and each period reads the column of
+    the latest cycle released by it. All sites share one timeline, so every
+    site has released the same cycles."""
+    n_sites, length = counts.shape
+    c = cfg.reporting_cycle
+    k = length // c
+    table = np.zeros((n_sites, k + 1), dtype=np.int64)
+    table[:, 1:] = counts[:, : k * c].reshape(n_sites, k, c).sum(axis=2)
+    released = [release_period(j, cfg) for j in range(k)]
     latest = table[:, np.searchsorted(released, periods, side="right")]
     shares, _ = combine.window_weights(latest)
     window_len = cfg.hypothesis.baseline_len + 1
@@ -320,7 +306,8 @@ def run_federation(
             raise ConfigError("sites must share cadence and timestamp alignment")
     hyp = cfg.hypothesis
     l = hyp.baseline_len
-    c, n = window_totals([s.private_series.counts for s in ordered], l)
+    counts = np.array([s.private_series.counts for s in ordered], dtype=np.int64)
+    c, n = window_totals(counts, l)
     p_values = window_p_values(c, n, hyp)
     periods = np.arange(l, len(timeline))
     shares = totals = None
@@ -329,7 +316,7 @@ def run_federation(
         # boundary on purpose (share_source="known" models out-of-band sizes)
         shares, totals = combine.window_weights(n)
     elif cfg.share_source == "estimated":
-        shares, totals = _estimated_weights(ordered, cfg, periods)
+        shares, totals = _estimated_weights(counts, cfg, periods)
     p = combine.combine_matrix(cfg.method, p_values, shares, totals, hyp.rho).tolist()
     if cfg.method in combine.SHARE_METHODS:
         used = map(tuple, shares.T.tolist())

@@ -254,6 +254,22 @@ def pr_points_by_matching(p_series, truth, window, thresholds) -> list[tuple]:
 
 # -------------------------------------------------------------- federation
 
+def site_coarse_reports(site, cfg) -> tuple:
+    """A site's `fed.CoarseReport` for every complete reporting cycle in its
+    history, one Python sum per cycle. Cycle k covers periods
+    [k*C, (k+1)*C - 1] and is released `lag` periods after its last one.
+    The reference for the cycle-total table of `fed._estimated_weights`."""
+    c = cfg.reporting_cycle
+    counts = site.private_series.counts
+    reports = []
+    k = 0
+    while (k + 1) * c <= len(counts):
+        total = sum(counts[k * c : (k + 1) * c])
+        reports.append(fed.CoarseReport(site.site_id, k, total))
+        k += 1
+    return tuple(reports)
+
+
 def run_federation_per_period(sites, cfg) -> list:
     """`fed.run_federation` one period at a time: at every t each site
     computes one report (`site_compute_report`), known shares are slice sums
@@ -266,7 +282,7 @@ def run_federation_per_period(sites, cfg) -> list:
     l = cfg.hypothesis.baseline_len
     coarse = []
     if cfg.share_source == "estimated":
-        coarse = [r for s in ordered for r in fed.site_coarse_reports(s, cfg)]
+        coarse = [r for s in ordered for r in site_coarse_reports(s, cfg)]
     out = []
     for t in range(l, ordered[0].length):
         reports = [fed.site_compute_report(s, t, cfg.hypothesis) for s in ordered]

@@ -4,14 +4,17 @@ fidelity against library calls, golden outputs, and exit codes."""
 import dataclasses
 import datetime
 import json
+import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedsurv import numerics
-from fedsurv.cli import ExperimentConfig, main, read_counts_csv
+from fedsurv.cli import ExperimentConfig, _json_text, main, read_counts_csv
 from fedsurv.combine import EvidenceSet, combine_by_id
 from fedsurv.errors import ConfigError
 from fedsurv.experiments import (
@@ -599,6 +602,26 @@ class TestCmdFederation:
         assert code == 2
         assert "n_sites" in err
 
+    def test_committed_golden_report(self, tmp_path, capsys):
+        # 7 unequal shares, estimated with a lagged 3-period cycle: pins the
+        # report's and the alarms' bytes
+        out = tmp_path / "report.json"
+        cfg = DATA_DIR / "golden_federation_config.json"
+        code, _, _ = run(["federation", "--config", cfg, "--seed", 2024, "--out", out], capsys)
+        assert code == 0
+        assert out.read_bytes() == (DATA_DIR / "golden_federation.json").read_bytes()
+        alarms = (tmp_path / "report.alarms.csv").read_bytes()
+        assert alarms == (DATA_DIR / "golden_federation.alarms.csv").read_bytes()
+
+    def test_stdout_carries_the_report_alone(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run(["federation", "--seed", 1, "--out", out], capsys)[0] == 0
+        code, stdout, _ = run(["federation", "--seed", 1], capsys)
+        assert code == 0
+        doc = json.loads(stdout)
+        assert any(e["alarm"] for e in doc["periods"])
+        assert stdout.encode("utf-8") == out.read_bytes()
+
     def test_lagged_estimation_keeps_alarm_quality(self, tmp_path, capsys):
         """Paired runs, identical split: switching from known shares to a
         4-period reporting cycle released 2 periods late moves a quarter of
@@ -835,6 +858,108 @@ def test_csv_row_rule_exits_2_naming_file_and_place(tmp_path, capsys, target, fa
         assert f"repeated column {column!r}" in err
     else:
         assert "line 3" in err
+
+
+def _dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+class TestJsonText:
+    """`cli._json_text` against the `json.dumps` call it replaces."""
+
+    CHARS = "aZ0 _-\"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u00df\u4e2d\u2028\U0001f600"
+    FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, 1e-7, 0.1, 1 / 3, 2.5, 1.7976931348623157e308)
+
+    @classmethod
+    def text(cls, rng) -> str:
+        return "".join(rng.choice(cls.CHARS) for _ in range(rng.randrange(6)))
+
+    @classmethod
+    def scalar(cls, rng):
+        kind = rng.randrange(6)
+        if kind == 0:
+            return cls.text(rng)
+        if kind == 1:
+            return rng.choice((None, True, False))
+        if kind == 2:
+            return rng.choice((0, -1, 7, 2**53 + 1, -(2**70), 10**40))
+        if kind == 3:
+            return rng.choice(cls.FLOATS)
+        if kind == 4:
+            return np.float64(rng.choice(cls.FLOATS + (rng.random(),)))
+        return rng.uniform(-1e6, 1e6)
+
+    @classmethod
+    def key(cls, rng, numeric: bool):
+        if numeric:
+            return rng.choice((rng.randrange(-5, 50), rng.choice(cls.FLOATS), True, False))
+        return cls.text(rng)
+
+    @classmethod
+    def document(cls, rng, depth=0):
+        kind = rng.randrange(4) if depth < 4 else 3
+        size = rng.randrange(5)
+        if kind == 0:
+            numeric = rng.random() < 0.25
+            return {cls.key(rng, numeric): cls.document(rng, depth + 1) for _ in range(size)}
+        if kind == 1:
+            return [cls.document(rng, depth + 1) for _ in range(size)]
+        if kind == 2:
+            pool = [rng.random() for _ in range(3)]  # floats that recur
+            return tuple(rng.choice(pool) for _ in range(size))
+        return cls.scalar(rng)
+
+    def test_equals_json_dumps_on_random_documents(self):
+        rng = random.Random(20240601)
+        for _ in range(300):
+            doc = {"root": self.document(rng), "more": [self.document(rng) for _ in range(3)]}
+            assert _json_text(doc) == _dumps(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{}, [], (), "", "\u00e9\"\n", None, True, 0, -0.0, 5e-324, 1e16, 10**30,
+         {"a": {}, "b": [], "c": [[], {}]}, [1.5, 1.5, -0.0, 0.0, -0.0]],
+    )
+    def test_equals_json_dumps_on_edge_documents(self, doc):
+        assert _json_text(doc) == _dumps(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            float("nan"),
+            {"p": [0.5, float("inf")]},
+            [{"x": -float("inf")}],
+            {float("nan"): 1},
+            object(),
+            {"a": {1, 2}},
+            [np.int64(3)],
+            {(1, 2): 0},
+            {"a": 1, 2: 0},
+        ],
+    )
+    def test_raises_what_json_dumps_raises(self, doc):
+        with pytest.raises(Exception) as want:
+            _dumps(doc)
+        with pytest.raises(Exception) as got:
+            _json_text(doc)
+        assert got.type is want.type
+
+    def test_peak_memory_on_the_50_site_report_stays_under_three_texts(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path, method="wfisher", n_sites=50, share_source="estimated", reporting_cycle=4, lag=2
+        )
+        out = tmp_path / "report.json"
+        assert run(["federation", "--config", cfg, "--seed", 7, "--out", out], capsys)[0] == 0
+        text = out.read_text(encoding="utf-8")
+        doc = json.loads(text)
+        tracemalloc.start()
+        try:
+            got = _json_text(doc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == text
+        assert peak < 3 * len(text)  # json.dumps peaks at about 4.3 texts
 
 
 class TestExitCodes:

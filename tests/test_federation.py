@@ -79,7 +79,7 @@ class TestSiteReports:
     def test_coarse_reports_cover_complete_cycles_only(self):
         cfg = fed.FederationConfig(HYP, "fisher", reporting_cycle=4, lag=2)
         n = node([5, 6, 7, 8, 9, 10, 11, 12, 13, 14])  # 10 periods, 2 full cycles
-        reports = fed.site_coarse_reports(n, cfg)
+        reports = oracles.site_coarse_reports(n, cfg)
         assert [(r.cycle_index, r.total_count) for r in reports] == [(0, 26), (1, 42)]
 
 
@@ -90,8 +90,8 @@ class TestShareEstimation:
     def coarse():
         a = node([5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16], site_id="a")
         b = node([1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3], site_id="b")
-        return list(fed.site_coarse_reports(a, TestShareEstimation.CFG)) + list(
-            fed.site_coarse_reports(b, TestShareEstimation.CFG)
+        return list(oracles.site_coarse_reports(a, TestShareEstimation.CFG)) + list(
+            oracles.site_coarse_reports(b, TestShareEstimation.CFG)
         )
 
     def test_release_schedule_golden_trace(self):
@@ -349,3 +349,34 @@ class TestBatchedLoopMatchesPerPeriodReference:
         for source in ("known", "estimated", "none"):
             out = self.check(nodes, HYP, source, cycle=4, lag=1)
             assert len(out) == 21
+
+
+class TestEstimatedWeightsTable:
+    """`fed._estimated_weights` sums each complete cycle of the count matrix
+    in one reshape; `oracles.site_coarse_reports` builds one report per
+    cycle. Every period must read the same shares and pooled total from
+    both, under `==`."""
+
+    @pytest.mark.parametrize(
+        "length, cycle, lag",
+        [
+            (13, 4, 2),  # not a multiple of the cycle
+            (12, 3, 0),
+            (3, 4, 1),  # shorter than one cycle: nothing is ever released
+            (9, 1, 0),
+            (9, 1, 3),
+        ],
+    )
+    def test_equals_per_report_totals(self, length, cycle, lag):
+        rng = np.random.default_rng(length * 100 + cycle * 10 + lag)
+        rows = rng.poisson(6.0, size=(3, length)).tolist() + [[0] * length]  # an all-zero site
+        nodes = [node(row, site_id=f"s{i}") for i, row in enumerate(rows)]
+        ids = [n.site_id for n in nodes]
+        cfg = fed.FederationConfig(HYP, "wstouffer", "estimated", reporting_cycle=cycle, lag=lag)
+        coarse = [r for n in nodes for r in oracles.site_coarse_reports(n, cfg)]
+        assert len(coarse) == len(nodes) * (length // cycle)
+        periods = np.arange(length)
+        shares, totals = fed._estimated_weights(np.array(rows, dtype=np.int64), cfg, periods)
+        for j, t in enumerate(periods.tolist()):
+            assert tuple(shares[:, j].tolist()) == fed.estimate_shares(coarse, t, cfg, ids).shares
+            assert totals[j] == fed.estimated_window_total(coarse, t, cfg, ids)
