@@ -22,8 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from . import numerics
 from .errors import ConfigError, DomainError
 
 CLAMP_EPS = 1e-15
@@ -71,7 +71,7 @@ class EvidenceSet:
                 raise ConfigError("shares must sum to 1 within 1e-9")
             object.__setattr__(self, "shares", sh)
         if self.total_count is not None:
-            if int(self.total_count) != self.total_count or self.total_count < 0:
+            if not 0 <= self.total_count < math.inf or int(self.total_count) != self.total_count:
                 raise ConfigError("total_count must be a nonnegative integer")
             object.__setattr__(self, "total_count", int(self.total_count))
         if self.rho is not None:
@@ -124,17 +124,17 @@ def _site_sum(x: np.ndarray) -> np.ndarray:
 
 def stouffer_matrix(p_matrix: np.ndarray):
     """Phi(sum of z-scores / sqrt(N)); the statistic is the raw z sum."""
-    z = special.ndtri(_clamped(p_matrix))
+    z = numerics.normal_quantile(_clamped(p_matrix))
     stat = _site_sum(z)
     n = p_matrix.shape[0]
-    return special.ndtr(stat / np.sqrt(n)), stat
+    return numerics.normal_cdf(stat / np.sqrt(n)), stat
 
 
 def fisher_matrix(p_matrix: np.ndarray):
     """Upper chi-square(2N) tail of -2 * sum(log p_i)."""
     stat = -2.0 * _site_sum(np.log(_clamped(p_matrix)))
     n = p_matrix.shape[0]
-    return special.gammaincc(float(n), stat / 2.0), stat
+    return numerics.gamma_sf(float(n), stat / 2.0), stat
 
 
 def pearson_matrix(p_matrix: np.ndarray):
@@ -142,7 +142,7 @@ def pearson_matrix(p_matrix: np.ndarray):
     the statistic, so evidence lies in the lower tail."""
     stat = -2.0 * _site_sum(np.log1p(-_clamped(p_matrix)))
     n = p_matrix.shape[0]
-    return special.gammainc(float(n), stat / 2.0), stat
+    return numerics.gamma_cdf(float(n), stat / 2.0), stat
 
 
 def tippett_matrix(p_matrix: np.ndarray):
@@ -157,8 +157,8 @@ def tippett_matrix(p_matrix: np.ndarray):
 def weighted_stouffer_matrix(p_matrix: np.ndarray, shares):
     """Phi(sum of sqrt(s_i) * z_i); equals stouffer at equal shares."""
     sqrt_s = np.sqrt(_shares_column(shares, p_matrix.shape[0]))
-    stat = _site_sum(sqrt_s * special.ndtri(_clamped(p_matrix)))
-    return special.ndtr(stat), stat
+    stat = _site_sum(sqrt_s * numerics.normal_quantile(_clamped(p_matrix)))
+    return numerics.normal_cdf(stat), stat
 
 
 def corrected_stouffer_matrix(p_matrix: np.ndarray, shares, total_count, rho):
@@ -172,7 +172,7 @@ def corrected_stouffer_matrix(p_matrix: np.ndarray, shares, total_count, rho):
         2.0 * np.sqrt(rho * (1.0 - rho) * np.asarray(total_count, dtype=float))
     )
     stat = base + correction
-    return special.ndtr(stat), stat
+    return numerics.normal_cdf(stat), stat
 
 
 def _gamma_transform(p_matrix: np.ndarray, shapes, total_shape):
@@ -193,9 +193,9 @@ def _gamma_transform(p_matrix: np.ndarray, shapes, total_shape):
     pairs.imag = sh_b[pos]
     distinct, cell = np.unique(pairs, return_inverse=True)
     contrib = np.zeros(sh_b.shape, dtype=float)
-    contrib[pos] = 2.0 * special.gammainccinv(distinct.imag, distinct.real)[cell]
+    contrib[pos] = 2.0 * numerics.gamma_isf(distinct.imag, distinct.real)[cell]
     stat = _site_sum(contrib)
-    return special.gammaincc(total_shape, stat / 2.0), stat
+    return numerics.gamma_sf(total_shape, stat / 2.0), stat
 
 
 def wfisher_matrix(p_matrix: np.ndarray, shares):
@@ -222,7 +222,7 @@ def goods_matrix(p_matrix: np.ndarray, shares):
     n_sites = p_matrix.shape[0]
     weights = _shares_column(shares, n_sites) * n_sites
     stat = _site_sum(-2.0 * weights * np.log(_clamped(p_matrix)))
-    return special.gammaincc(float(n_sites), stat / 2.0), stat
+    return numerics.gamma_sf(float(n_sites), stat / 2.0), stat
 
 
 def lancaster_matrix(p_matrix: np.ndarray, shares, total_count):
@@ -286,8 +286,8 @@ def _combine(method: str, p_matrix, shares, total_count, rho):
         if total_count is None:
             raise ConfigError(f"{method} requires total_count")
         totals = np.asarray(total_count, dtype=float)
-        if not (totals >= 1).all():
-            raise ConfigError(f"{method} requires every total_count to be at least 1")
+        if not ((totals >= 1) & np.isfinite(totals)).all():
+            raise ConfigError(f"{method} requires every total_count to be finite and at least 1")
         context.append(totals)
     if needs_rho:
         if rho is None or not 0.0 < rho < 1.0:

@@ -10,7 +10,8 @@ meta-analysis method.
 ``run_federation`` does this for every period in one ``combine_matrix``
 call. ``site_compute_report``, ``estimate_shares``,
 ``estimated_window_total`` and ``aggregate_period`` are the same steps for
-one period and for arbitrary report sets.
+one period and for arbitrary report sets; ``release_period`` is the period
+from which a coarse report may be used.
 
 Share sources:
   * "estimated" and "none" are the federated paths; the aggregator's inputs
@@ -42,7 +43,9 @@ __all__ = [
     "FederationConfig",
     "CombinedPeriod",
     "site_compute_report",
+    "release_period",
     "estimate_shares",
+    "estimated_window_total",
     "aggregate_period",
     "run_federation",
 ]
@@ -100,7 +103,7 @@ class CoarseReport:
     total_count: int
 
     def __post_init__(self) -> None:
-        if int(self.total_count) != self.total_count or self.total_count < 0:
+        if not 0 <= self.total_count < math.inf or int(self.total_count) != self.total_count:
             raise DomainError("total_count must be a nonnegative integer")
         if self.cycle_index < 0:
             raise DomainError("cycle_index must be nonnegative")

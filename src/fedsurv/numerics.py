@@ -3,11 +3,15 @@
 ``binomial_cdf_exact`` is the correctly rounded binomial tail for totals up
 to ``EXACT_MAX_N``, read from a per-rho table of fixed-point tails whose
 rounding is certified entry by entry, with the exact big-integer sum as the
-fallback: the same under any scipy build. Every other function wraps a
-``scipy.special`` ufunc, among them ``binomial_cdf`` (the regularized
-incomplete beta function): accurate for totals in the thousands, with last
-digits that depend on the scipy build. All validate their domain up front,
-clamp probabilities to [0, 1] and take scalars or numpy arrays.
+fallback: the same under any scipy build. Every other function wraps one
+``scipy.special`` ufunc, with last digits that depend on the scipy build:
+``binomial_cdf`` (the regularized incomplete beta function, accurate for
+totals in the thousands), ``normal_cdf`` and ``normal_quantile``, and the
+regularized incomplete gamma functions ``gamma_cdf`` (lower), ``gamma_sf``
+(upper) and ``gamma_isf`` (the inverse of the upper one) behind the
+combiners. This is the only module that imports scipy. All validate their
+domain up front, clamp probabilities to [0, 1] and take scalars or numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -24,6 +28,9 @@ __all__ = [
     "EXACT_MAX_N",
     "binomial_cdf",
     "binomial_cdf_exact",
+    "gamma_cdf",
+    "gamma_isf",
+    "gamma_sf",
     "normal_cdf",
     "normal_pdf",
     "normal_quantile",
@@ -229,3 +236,40 @@ def normal_quantile(p):
         raise DomainError("p must lie strictly inside (0, 1); clamp before calling")
     return _ret(special.ndtri(p_arr), scalar)
 
+
+def _shape(a) -> np.ndarray:
+    a_arr = _as_float_array(a, "a")
+    if not ((a_arr > 0) & (a_arr < np.inf)).all():
+        raise DomainError("a must be positive and finite")
+    return a_arr
+
+
+def _gamma_args(a, x) -> tuple[np.ndarray, np.ndarray]:
+    a_arr = _shape(a)
+    x_arr = _as_float_array(x, "x")
+    if (x_arr < 0).any():
+        raise DomainError("x must be nonnegative")
+    return a_arr, x_arr
+
+
+def gamma_cdf(a, x):
+    """Regularized lower incomplete gamma P(a, x): the CDF of Gamma(a, 1) at x."""
+    scalar = np.isscalar(a) and np.isscalar(x)
+    return _ret(_clamp01(special.gammainc(*_gamma_args(a, x))), scalar)
+
+
+def gamma_sf(a, x):
+    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x): the survival
+    function of Gamma(a, 1) at x."""
+    scalar = np.isscalar(a) and np.isscalar(x)
+    return _ret(_clamp01(special.gammaincc(*_gamma_args(a, x))), scalar)
+
+
+def gamma_isf(a, p):
+    """Inverse of ``gamma_sf`` in x: the (1 - p)-quantile of Gamma(a, 1)."""
+    scalar = np.isscalar(a) and np.isscalar(p)
+    a_arr = _shape(a)
+    p_arr = _as_float_array(p, "p")
+    if (p_arr < 0).any() or (p_arr > 1).any():
+        raise DomainError("p must lie in [0, 1]")
+    return _ret(special.gammainccinv(a_arr, p_arr), scalar)

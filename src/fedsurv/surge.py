@@ -176,8 +176,8 @@ def window_p_values(c, n, hyp: SurgeHypothesis) -> np.ndarray:
 
     The rule for every window: an empty window (n = 0) carries no evidence
     and gets 1; up to ``numerics.EXACT_MAX_N`` counts the value is the
-    correctly rounded tail (``binomial_cdf_exact``), the same under any
-    scipy build; larger windows go through ``binomial_cdf``.
+    correctly rounded tail (``binomial_cdf_exact``), which no library
+    build can move; larger windows go through ``binomial_cdf``.
     """
     c_arr = np.asarray(c)
     n_arr = np.asarray(n)

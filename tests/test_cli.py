@@ -26,7 +26,7 @@ from fedsurv.experiments import (
 from fedsurv.federation import FederationConfig
 from fedsurv.surge import SurgeHypothesis, SurgeWindow, exact_p_value
 
-from support import package_env
+from support import nudged_special, package_env
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -660,6 +660,49 @@ class TestCmdFederation:
         recall = hits / len(alarms_known)
         f1 = 2 * precision * recall / (precision + recall)
         assert f1 >= 1.0
+
+
+class TestScipyLastDigits:
+    """Which output bytes the code owns: every result of the scipy functions
+    behind ``numerics`` is pushed one ulp up, then one ulp down, as another
+    scipy build could return it. ``semisynth`` and ``power-curve`` write
+    ratios of counts and keep their bytes; a federation run's p-values
+    move, and its alarm set does not."""
+
+    @pytest.fixture(params=[np.inf, -np.inf], ids=["up", "down"])
+    def nudge(self, request, monkeypatch):
+        return lambda: monkeypatch.setattr(numerics, "special", nudged_special(request.param))
+
+    def test_semisynth_golden_keeps_its_bytes(self, tmp_path, capsys, nudge):
+        nudge()
+        out = tmp_path / "sweep.csv"
+        cfg = DATA_DIR / "golden_semisynth_config.json"
+        code, _, _ = run(["semisynth", "--config", cfg, "--seed", 42, "--out", out], capsys)
+        assert code == 0
+        assert out.read_bytes() == (DATA_DIR / "golden_semisynth.csv").read_bytes()
+
+    def test_power_curve_keeps_its_bytes(self, tmp_path, capsys, nudge):
+        cfg = write_config(
+            tmp_path, theta_grid=[0.3, 0.7], calibration_reps=2000, power_reps=2000
+        )
+        args = ["power-curve", "--config", cfg, "--seed", 42]
+        code, exact, _ = run(args, capsys)
+        assert code == 0
+        nudge()
+        code, nudged, _ = run(args, capsys)
+        assert code == 0
+        assert nudged == exact
+
+    def test_federation_golden_keeps_its_alarms(self, tmp_path, capsys, nudge):
+        nudge()
+        out = tmp_path / "report.json"
+        cfg = DATA_DIR / "golden_federation_config.json"
+        code, _, _ = run(["federation", "--config", cfg, "--seed", 2024, "--out", out], capsys)
+        assert code == 0
+        golden = json.loads((DATA_DIR / "golden_federation.json").read_text(encoding="utf-8"))
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert [e["alarm"] for e in doc["periods"]] == [e["alarm"] for e in golden["periods"]]
+        assert any(e["p"] != g["p"] for e, g in zip(doc["periods"], golden["periods"]))
 
 
 class TestCmdEvaluate:

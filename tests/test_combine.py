@@ -5,10 +5,12 @@ import pytest
 from scipy import special
 
 from fedsurv import combine as cb
+from fedsurv import numerics
 from fedsurv.errors import ConfigError, DomainError
 from fedsurv.combine import CombinedResult, EvidenceSet
 
 import oracles
+from support import nudged_special
 
 
 def ev(ps, **kw):
@@ -40,6 +42,11 @@ class TestEvidenceSet:
     def test_boundary_pvalues_accepted(self):
         s = ev([0.0, 1.0])
         assert s.p_values == (0.0, 1.0)
+
+    def test_non_finite_total_count_rejected(self):
+        for bad in (float("nan"), float("inf"), -1, 2.5):
+            with pytest.raises(ConfigError):
+                ev([0.5, 0.5], total_count=bad)
 
 
 class TestStouffer:
@@ -345,14 +352,14 @@ class TestGammaTransformDedupe:
 
     @pytest.mark.parametrize("method", ["wfisher", "lancaster"])
     def test_kernel_sees_only_distinct_pairs(self, method, monkeypatch):
-        real = special.gammainccinv
+        real = numerics.gamma_isf
         seen = []
 
         def spy(a, x):
             seen.append(list(zip(np.ravel(a).tolist(), np.ravel(x).tolist())))
             return real(a, x)
 
-        monkeypatch.setattr(cb.special, "gammainccinv", spy)
+        monkeypatch.setattr(numerics, "gamma_isf", spy)
         n_pairs = n_cells = 0
         for p_mat, shares, totals in self.batches():
             seen.clear()
@@ -485,6 +492,48 @@ class TestSharedProperties:
                 cb.combine_by_id(
                     method, ev([0.2, 0.4], shares=(0.5, 0.5), total_count=0, rho=0.7)
                 )
+
+    def test_non_finite_totals_rejected(self):
+        # an infinite total would turn lancaster's shapes into NaN and drop
+        # cstouffer's continuity term without a word
+        p_mat = np.array([[0.2, 0.6], [0.4, 0.01]])
+        for method in ("cstouffer", "lancaster"):
+            for total in (np.inf, np.nan, (50, np.inf), (np.nan, 50)):
+                with pytest.raises(ConfigError):
+                    cb.combine_matrix(
+                        method, p_mat, shares=(0.5, 0.5), total_count=total, rho=0.7
+                    )
+
+
+class TestScipyLastDigits:
+    """Every combiner but tippett takes its special functions from
+    ``numerics``: pushing each scipy result there one ulp moves at least
+    one combined p-value of every such method, and the clamp keeps every
+    one inside [0, 1]."""
+
+    @staticmethod
+    def batch():
+        rng = np.random.default_rng(1717)
+        p_mat = rng.uniform(size=(6, 60))
+        # columns that put the tails on 0 and 1 exactly
+        p_mat[:, 0] = 0.0
+        p_mat[:, 1] = 1.0
+        p_mat[:, 2] = 1e-300
+        shares = rng.dirichlet(np.ones(6), size=60).T
+        totals = rng.integers(20, 400, size=60)
+        return p_mat, shares, totals
+
+    @pytest.mark.parametrize("direction", [np.inf, -np.inf], ids=["up", "down"])
+    def test_every_scipy_backed_combiner_moves_and_stays_in_range(self, monkeypatch, direction):
+        p_mat, shares, totals = self.batch()
+        args = dict(shares=shares, total_count=totals, rho=0.8)
+        exact = {m: cb.combine_matrix(m, p_mat, **args) for m in cb.METHOD_IDS}
+        monkeypatch.setattr(numerics, "special", nudged_special(direction))
+        for method in cb.METHOD_IDS:
+            got = cb.combine_matrix(method, p_mat, **args)
+            assert ((got >= 0.0) & (got <= 1.0)).all(), method
+            moved = (got != exact[method]).any()
+            assert moved == (method != "tippett"), method
 
 
 class TestRecombinationIdentity:

@@ -154,6 +154,11 @@ class TestInformationBoundary:
             "total_count",
         ]
 
+    def test_coarse_total_must_be_a_finite_integer(self):
+        for bad in (float("nan"), float("inf"), -1, 2.5):
+            with pytest.raises(DomainError):
+                fed.CoarseReport("a", 0, bad)
+
     def test_wire_schema(self):
         rep = fed.PValueReport("a", 7, 0.25)
         assert rep.to_json() == {"site_id": "a", "period": 7, "p": 0.25}

@@ -1,7 +1,9 @@
+import ast
 import functools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from fedsurv.errors import DomainError
 from fedsurv.surge import SurgeHypothesis
 
 import oracles
+from support import NUMERICS_UFUNCS, nudged_special
+
+SRC = Path(nm.__file__).resolve().parent
 
 
 class TestBinomialCdf:
@@ -333,3 +338,118 @@ class TestNormal:
                 math.exp(-0.5 * z * z) / math.sqrt(2 * math.pi), abs=1e-16
             )
 
+
+
+class TestGamma:
+    def test_lower_and_upper_match_mpmath(self):
+        for a, x in ((0.5, 0.1), (1.0, 2.0), (2.5, 0.7), (7.0, 12.3), (1e-6, 0.4), (40.0, 35.0)):
+            assert nm.gamma_cdf(a, x) == pytest.approx(
+                oracles.chi2_cdf_mpmath(2 * x, 2 * a), rel=1e-13, abs=1e-300
+            )
+            assert nm.gamma_sf(a, x) == pytest.approx(
+                oracles.chi2_sf_mpmath(2 * x, 2 * a), rel=1e-13, abs=1e-300
+            )
+
+    def test_complement_identity(self):
+        a = np.array([0.3, 1.0, 4.0, 9.5])
+        x = np.array([0.05, 1.0, 3.0, 20.0])
+        assert nm.gamma_cdf(a, x) + nm.gamma_sf(a, x) == pytest.approx(1.0, abs=1e-15)
+
+    def test_isf_lands_on_the_mpmath_tail(self):
+        # the upper tail at the returned quantile, in 40-digit arithmetic
+        for a, p in ((0.25, 1e-12), (1.0, 0.05), (3.5, 0.5), (12.0, 0.97), (2.0, 1e-300)):
+            x = nm.gamma_isf(a, p)
+            assert oracles.chi2_sf_mpmath(2 * x, 2 * a) == pytest.approx(p, rel=1e-12)
+
+    def test_isf_inverts_sf(self):
+        rng = np.random.default_rng(31)
+        a = rng.uniform(0.1, 30.0, 50)
+        p = rng.uniform(1e-9, 1 - 1e-9, 50)
+        assert nm.gamma_sf(a, nm.gamma_isf(a, p)) == pytest.approx(p, rel=1e-11)
+
+    def test_edges(self):
+        assert nm.gamma_sf(2.0, 0.0) == 1.0
+        assert nm.gamma_cdf(2.0, 0.0) == 0.0
+        assert nm.gamma_sf(2.0, math.inf) == 0.0
+        assert nm.gamma_isf(2.0, 1.0) == 0.0
+        assert nm.gamma_isf(2.0, 0.0) == math.inf
+
+    def test_scalars_in_scalar_out_arrays_broadcast(self):
+        for fn in (nm.gamma_cdf, nm.gamma_sf, nm.gamma_isf):
+            assert isinstance(fn(2.0, 0.5), float)
+            got = fn(np.array([[1.0], [3.0]]), np.array([0.2, 0.4, 0.6]))
+            assert got.shape == (2, 3)
+            assert got[1, 2] == fn(3.0, 0.6)
+
+    def test_domain(self):
+        nan, inf = math.nan, math.inf
+        for fn in (nm.gamma_cdf, nm.gamma_sf, nm.gamma_isf):
+            for a, x in ((nan, 0.5), (0.0, 0.5), (-1.0, 0.5), (inf, 0.5), (2.0, nan), (2.0, -0.1)):
+                with pytest.raises(DomainError):
+                    fn(a, x)
+        for p in (1.0 + 1e-12, inf):
+            with pytest.raises(DomainError):
+                nm.gamma_isf(2.0, p)
+
+    @pytest.mark.parametrize("direction", [math.inf, -math.inf], ids=["up", "down"])
+    def test_probabilities_clamped(self, monkeypatch, direction):
+        # scipy returns exactly 0 or 1 at these points; a build one ulp off
+        # must not leak a probability outside [0, 1]
+        edges = [
+            (nm.gamma_cdf, (2.0, 0.0)),
+            (nm.gamma_cdf, (2.0, math.inf)),
+            (nm.gamma_sf, (2.0, 0.0)),
+            (nm.gamma_sf, (2.0, math.inf)),
+            (nm.normal_cdf, (-40.0,)),
+            (nm.normal_cdf, (40.0,)),
+            (nm.binomial_cdf, (0, 5, 0.0)),
+            (nm.binomial_cdf, (0, 5, 1.0)),
+        ]
+        exact = [fn(*args) for fn, args in edges]
+        assert sorted(set(exact)) == [0.0, 1.0]
+        outward = 1.0 if direction > 0 else 0.0
+        monkeypatch.setattr(nm, "special", nudged_special(direction))
+        for (fn, args), want in zip(edges, exact):
+            got = fn(*args)
+            assert 0.0 <= got <= 1.0
+            if want == outward:
+                assert got == want
+
+
+def _scipy_imports(path: Path) -> list[str]:
+    """The import statements of a module that bring in scipy, as written."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
+            found.append(ast.unparse(node))
+    return found
+
+
+class TestSingleSpecialFunctionLayer:
+    def test_only_numerics_imports_scipy(self):
+        modules = sorted(SRC.glob("*.py"))
+        assert SRC / "numerics.py" in modules
+        offenders = {
+            p.name: found
+            for p in modules
+            if p.name != "numerics.py" and (found := _scipy_imports(p))
+        }
+        assert offenders == {}
+        assert _scipy_imports(SRC / "numerics.py") == ["from scipy import special"]
+
+    def test_nudged_namespace_covers_every_ufunc_numerics_calls(self):
+        tree = ast.parse((SRC / "numerics.py").read_text(encoding="utf-8"))
+        called = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "special"
+        }
+        assert called == set(NUMERICS_UFUNCS)
