@@ -11,9 +11,9 @@ column's bits do not depend on how many columns are combined with it.
 Kernels that share a statistic share its code: wfisher and lancaster differ
 only in the Gamma shapes they hand one transform, ``_gamma_transform``, and
 cstouffer adds its continuity term to wstouffer's statistic. That transform
-inverts each distinct (p, shape) pair of a call once, since the engines'
-batches repeat pairs heavily; the result is the same bits as inverting
-cell by cell.
+hands every cell to ``numerics.gamma_isf``, whose memo inverts each
+(p, shape) pair about once per process, however often the engines' batches
+repeat it; the result is the same bits as inverting cell by cell.
 """
 
 from __future__ import annotations
@@ -71,7 +71,11 @@ class EvidenceSet:
                 raise ConfigError("shares must sum to 1 within 1e-9")
             object.__setattr__(self, "shares", sh)
         if self.total_count is not None:
-            if not 0 <= self.total_count < math.inf or int(self.total_count) != self.total_count:
+            try:
+                total = float(self.total_count)
+            except OverflowError:
+                raise ConfigError("total_count must fit a double") from None
+            if not 0 <= total < math.inf or int(self.total_count) != self.total_count:
                 raise ConfigError("total_count must be a nonnegative integer")
             object.__setattr__(self, "total_count", int(self.total_count))
         if self.rho is not None:
@@ -154,10 +158,15 @@ def tippett_matrix(p_matrix: np.ndarray):
         return -np.expm1(n * np.log1p(-stat)), stat
 
 
+def _weighted_z_sum(p_matrix: np.ndarray, shares) -> np.ndarray:
+    """Sum of sqrt(s_i) * z_i: wstouffer's statistic and cstouffer's base."""
+    sqrt_s = np.sqrt(_shares_column(shares, p_matrix.shape[0]))
+    return _site_sum(sqrt_s * numerics.normal_quantile(_clamped(p_matrix)))
+
+
 def weighted_stouffer_matrix(p_matrix: np.ndarray, shares):
     """Phi(sum of sqrt(s_i) * z_i); equals stouffer at equal shares."""
-    sqrt_s = np.sqrt(_shares_column(shares, p_matrix.shape[0]))
-    stat = _site_sum(sqrt_s * numerics.normal_quantile(_clamped(p_matrix)))
+    stat = _weighted_z_sum(p_matrix, shares)
     return numerics.normal_cdf(stat), stat
 
 
@@ -167,7 +176,7 @@ def corrected_stouffer_matrix(p_matrix: np.ndarray, shares, total_count, rho):
     The term is zero at N=1 and strictly negative otherwise, making the
     combined p-value smaller (less conservative).
     """
-    base = weighted_stouffer_matrix(p_matrix, shares)[1]
+    base = _weighted_z_sum(p_matrix, shares)
     correction = (1.0 - p_matrix.shape[0]) / (
         2.0 * np.sqrt(rho * (1.0 - rho) * np.asarray(total_count, dtype=float))
     )
@@ -181,19 +190,13 @@ def _gamma_transform(p_matrix: np.ndarray, shapes, total_shape):
 
     The quantile goes through the survival inverse so tiny p-values keep
     full precision. A site with shape 0 contributes 0, the shape->0 limit
-    of the quantile. The inverse is the costly step and batches repeat
-    (p, shape) pairs heavily, so it runs once per distinct pair: the pair
-    is keyed exactly as one complex number (real part p, imaginary part
-    shape) and the quantiles are scattered back to every cell.
+    of the quantile. Every other cell goes to ``numerics.gamma_isf``, whose
+    memo inverts a repeated (p, shape) pair about once per process.
     """
     sh_b, p_b = np.broadcast_arrays(shapes, p_matrix)
     pos = sh_b > 0.0
-    pairs = np.empty(np.count_nonzero(pos), dtype=complex)
-    pairs.real = _clamped(p_b[pos])
-    pairs.imag = sh_b[pos]
-    distinct, cell = np.unique(pairs, return_inverse=True)
     contrib = np.zeros(sh_b.shape, dtype=float)
-    contrib[pos] = 2.0 * numerics.gamma_isf(distinct.imag, distinct.real)[cell]
+    contrib[pos] = 2.0 * numerics.gamma_isf(sh_b[pos], _clamped(p_b[pos]))
     stat = _site_sum(contrib)
     return numerics.gamma_sf(total_shape, stat / 2.0), stat
 
@@ -285,7 +288,10 @@ def _combine(method: str, p_matrix, shares, total_count, rho):
     if needs_total:
         if total_count is None:
             raise ConfigError(f"{method} requires total_count")
-        totals = np.asarray(total_count, dtype=float)
+        try:
+            totals = np.asarray(total_count, dtype=float)
+        except OverflowError:
+            raise ConfigError(f"{method} requires every total_count to fit a double") from None
         if not ((totals >= 1) & np.isfinite(totals)).all():
             raise ConfigError(f"{method} requires every total_count to be finite and at least 1")
         context.append(totals)

@@ -319,10 +319,12 @@ class SweepResult:
 
 # Site-windows (sites x windows per replicate) that one sweep group scores
 # in one `_method_pvalues` call: groups of 20, 8, 4 and 2 replicates at 2,
-# 5, 10 and 20 sites on the default sweep. Larger groups share more combiner
-# calls and Gamma inversions; with `pr_curves` matching in blocks of bounded
-# size, this size keeps the sweep's peak memory within about half a
-# megabyte of groups half as large.
+# 5, 10 and 20 sites on the default sweep. Larger groups make fewer, wider
+# combiner and `pr_curves` calls, so each call's fixed cost is paid less
+# often (Gamma inversions are shared across groups by `numerics.gamma_isf`'s
+# memo at any size); with `pr_curves` matching in blocks of bounded size,
+# this size keeps the sweep's peak memory within about half a megabyte of
+# groups half as large.
 _SWEEP_GROUP_SITE_WINDOWS = 16_000
 
 

@@ -11,13 +11,16 @@ regularized incomplete gamma functions ``gamma_cdf`` (lower), ``gamma_sf``
 (upper) and ``gamma_isf`` (the inverse of the upper one) behind the
 combiners. This is the only module that imports scipy. All validate their
 domain up front, clamp probabilities to [0, 1] and take scalars or numpy
-arrays.
+arrays. ``gamma_isf`` keeps a bounded memo of the quantiles it has
+inverted, so a pair that batches repeat is inverted about once per
+process, with the same bits.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import threading
 
 import numpy as np
 from scipy import special
@@ -265,11 +268,90 @@ def gamma_sf(a, x):
     return _ret(_clamp01(special.gammaincc(*_gamma_args(a, x))), scalar)
 
 
+# The quantile memo, direct-mapped: column i of one (3, _ISF_MEMO_SLOTS)
+# uint64 table holds the bit patterns of one pair's a and p and of
+# gammainccinv(a, p), 24 B a slot, filled from the `special` namespace kept
+# beside it. An empty slot's zero keys never match, as every valid a is > 0.
+# One lock covers every read and write of it.
+_ISF_MEMO_SLOTS = 1 << 15
+# cells looked up at a time, which bounds a call's scratch at any width
+_ISF_BLOCK = 1 << 15
+_isf_lock = threading.Lock()
+_isf_memo: tuple | None = None
+# odd multipliers of the pair's hash; its top 32 bits, which depend on
+# every bit of a and p, are scaled onto the slots
+_HASH_A = np.uint64(0x9E3779B97F4A7C15)
+_HASH_P = np.uint64(0xC2B2AE3D27D4EB4F)
+_U32 = np.uint64(32)
+
+
+def _isf_table(source) -> np.ndarray:
+    """The memo's (a keys, p keys, values) rows, filled from `source`; an
+    empty table if the memo is unset or was filled from another `special`.
+    Call under `_isf_lock`."""
+    global _isf_memo
+    if _isf_memo is None or _isf_memo[0] is not source:
+        _isf_memo = (source, np.zeros((3, _ISF_MEMO_SLOTS), dtype=np.uint64))
+    return _isf_memo[1]
+
+
+def _isf_block(source, a: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
+    """gammainccinv(a, p) of one block of cells into `out`: hits read from
+    the memo, each distinct pair among the misses inverted once and stored."""
+    ka = a.view(np.uint64)
+    kp = p.view(np.uint64)
+    slot = ka * _HASH_A
+    slot += kp * _HASH_P
+    slot >>= _U32
+    slot *= np.uint64(_ISF_MEMO_SLOTS)
+    slot >>= _U32
+    slot = slot.view(np.intp)
+    with _isf_lock:
+        keys_a, keys_p, values = _isf_table(source)
+        out[:] = values[slot].view(float)
+        pending = np.flatnonzero((keys_a[slot] != ka) | (keys_p[slot] != kp))
+        # In rounds: one missed cell per slot claims it by writing its own
+        # index there; the claimants' pairs are inverted and stored, cells
+        # whose pair equals their slot's claimant's read the result, and the
+        # rest wait for the next round.
+        while pending.size:
+            at = slot[pending]
+            values[at] = pending
+            claimant = values[at].view(np.intp)
+            won = pending[claimant == pending]
+            held = slot[won]
+            keys_a[held] = ka[won]
+            keys_p[held] = kp[won]
+            values[held] = source.gammainccinv(a[won], p[won]).view(np.uint64)
+            same = (ka[claimant] == ka[pending]) & (kp[claimant] == kp[pending])
+            out[pending[same]] = values[at[same]].view(float)
+            pending = pending[~same]
+
+
 def gamma_isf(a, p):
-    """Inverse of ``gamma_sf`` in x: the (1 - p)-quantile of Gamma(a, 1)."""
+    """Inverse of ``gamma_sf`` in x: the (1 - p)-quantile of Gamma(a, 1).
+
+    Batches repeat (a, p) pairs heavily, within a call and across calls, so
+    the array path looks each cell up in a fixed-size memo keyed by the
+    pair's bits and inverts only what it misses, once per distinct pair of
+    a block. A value read from the memo is the bits that inverting the cell
+    gives, so the memo's state never changes a result.
+    """
     scalar = np.isscalar(a) and np.isscalar(p)
     a_arr = _shape(a)
     p_arr = _as_float_array(p, "p")
     if (p_arr < 0).any() or (p_arr > 1).any():
         raise DomainError("p must lie in [0, 1]")
-    return _ret(special.gammainccinv(a_arr, p_arr), scalar)
+    if scalar:
+        return float(special.gammainccinv(a_arr, p_arr))
+    # flat views where a and p are contiguous and of one shape, else copies
+    shape = np.broadcast_shapes(a_arr.shape, p_arr.shape)
+    a_flat = np.broadcast_to(a_arr, shape).reshape(-1)
+    p_flat = np.broadcast_to(p_arr, shape).reshape(-1)
+    out = np.empty(a_flat.size)
+    source = special
+    for start in range(0, out.size, _ISF_BLOCK):
+        cells = slice(start, start + _ISF_BLOCK)
+        _isf_block(source, a_flat[cells], p_flat[cells], out[cells])
+    # [()] unwraps a 0-d result to a numpy scalar, as the ufunc returns it
+    return out.reshape(shape)[()]

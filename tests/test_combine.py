@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from fedsurv.errors import ConfigError, DomainError
 from fedsurv.combine import CombinedResult, EvidenceSet
 
 import oracles
-from support import nudged_special
+from support import NUMERICS_UFUNCS, nudged_special
 
 
 def ev(ps, **kw):
@@ -47,6 +50,10 @@ class TestEvidenceSet:
         for bad in (float("nan"), float("inf"), -1, 2.5):
             with pytest.raises(ConfigError):
                 ev([0.5, 0.5], total_count=bad)
+
+    def test_total_count_beyond_a_double_rejected(self):
+        with pytest.raises(ConfigError):
+            ev([0.1, 0.2], shares=(0.5, 0.5), total_count=10**400)
 
 
 class TestStouffer:
@@ -292,8 +299,10 @@ class TestLancaster:
 
 
 class TestGammaTransformDedupe:
-    """wfisher and lancaster invert each distinct (p, shape) pair of a batch
-    once; the result must be the bits of inverting every cell on its own."""
+    """wfisher and lancaster invert each (p, shape) pair through
+    ``numerics.gamma_isf``, whose memo inverts a repeated pair about once
+    per process; the result must be the bits of inverting every cell on its
+    own, whatever state the memo is in."""
 
     # a short list, so pairs repeat; 0, 1 and 1e-300 all land on a clamp edge
     P_VALUES = (0.0, 1.0, 1e-300, 0.5, 0.01, 0.3, 0.97)
@@ -350,18 +359,45 @@ class TestGammaTransformDedupe:
             want = self.per_cell_reference(method, p_mat, share_mat, totals)
             assert got.tolist() == want, (method, p_mat.shape, shares.ndim)
 
+    @pytest.fixture(params=["cold", "warm", "one_slot", "small_blocks"])
+    def memo_state(self, request, monkeypatch):
+        """An empty memo; one filled by every batch first; a one-slot table,
+        where every pair collides; blocks of 7 cells, so a batch spans many."""
+        monkeypatch.setattr(numerics, "_isf_memo", None)
+        if request.param == "warm":
+            for method in ("wfisher", "lancaster"):
+                for p_mat, shares, totals in self.batches():
+                    cb.combine_matrix(method, p_mat, shares=shares, total_count=totals)
+        elif request.param == "one_slot":
+            monkeypatch.setattr(numerics, "_ISF_MEMO_SLOTS", 1)
+        elif request.param == "small_blocks":
+            monkeypatch.setattr(numerics, "_ISF_BLOCK", 7)
+
     @pytest.mark.parametrize("method", ["wfisher", "lancaster"])
-    def test_kernel_sees_only_distinct_pairs(self, method, monkeypatch):
-        real = numerics.gamma_isf
+    def test_equals_per_cell_reference_in_every_memo_state(self, method, memo_state):
+        self.test_equals_per_cell_reference(method)
+
+    @staticmethod
+    def spy_inversions(monkeypatch) -> list:
+        """Route numerics' gammainccinv through a spy; each call appends
+        its (shape, p) pairs to the returned list."""
         seen = []
+        real = special.gammainccinv
 
         def spy(a, x):
             seen.append(list(zip(np.ravel(a).tolist(), np.ravel(x).tolist())))
             return real(a, x)
 
-        monkeypatch.setattr(numerics, "gamma_isf", spy)
+        ufuncs = {name: getattr(special, name) for name in NUMERICS_UFUNCS}
+        monkeypatch.setattr(numerics, "special", types.SimpleNamespace(**dict(ufuncs, gammainccinv=spy)))
+        return seen
+
+    @pytest.mark.parametrize("method", ["wfisher", "lancaster"])
+    def test_kernel_sees_only_distinct_pairs(self, method, monkeypatch):
+        seen = self.spy_inversions(monkeypatch)
         n_pairs = n_cells = 0
         for p_mat, shares, totals in self.batches():
+            monkeypatch.setattr(numerics, "_isf_memo", None)
             seen.clear()
             cb.combine_matrix(method, p_mat, shares=shares, total_count=totals)
             share_mat = np.broadcast_to(shares.reshape(p_mat.shape[0], -1), p_mat.shape)
@@ -373,7 +409,51 @@ class TestGammaTransformDedupe:
             assert set(pairs) == set(cells)
             n_pairs += len(pairs)
             n_cells += len(cells)
+            # the same batch again is read from the memo whole
+            seen.clear()
+            cb.combine_matrix(method, p_mat, shares=shares, total_count=totals)
+            assert sum(len(pairs) for pairs in seen) == 0
         assert n_pairs < n_cells / 2
+
+    def test_threads_on_a_tiny_table_get_single_threaded_bits(self, monkeypatch):
+        """Four threads, two per method, combine different batches many
+        times over through a four-slot memo they keep overwriting; every
+        result keeps its single-threaded bits."""
+        monkeypatch.setattr(numerics, "_ISF_MEMO_SLOTS", 4)
+        monkeypatch.setattr(numerics, "_ISF_BLOCK", 16)
+        monkeypatch.setattr(numerics, "_isf_memo", None)
+        batches = list(self.batches())[-4:]
+        jobs = [(method, batches[k]) for k, method in enumerate(("wfisher", "lancaster") * 2)]
+        want = [
+            cb.combine_matrix(method, p_mat, shares=shares, total_count=totals).tobytes()
+            for method, (p_mat, shares, totals) in jobs
+        ]
+        barrier = threading.Barrier(len(jobs), timeout=60)
+        mismatches = []
+        rounds = [0] * len(jobs)
+
+        def work(k):
+            method, (p_mat, shares, totals) = jobs[k]
+            barrier.wait()
+            for _ in range(100):
+                got = cb.combine_matrix(method, p_mat, shares=shares, total_count=totals)
+                if got.tobytes() != want[k]:
+                    mismatches.append(k)
+                rounds[k] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert rounds == [100] * len(jobs)
+        assert mismatches == []
 
 
 class TestSharedProperties:
@@ -493,6 +573,16 @@ class TestSharedProperties:
                     method, ev([0.2, 0.4], shares=(0.5, 0.5), total_count=0, rho=0.7)
                 )
 
+    def test_totals_beyond_a_double_rejected(self):
+        # a Python int too large for a double overflows numpy's conversion
+        p_mat = np.array([[0.1], [0.2]])
+        for method in ("cstouffer", "lancaster"):
+            for total in (10**400, [10**400]):
+                with pytest.raises(ConfigError):
+                    cb.combine_matrix(
+                        method, p_mat, shares=(0.5, 0.5), total_count=total, rho=0.7
+                    )
+
     def test_non_finite_totals_rejected(self):
         # an infinite total would turn lancaster's shapes into NaN and drop
         # cstouffer's continuity term without a word
@@ -534,6 +624,25 @@ class TestScipyLastDigits:
             assert ((got >= 0.0) & (got <= 1.0)).all(), method
             moved = (got != exact[method]).any()
             assert moved == (method != "tippett"), method
+
+    @pytest.mark.parametrize("direction", [np.inf, -np.inf], ids=["up", "down"])
+    def test_gamma_memo_follows_the_special_functions(self, monkeypatch, direction):
+        """A memo warmed before a nudge must not answer for the nudged
+        functions, nor one filled while nudged after the nudge is undone:
+        the statistics, sums of ``gamma_isf`` quantiles alone, move and
+        come back."""
+        p_mat, shares, totals = self.batch()
+        kernels = {
+            "wfisher": lambda: cb.wfisher_matrix(p_mat, shares)[1],
+            "lancaster": lambda: cb.lancaster_matrix(p_mat, shares, totals)[1],
+        }
+        exact = {m: stat().tobytes() for m, stat in kernels.items()}
+        with monkeypatch.context() as patch:
+            patch.setattr(numerics, "special", nudged_special(direction))
+            for method, stat in kernels.items():
+                assert stat().tobytes() != exact[method], method
+        for method, stat in kernels.items():
+            assert stat().tobytes() == exact[method], method
 
 
 class TestRecombinationIdentity:

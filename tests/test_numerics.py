@@ -2,11 +2,13 @@ import ast
 import functools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 from fedsurv import numerics as nm
 from fedsurv.errors import DomainError
@@ -414,6 +416,57 @@ class TestGamma:
             assert 0.0 <= got <= 1.0
             if want == outward:
                 assert got == want
+
+
+class TestGammaIsfMemo:
+    """``gamma_isf``'s array path reads repeated pairs from a fixed-size
+    memo and looks cells up a fixed-size block at a time."""
+
+    @pytest.mark.parametrize("slots, block", [(1, 7), (2, 1 << 15), (1 << 15, 7), (1 << 15, 1 << 15)])
+    def test_every_memo_state_gives_the_ufunc_bits(self, monkeypatch, slots, block):
+        monkeypatch.setattr(nm, "_ISF_MEMO_SLOTS", slots)
+        monkeypatch.setattr(nm, "_ISF_BLOCK", block)
+        monkeypatch.setattr(nm, "_isf_memo", None)
+        rng = np.random.default_rng(61)
+        # -0.0 and 0.0 are two keys with one quantile
+        p = rng.choice([0.0, -0.0, 1.0, 1e-300, 0.3, 0.5, 0.97], size=(40, 9))
+        a = rng.choice([1e-6, 0.5, 1.0, 2.5, 40.0], size=(40, 1))
+        for _ in range(3):  # cold, then warm
+            got = nm.gamma_isf(a, p)
+            assert got.shape == (40, 9)
+            assert got.tobytes() == special.gammainccinv(a, p).tobytes()
+
+    def test_peak_memory_does_not_grow_with_cells(self):
+        """2**20 fresh pairs against 2**16: beyond the returned array, the
+        scratch is one block's."""
+        rng = np.random.default_rng(62)
+        nm.gamma_isf(np.ones(2), np.full(2, 0.5))  # the memo exists
+        scratch = []
+        for n in (1 << 16, 1 << 20):
+            a = rng.uniform(0.5, 20.0, size=n)
+            p = rng.uniform(size=n)
+            tracemalloc.start()
+            try:
+                out = nm.gamma_isf(a, p)
+                scratch.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
+            finally:
+                tracemalloc.stop()
+        assert scratch[1] <= scratch[0] + 64 * 1024, scratch
+
+    def test_memo_does_not_grow_over_fresh_pairs(self):
+        # each call stores 4,096 new pairs, 96 KB if the memo kept them all
+        rng = np.random.default_rng(63)
+        nm.gamma_isf(np.ones(2), np.full(2, 0.5))
+        held = []
+        tracemalloc.start()
+        try:
+            for _ in range(50):
+                nm.gamma_isf(rng.uniform(0.5, 20.0, size=4096), rng.uniform(size=4096))
+                held.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        assert held[-1] - held[0] <= 32 * 1024, held
+        assert nm._isf_memo[1].shape == (3, nm._ISF_MEMO_SLOTS)
 
 
 def _scipy_imports(path: Path) -> list[str]:
