@@ -270,9 +270,9 @@ def gamma_sf(a, x):
 
 # The quantile memo, direct-mapped: column i of one (3, _ISF_MEMO_SLOTS)
 # uint64 table holds the bit patterns of one pair's a and p and of
-# gammainccinv(a, p), 24 B a slot, filled from the `special` namespace kept
-# beside it. An empty slot's zero keys never match, as every valid a is > 0.
-# One lock covers every read and write of it.
+# gammainccinv(a, p), 24 B a slot, filled by the `special.gammainccinv`
+# kept beside it. A slot whose a key is zero is empty: it never matches, as
+# every valid a is > 0. One lock covers every read and write of it.
 _ISF_MEMO_SLOTS = 1 << 15
 # cells looked up at a time, which bounds a call's scratch at any width
 _ISF_BLOCK = 1 << 15
@@ -285,19 +285,20 @@ _HASH_P = np.uint64(0xC2B2AE3D27D4EB4F)
 _U32 = np.uint64(32)
 
 
-def _isf_table(source) -> np.ndarray:
-    """The memo's (a keys, p keys, values) rows, filled from `source`; an
-    empty table if the memo is unset or was filled from another `special`.
+def _isf_table(inverse) -> np.ndarray:
+    """The memo's (a keys, p keys, values) rows, filled by `inverse`; an
+    empty table if the memo is unset or was filled by another function.
     Call under `_isf_lock`."""
     global _isf_memo
-    if _isf_memo is None or _isf_memo[0] is not source:
-        _isf_memo = (source, np.zeros((3, _ISF_MEMO_SLOTS), dtype=np.uint64))
+    if _isf_memo is None or _isf_memo[0] is not inverse:
+        _isf_memo = (inverse, np.zeros((3, _ISF_MEMO_SLOTS), dtype=np.uint64))
     return _isf_memo[1]
 
 
-def _isf_block(source, a: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
-    """gammainccinv(a, p) of one block of cells into `out`: hits read from
-    the memo, each distinct pair among the misses inverted once and stored."""
+def _isf_block(inverse, a: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
+    """inverse(a, p), the Gamma quantiles of one block of cells, into `out`:
+    hits read from the memo, each distinct pair among the misses inverted
+    once and stored."""
     ka = a.view(np.uint64)
     kp = p.view(np.uint64)
     slot = ka * _HASH_A
@@ -306,23 +307,30 @@ def _isf_block(source, a: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
     slot *= np.uint64(_ISF_MEMO_SLOTS)
     slot >>= _U32
     slot = slot.view(np.intp)
+    # a cell index of the block per slot, in the smallest dtype that holds one
+    claim = np.empty(_ISF_MEMO_SLOTS, dtype=np.min_scalar_type(a.size))
     with _isf_lock:
-        keys_a, keys_p, values = _isf_table(source)
+        keys_a, keys_p, values = _isf_table(inverse)
         out[:] = values[slot].view(float)
         pending = np.flatnonzero((keys_a[slot] != ka) | (keys_p[slot] != kp))
         # In rounds: one missed cell per slot claims it by writing its own
-        # index there; the claimants' pairs are inverted and stored, cells
-        # whose pair equals their slot's claimant's read the result, and the
-        # rest wait for the next round.
+        # index to the slot's entry of `claim`, scratch outside the memo;
+        # the claimants' pairs are inverted and only then stored, cells whose
+        # pair equals their slot's claimant's read the result, and the rest
+        # wait for the next round.
         while pending.size:
             at = slot[pending]
-            values[at] = pending
-            claimant = values[at].view(np.intp)
+            claim[at] = pending
+            claimant = claim[at]
             won = pending[claimant == pending]
             held = slot[won]
-            keys_a[held] = ka[won]
+            quantile = inverse(a[won], p[won]).view(np.uint64)
+            # the slot is emptied first, so an exception between these
+            # writes leaves every slot empty or whole
+            keys_a[held] = 0
             keys_p[held] = kp[won]
-            values[held] = source.gammainccinv(a[won], p[won]).view(np.uint64)
+            values[held] = quantile
+            keys_a[held] = ka[won]
             same = (ka[claimant] == ka[pending]) & (kp[claimant] == kp[pending])
             out[pending[same]] = values[at[same]].view(float)
             pending = pending[~same]
@@ -332,9 +340,9 @@ def gamma_isf(a, p):
     """Inverse of ``gamma_sf`` in x: the (1 - p)-quantile of Gamma(a, 1).
 
     Batches repeat (a, p) pairs heavily, within a call and across calls, so
-    the array path looks each cell up in a fixed-size memo keyed by the
-    pair's bits and inverts only what it misses, once per distinct pair of
-    a block. A value read from the memo is the bits that inverting the cell
+    each cell is looked up in a fixed-size memo keyed by the pair's bits
+    and only what the memo misses is inverted, once per distinct pair of a
+    block. A value read from the memo is the bits that inverting the cell
     gives, so the memo's state never changes a result.
     """
     scalar = np.isscalar(a) and np.isscalar(p)
@@ -342,16 +350,15 @@ def gamma_isf(a, p):
     p_arr = _as_float_array(p, "p")
     if (p_arr < 0).any() or (p_arr > 1).any():
         raise DomainError("p must lie in [0, 1]")
-    if scalar:
-        return float(special.gammainccinv(a_arr, p_arr))
     # flat views where a and p are contiguous and of one shape, else copies
     shape = np.broadcast_shapes(a_arr.shape, p_arr.shape)
     a_flat = np.broadcast_to(a_arr, shape).reshape(-1)
     p_flat = np.broadcast_to(p_arr, shape).reshape(-1)
     out = np.empty(a_flat.size)
-    source = special
+    inverse = special.gammainccinv
     for start in range(0, out.size, _ISF_BLOCK):
         cells = slice(start, start + _ISF_BLOCK)
-        _isf_block(source, a_flat[cells], p_flat[cells], out[cells])
-    # [()] unwraps a 0-d result to a numpy scalar, as the ufunc returns it
-    return out.reshape(shape)[()]
+        _isf_block(inverse, a_flat[cells], p_flat[cells], out[cells])
+    # [()] unwraps a 0-d array's result to a numpy scalar, as the ufunc
+    # returns it
+    return _ret(out.reshape(shape)[()], scalar)

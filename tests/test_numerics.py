@@ -3,6 +3,7 @@ import functools
 import math
 import random
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -419,8 +420,8 @@ class TestGamma:
 
 
 class TestGammaIsfMemo:
-    """``gamma_isf``'s array path reads repeated pairs from a fixed-size
-    memo and looks cells up a fixed-size block at a time."""
+    """``gamma_isf`` reads repeated pairs from a fixed-size memo and looks
+    cells up a fixed-size block at a time."""
 
     @pytest.mark.parametrize("slots, block", [(1, 7), (2, 1 << 15), (1 << 15, 7), (1 << 15, 1 << 15)])
     def test_every_memo_state_gives_the_ufunc_bits(self, monkeypatch, slots, block):
@@ -435,6 +436,37 @@ class TestGammaIsfMemo:
             got = nm.gamma_isf(a, p)
             assert got.shape == (40, 9)
             assert got.tobytes() == special.gammainccinv(a, p).tobytes()
+
+    def test_failed_inversion_leaves_the_memo_whole(self, monkeypatch):
+        """An inversion that raises partway through a call (an interrupt, a
+        MemoryError, scipy's errstate) must leave no slot answering for a
+        pair with bits it was not given: the calls after it, on pairs the
+        memo held before and pairs of the failed call, scalars too, get the
+        ufunc bits."""
+        armed = [False]
+
+        def flaky(a, x):
+            if armed[0]:
+                armed[0] = False
+                raise FloatingPointError("stand-in failure")
+            return special.gammainccinv(a, x)
+
+        ufuncs = {name: getattr(special, name) for name in NUMERICS_UFUNCS}
+        monkeypatch.setattr(nm, "special", types.SimpleNamespace(**dict(ufuncs, gammainccinv=flaky)))
+        rng = np.random.default_rng(64)
+        held = (rng.uniform(0.5, 20.0, size=8192), rng.uniform(size=8192))
+        fresh = (rng.uniform(0.5, 20.0, size=8192), rng.uniform(size=8192))
+        nm.gamma_isf(*held)
+        armed[0] = True
+        with pytest.raises(FloatingPointError):
+            nm.gamma_isf(*fresh)
+        a, p = (np.concatenate(pair) for pair in zip(held, fresh))
+        for _ in range(2):
+            assert nm.gamma_isf(a, p).tobytes() == special.gammainccinv(a, p).tobytes()
+        for k in (0, 8191, 8192, 16383):
+            got = nm.gamma_isf(float(a[k]), float(p[k]))
+            assert isinstance(got, float)
+            assert np.float64(got).tobytes() == special.gammainccinv(a[k], p[k]).tobytes()
 
     def test_peak_memory_does_not_grow_with_cells(self):
         """2**20 fresh pairs against 2**16: beyond the returned array, the
