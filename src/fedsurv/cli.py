@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import combine
-from .errors import ConfigError, DomainError, FedsurvError
+from .errors import ConfigError, DomainError, FedsurvError, checked_int
 from .evaluation import AlarmSeries, MatchWindow, f1, pr_curve
 from .experiments import (
     DEFAULT_THRESHOLDS,
@@ -43,7 +43,7 @@ from .experiments import (
     run_semisynth_sweep,
 )
 from .federation import FederationConfig, SiteNode, run_federation
-from .semisynth import _PERIOD_DAYS, CountSeries, ShareVector, split_multinomial
+from .semisynth import _PERIOD_DAYS, CountSeries, ShareVector, _checked_seed, split_multinomial
 from .surge import SurgeHypothesis, SurgeWindow, exact_p_value
 
 __all__ = ["main", "read_counts_csv"]
@@ -173,21 +173,17 @@ def _pooled(series: Sequence[CountSeries]) -> CountSeries:
 
 
 _REQUIRED = object()
-_KIND_NAMES = {  # (one value, a list of them) in error messages
-    float: ("a number", "numbers"),
-    int: ("an integer", "integers"),
-    str: ("a string", "strings"),
-}
 
 
-def _is_kind(value, kind) -> bool:
-    """JSON-typed check: strings for str; for numbers, JSON numbers only
-    (never bool), integral where `kind` is int."""
-    if kind is str:
-        return isinstance(value, str)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return False
-    return kind is float or isinstance(value, int) or value.is_integer()
+def _as_kind(value, kind, what: str):
+    """`value` as `kind`, or a ConfigError naming `what`: a JSON string for
+    str; a JSON number (never bool) for float; an integer by the package's
+    integer rule (``errors.checked_int``) for int."""
+    if kind is int:
+        return checked_int(value, what, error=ConfigError)
+    if isinstance(value, str) if kind is str else type(value) in (int, float):
+        return kind(value)
+    raise ConfigError(f"{what} must be {'a string' if kind is str else 'a number'}, got {value!r}")
 
 
 class _JsonConstant:
@@ -244,9 +240,7 @@ class ExperimentConfig:
         raw = self.take(key, default)
         if raw is default:
             return default
-        if not _is_kind(raw, kind):
-            raise ConfigError(f"config field {key!r} must be {_KIND_NAMES[kind][0]}, got {raw!r}")
-        return kind(raw)
+        return _as_kind(raw, kind, f"config field {key!r}")
 
     def take_list(self, key: str, default=_REQUIRED, kind=float, length: Optional[int] = None):
         """A list-valued field as a tuple of `kind` (float, int or str), each
@@ -258,11 +252,7 @@ class ExperimentConfig:
         if not isinstance(raw, list) or (length is not None and len(raw) != length):
             size = "a list" if length is None else f"a list of {length}"
             raise ConfigError(f"config field {key!r} must be {size}, got {raw!r}")
-        for v in raw:
-            if not _is_kind(v, kind):
-                what = _KIND_NAMES[kind][1]
-                raise ConfigError(f"config field {key!r} must hold {what}, got {v!r}")
-        return tuple(kind(v) for v in raw)
+        return tuple(_as_kind(v, kind, f"config field {key!r} entry") for v in raw)
 
     def take_path(self, key: str, default=_REQUIRED) -> Optional[Path]:
         """A path field: a JSON string naming an existing file, relative to
@@ -305,12 +295,10 @@ class ExperimentConfig:
 
 
 def _resolve_seed(args, cfg: ExperimentConfig) -> int:
-    seed = args.seed if args.seed is not None else cfg.take_scalar("seed", None, int)
+    seed = args.seed if args.seed is not None else cfg.take("seed", None)
     if seed is None:
         raise ConfigError("a seed is required: pass --seed or set \"seed\" in the config")
-    if seed < 0:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    return seed
+    return _checked_seed(seed)
 
 
 # --------------------------------------------------------------- output
@@ -416,11 +404,9 @@ def cmd_test(args) -> int:
     cfg = ExperimentConfig.load(args.config)
     csv_path = cfg.take_path("csv")
     hyp = cfg.take_fields(SurgeHypothesis)
-    at = cfg.take_scalar("at", kind=int)
+    at = checked_int(cfg.take("at"), "config field 'at'", 0, error=ConfigError)
     site = cfg.take_scalar("site", None, str)
     cfg.finish()
-    if at < 0:
-        raise ConfigError(f"config field 'at' must be a nonnegative integer, got {at!r}")
 
     series = read_counts_csv(csv_path)
     if site is not None:
@@ -518,12 +504,15 @@ def cmd_federation(args) -> int:
     else:
         # no input data: split the built-in fixture into synthetic sites
         seed = _resolve_seed(args, cfg)
-        n_sites = cfg.take_scalar("n_sites", 5, int)
+        n_sites = cfg.take_scalar("n_sites", None, int)
         shares_raw = cfg.take_list("shares", None)
         cfg.finish()
-        shares = ShareVector(shares_raw) if shares_raw is not None else ShareVector.equal(n_sites)
-        if shares.n_sites != n_sites:
-            raise ConfigError("shares length must equal n_sites")
+        if shares_raw is None:  # 5 equal sites by default
+            shares = ShareVector.equal(5 if n_sites is None else n_sites)
+        else:
+            shares = ShareVector(shares_raw)
+            if n_sites not in (None, shares.n_sites):
+                raise ConfigError("shares length must equal n_sites")
         parts = split_multinomial(builtin_wave_counts(), shares, seed)
         sites = [SiteNode.wrap(s) for s in parts]
 

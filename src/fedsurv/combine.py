@@ -18,13 +18,13 @@ repeat it; the result is the same bits as inverting cell by cell.
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, checked_int
 
 CLAMP_EPS = 1e-15
 
@@ -55,34 +55,16 @@ class EvidenceSet:
     rho: float | None = None
 
     def __post_init__(self):
-        ps = tuple(float(p) for p in self.p_values)
-        if len(ps) == 0:
-            raise DomainError("evidence set must contain at least one p-value")
-        if any(not 0.0 <= p <= 1.0 for p in ps) or any(p != p for p in ps):
-            raise DomainError("p-values must lie in [0, 1]")
-        object.__setattr__(self, "p_values", ps)
+        # as (N, 1) columns; a nested sequence becomes 3-D and is rejected
+        ps = _checked_p_values(np.asarray(self.p_values, dtype=float)[:, None])
+        object.__setattr__(self, "p_values", tuple(ps[:, 0].tolist()))
         if self.shares is not None:
-            sh = tuple(float(s) for s in self.shares)
-            if len(sh) != len(ps):
-                raise ConfigError("shares length must match p-values length")
-            if not all(0.0 <= s < math.inf for s in sh):
-                raise ConfigError("shares must be finite and nonnegative")
-            if abs(sum(sh) - 1.0) > 1e-9:
-                raise ConfigError("shares must sum to 1 within 1e-9")
-            object.__setattr__(self, "shares", sh)
+            shares = _checked_shares(np.asarray(self.shares, dtype=float)[:, None], len(ps))
+            object.__setattr__(self, "shares", tuple(shares[:, 0].tolist()))
         if self.total_count is not None:
-            try:
-                total = float(self.total_count)
-            except OverflowError:
-                raise ConfigError("total_count must fit a double") from None
-            if not 0 <= total < math.inf or int(self.total_count) != self.total_count:
-                raise ConfigError("total_count must be a nonnegative integer")
-            object.__setattr__(self, "total_count", int(self.total_count))
+            object.__setattr__(self, "total_count", _checked_total(self.total_count))
         if self.rho is not None:
-            rho = float(self.rho)
-            if not 0.0 < rho < 1.0:
-                raise ConfigError("rho must lie strictly inside (0, 1)")
-            object.__setattr__(self, "rho", rho)
+            object.__setattr__(self, "rho", _checked_rho(self.rho))
 
     @property
     def n_sites(self) -> int:
@@ -108,9 +90,57 @@ def _shares_column(shares, n_sites: int) -> np.ndarray:
         return sh.reshape(n_sites, 1)
     if sh.ndim == 2 and sh.shape[0] == n_sites:
         return sh
-    raise ConfigError(
-        f"weights must have shape ({n_sites},) or ({n_sites}, M), got {sh.shape}"
-    )
+    raise ConfigError(f"shares must have shape ({n_sites},) or ({n_sites}, M), got {sh.shape}")
+
+
+# Combiner context: one check per rule, shared by EvidenceSet and _combine.
+
+def _checked_p_values(p_matrix) -> np.ndarray:
+    """An (N, M) float matrix with N >= 1 and every entry in [0, 1]."""
+    p = np.asarray(p_matrix, dtype=float)
+    if p.ndim != 2:
+        raise ConfigError(f"p-values must form an (n_sites, n_sets) matrix, got shape {p.shape}")
+    if p.shape[0] < 1:
+        raise DomainError("at least one site's p-value is required")
+    if not ((p >= 0) & (p <= 1)).all():
+        raise DomainError("p-values must lie in [0, 1]")
+    return p
+
+
+def _checked_shares(shares, n_sites: int) -> np.ndarray:
+    """``_shares_column``, finite, nonnegative and summing to 1 per column."""
+    sh = _shares_column(shares, n_sites)
+    if not ((sh >= 0) & np.isfinite(sh)).all():
+        raise ConfigError("shares must be finite and nonnegative")
+    if np.abs(sh.sum(axis=0) - 1.0).max(initial=0.0) > 1e-9:
+        raise ConfigError("shares must sum to 1 within 1e-9 in every column")
+    return sh
+
+
+def _checked_total(total) -> int:
+    """A pooled count: an integer of at least 1."""
+    return checked_int(total, "total_count", minimum=1, error=ConfigError)
+
+
+def _checked_totals(total_count):
+    """One pooled count, or one per column, each by ``_checked_total``."""
+    totals = np.asarray(total_count)
+    if totals.ndim == 0:
+        return _checked_total(total_count)
+    if totals.dtype.kind in "iu":  # integers by dtype: the extremes decide
+        values = [totals.min(initial=1), totals.max(initial=1)]
+    else:
+        values = np.unique(totals).tolist()
+    for total in values:
+        _checked_total(total)
+    return totals
+
+
+def _checked_rho(rho) -> float:
+    """The null baseline share, strictly inside (0, 1)."""
+    if not (isinstance(rho, numbers.Real) and 0.0 < rho < 1.0):
+        raise ConfigError(f"rho must lie strictly inside (0, 1), got {rho!r}")
+    return float(rho)
 
 
 def _site_sum(x: np.ndarray) -> np.ndarray:
@@ -270,43 +300,27 @@ def _combine(method: str, p_matrix, shares, total_count, rho):
     if not isinstance(method, str) or method not in _METHODS:
         raise ConfigError(f"unknown method {method!r}; expected one of {METHOD_IDS}")
     kernel, needs_shares, needs_total, needs_rho = _METHODS[method]
-    p_matrix = np.asarray(p_matrix, dtype=float)
-    if p_matrix.ndim != 2 or p_matrix.shape[0] < 1:
-        raise ConfigError("p_matrix must be (n_sites, n_sets) with n_sites >= 1")
-    if not ((p_matrix >= 0) & (p_matrix <= 1)).all():
-        raise DomainError("p-values must lie in [0, 1]")
+    p_matrix = _checked_p_values(p_matrix)
     context = []
     if needs_shares:
         if shares is None:
             raise ConfigError(f"{method} requires per-site shares")
-        shares = _shares_column(shares, p_matrix.shape[0])
-        if not ((shares >= 0) & np.isfinite(shares)).all():
-            raise ConfigError("shares must be finite and nonnegative")
-        if np.abs(shares.sum(axis=0) - 1.0).max(initial=0.0) > 1e-9:
-            raise ConfigError("shares must sum to 1 in every column")
-        context.append(shares)
+        context.append(_checked_shares(shares, p_matrix.shape[0]))
     if needs_total:
         if total_count is None:
             raise ConfigError(f"{method} requires total_count")
-        try:
-            totals = np.asarray(total_count, dtype=float)
-        except OverflowError:
-            raise ConfigError(f"{method} requires every total_count to fit a double") from None
-        if not ((totals >= 1) & np.isfinite(totals)).all():
-            raise ConfigError(f"{method} requires every total_count to be finite and at least 1")
-        context.append(totals)
+        context.append(np.asarray(_checked_totals(total_count), dtype=float))
     if needs_rho:
-        if rho is None or not 0.0 < rho < 1.0:
-            raise ConfigError(f"{method} requires rho strictly inside (0, 1)")
-        context.append(rho)
+        if rho is None:
+            raise ConfigError(f"{method} requires rho")
+        context.append(_checked_rho(rho))
     return kernel(p_matrix, *context)
 
 
 def combine_by_id(method: str, ev: EvidenceSet) -> CombinedResult:
     """Combine one evidence set by method identifier (the CLI/config
     vocabulary); the M = 1 case of ``combine_matrix``."""
-    column = np.asarray(ev.p_values, dtype=float).reshape(ev.n_sites, 1)
-    p, stat = _combine(method, column, ev.shares, ev.total_count, ev.rho)
+    p, stat = _combine(method, np.asarray(ev.p_values)[:, None], ev.shares, ev.total_count, ev.rho)
     return CombinedResult(p=float(p[0]), statistic=float(stat[0]), method=method)
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_int_fields, checked_int
 from .semisynth import PrevalenceSeries
 
 __all__ = [
@@ -31,18 +31,6 @@ __all__ = [
 ]
 
 
-def _period_index(idx) -> int:
-    """`idx` as an int; anything that is not an integral number (NaN,
-    infinities, fractions, None, strings) is a DomainError."""
-    try:
-        as_int = int(idx)
-    except (TypeError, ValueError, OverflowError):
-        as_int = None
-    if as_int is None or as_int != idx:
-        raise DomainError(f"alarm indices must be integers, got {idx!r}")
-    return as_int
-
-
 @dataclasses.dataclass(frozen=True)
 class AlarmSeries:
     """Period indices at which an alarm fired, strictly increasing."""
@@ -50,7 +38,7 @@ class AlarmSeries:
     period_indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        indices = tuple(_period_index(idx) for idx in self.period_indices)
+        indices = tuple(checked_int(idx, "alarm index") for idx in self.period_indices)
         for a, b in zip(indices, indices[1:]):
             if b <= a:
                 raise DomainError("alarm indices must be sorted and unique")
@@ -58,7 +46,7 @@ class AlarmSeries:
 
     @staticmethod
     def of(indices: Iterable[int]) -> "AlarmSeries":
-        return AlarmSeries(tuple(sorted(set(_period_index(i) for i in indices))))
+        return AlarmSeries(tuple(sorted({checked_int(i, "alarm index") for i in indices})))
 
     def __len__(self) -> int:
         return len(self.period_indices)
@@ -73,11 +61,7 @@ class MatchWindow:
     after: int
 
     def __post_init__(self) -> None:
-        for extent in (self.before, self.after):
-            if isinstance(extent, bool) or not isinstance(extent, (int, np.integer)):
-                raise DomainError(f"window extents must be integers, got {extent!r}")
-        if self.before < 0 or self.after < 0:
-            raise DomainError("window extents must be nonnegative")
+        check_int_fields(self, before=0, after=0)
 
     @staticmethod
     def default_for(period: str) -> "MatchWindow":
@@ -110,8 +94,7 @@ def alarms_from_pvalues(p_series: Sequence[float], threshold: float) -> AlarmSer
 def alarms_from_growth(prev: PrevalenceSeries, theta: float, l: int) -> AlarmSeries:
     """Alarm where the rate exceeds its trailing l-period mean by more than
     a factor of 1+theta. Periods whose trailing mean is zero never alarm."""
-    if not (l >= 1 and float(l).is_integer()):
-        raise DomainError(f"baseline length must be a positive integer, got {l!r}")
+    l = checked_int(l, "baseline length l", 1)
     if not (math.isfinite(theta) and theta >= 0):
         raise DomainError(f"theta must be finite and >= 0, got {theta!r}")
     if prev.length <= l:
@@ -121,8 +104,8 @@ def alarms_from_growth(prev: PrevalenceSeries, theta: float, l: int) -> AlarmSer
         )
     rates = prev.rates
     hits = []
-    for t in range(int(l), prev.length):
-        base = math.fsum(rates[t - int(l) : t]) / l
+    for t in range(l, prev.length):
+        base = math.fsum(rates[t - l : t]) / l
         if base > 0.0 and rates[t] / base - 1.0 > theta:
             hits.append(t)
     return AlarmSeries(tuple(hits))

@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import combine
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_int_fields, checked_int
 from .evaluation import (
     AlarmSeries,
     MatchWindow,
@@ -91,8 +91,7 @@ class PowerCurveConfig:
     power_reps: int = 50_000
 
     def __post_init__(self) -> None:
-        if not (self.n_total >= 1 and float(self.n_total).is_integer()):
-            raise ConfigError("n_total must be a positive integer")
+        check_int_fields(self, ConfigError, n_total=1, calibration_reps=1000, power_reps=1000)
         ShareVector(tuple(float(s) for s in self.shares))
         if not self.theta_grid:
             raise ConfigError("theta_grid must be nonempty")
@@ -102,9 +101,6 @@ class PowerCurveConfig:
         for m in self.methods:
             if m not in POWER_METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {POWER_METHODS}")
-        for reps in (self.calibration_reps, self.power_reps):
-            if not (reps >= 1000 and float(reps).is_integer()):
-                raise ConfigError("Monte Carlo replicate counts must be integers >= 1000")
 
     @property
     def baseline_rate(self) -> float:
@@ -275,15 +271,11 @@ class SemisynthConfig:
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
 
     def __post_init__(self) -> None:
-        if not (self.n_replicates >= 1 and float(self.n_replicates).is_integer()):
-            raise ConfigError("n_replicates must be a positive integer")
+        check_int_fields(self, ConfigError, smoothing_window=1, n_replicates=1, entropy_sites=2)
+        sites = tuple(checked_int(n, "site count", 1, error=ConfigError) for n in self.site_sweep)
+        object.__setattr__(self, "site_sweep", sites)
         if not self.site_sweep_magnitude > 0:
             raise ConfigError("site_sweep_magnitude must be positive")
-        if not (self.entropy_sites >= 2 and float(self.entropy_sites).is_integer()):
-            raise ConfigError("entropy sweep needs an integer count of at least two sites")
-        for n in self.site_sweep:
-            if not (n >= 1 and float(n).is_integer()):
-                raise ConfigError(f"site counts must be positive integers, got {n!r}")
         for m in self.magnitude_sweep:
             if not m > 0:
                 raise ConfigError(f"magnitudes must be positive, got {m!r}")
@@ -420,9 +412,7 @@ def run_semisynth_sweep(
 
     sweep_points = []
     for n in cfg.site_sweep:
-        sweep_points.append(
-            ("sites", f"{int(n)}", cfg.site_sweep_magnitude, ShareVector.equal(int(n)), 1.0)
-        )
+        sweep_points.append(("sites", str(n), cfg.site_sweep_magnitude, ShareVector.equal(n), 1.0))
     for mag in cfg.magnitude_sweep:
         sweep_points.append(
             ("magnitude", f"{float(mag):g}", float(mag), ShareVector.equal(cfg.entropy_sites), 1.0)

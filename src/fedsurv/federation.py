@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import combine
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, check_int_fields
 from .semisynth import CountSeries, ShareVector
 from .surge import SurgeHypothesis, SurgeWindow, exact_p_value, window_p_values, window_totals
 
@@ -103,10 +103,7 @@ class CoarseReport:
     total_count: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.total_count < math.inf or int(self.total_count) != self.total_count:
-            raise DomainError("total_count must be a nonnegative integer")
-        if self.cycle_index < 0:
-            raise DomainError("cycle_index must be nonnegative")
+        check_int_fields(self, cycle_index=0, total_count=0)
 
     def to_json(self) -> dict:
         return {"site_id": self.site_id, "cycle": self.cycle_index, "total": self.total_count}
@@ -139,10 +136,7 @@ class FederationConfig:
                 f"method {self.method!r} weights by shares; share_source "
                 f"must be 'known' or 'estimated'"
             )
-        if not (self.reporting_cycle >= 1 and float(self.reporting_cycle).is_integer()):
-            raise ConfigError("reporting_cycle must be a positive integer")
-        if not (self.lag >= 0 and float(self.lag).is_integer()):
-            raise ConfigError("lag must be a nonnegative integer")
+        check_int_fields(self, ConfigError, reporting_cycle=1, lag=0)
 
 
 class CombinedPeriod(NamedTuple):

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, checked_int
 
 __all__ = [
     "CountSeries",
@@ -42,10 +42,8 @@ def period_step(period: str) -> datetime.timedelta:
 
 def date_range(start: datetime.date, length: int, period: str) -> tuple[datetime.date, ...]:
     """Evenly spaced dates starting at `start`, one per period."""
-    if length < 0:
-        raise DomainError("length must be nonnegative")
     step = period_step(period)
-    return tuple(start + i * step for i in range(length))
+    return tuple(start + i * step for i in range(checked_int(length, "length", 0)))
 
 
 def _check_timeline(timestamps: Sequence[datetime.date], period: str) -> None:
@@ -71,9 +69,11 @@ class CountSeries:
         if len(self.timestamps) != len(self.counts):
             raise DomainError("timestamps and counts must have equal length")
         _check_timeline(self.timestamps, self.period)
-        for c in self.counts:
-            if int(c) != c or c < 0:
-                raise DomainError(f"counts must be nonnegative integers, got {c!r}")
+        # int64 counts are integers by dtype; any others meet the integer rule
+        counts = np.asarray(self.counts)
+        if counts.dtype != np.int64 or (counts < 0).any():
+            for c in self.counts:
+                checked_int(c, "count", 0)
 
     @property
     def length(self) -> int:
@@ -123,8 +123,7 @@ class ShareVector:
 
     @staticmethod
     def equal(n_sites: int) -> "ShareVector":
-        if n_sites < 1:
-            raise DomainError("n_sites must be positive")
+        n_sites = checked_int(n_sites, "n_sites", 1)
         return ShareVector((1.0 / n_sites,) * n_sites)
 
 
@@ -134,15 +133,14 @@ def _coerce_shares(shares: "ShareVector | Iterable[float]") -> ShareVector:
     return ShareVector(tuple(float(s) for s in shares))
 
 
+def _checked_seed(seed) -> int:
+    """A seed is a nonnegative integer of any size."""
+    return checked_int(seed, "seed", 0, maximum=None, error=ConfigError)
+
+
 def _seed_sequence(seed: int) -> np.random.SeedSequence:
-    """The root of every seeded stream; a seed is a nonnegative integer."""
-    try:
-        valid = int(seed) == seed and seed >= 0
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        raise ConfigError(f"seed must be a nonnegative integer, got {seed!r}")
-    return np.random.SeedSequence(int(seed))
+    """The root of every seeded stream."""
+    return np.random.SeedSequence(_checked_seed(seed))
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -158,11 +156,9 @@ def moving_average(series: CountSeries, window: int) -> PrevalenceSeries:
     however many observations exist, so the output stays aligned with the
     input timeline and a window longer than the series is still defined.
     """
-    if not (window >= 1 and float(window).is_integer()):
-        raise DomainError(f"window must be a positive integer, got {window!r}")
+    w = checked_int(window, "window", 1)
     if series.length == 0:
         raise DomainError("cannot smooth an empty series")
-    w = int(window)
     counts = np.asarray(series.counts, dtype=float)
     n = counts.size
     prefix = np.concatenate(([0.0], np.cumsum(counts)))

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import numerics
 from .errors import BoundsNotApplicableError, ConfigError, DomainError
+from .errors import check_int_fields, checked_int
 
 __all__ = [
     "SurgeHypothesis",
@@ -52,8 +53,7 @@ class SurgeHypothesis:
     def __post_init__(self):
         if not math.isfinite(self.theta) or self.theta < 0:
             raise DomainError("theta must be finite and >= 0")
-        if not (self.baseline_len >= 1 and float(self.baseline_len).is_integer()):
-            raise DomainError("baseline_len must be a positive integer")
+        check_int_fields(self, baseline_len=1)
         if not 0 < self.alpha < 1:
             raise DomainError("alpha must lie strictly inside (0, 1)")
 
@@ -76,10 +76,9 @@ class SurgeWindow:
     test_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "baseline_counts", tuple(int(k) for k in self.baseline_counts))
-        object.__setattr__(self, "test_count", int(self.test_count))
-        if any(k < 0 for k in self.baseline_counts) or self.test_count < 0:
-            raise DomainError("counts must be nonnegative")
+        baseline = tuple(checked_int(k, "baseline count", 0) for k in self.baseline_counts)
+        object.__setattr__(self, "baseline_counts", baseline)
+        check_int_fields(self, test_count=0)
 
     @property
     def baseline_total(self) -> int:
@@ -103,8 +102,7 @@ class PowerScenario:
     hypothesis: SurgeHypothesis
 
     def __post_init__(self):
-        if not (self.n >= 1 and float(self.n).is_integer()):
-            raise DomainError("n must be a positive integer")
+        check_int_fields(self, n=1)
         if not math.isfinite(self.theta_alt) or self.theta_alt < 0:
             raise DomainError("theta_alt must be finite and >= 0")
 
@@ -230,8 +228,7 @@ def critical_value(n: int, hyp: SurgeHypothesis) -> int:
     The tail is strictly decreasing in k, so a binary search over
     0..n+1 finds the threshold with O(log n) tail evaluations.
     """
-    if int(n) != n or n < 1:
-        raise DomainError("n must be a positive integer")
+    n = checked_int(n, "n", 1)
     q = hyp.q
     alpha = hyp.alpha
     if _tail_at_least(n, n, q) > alpha:

@@ -362,7 +362,9 @@ class TestCmdPowerCurve:
         assert code == 2 and out == ""
         assert "theta_grid" in err
 
-    @pytest.mark.parametrize("fields", [{"theta_grid": [1e300]}, {"n_total": 1e300}])
+    # n_total cannot reach the limit: past int64 it is rejected by name
+    # first (TestCountsPastInt64)
+    @pytest.mark.parametrize("fields", [{"theta_grid": [1e300]}])
     def test_poisson_rate_past_numpy_limit_exits_2(self, tmp_path, capsys, fields):
         cfg = write_config(tmp_path, calibration_reps=1000, power_reps=1000, **fields)
         code, out, err = run(["power-curve", "--config", cfg, "--seed", 1], capsys)
@@ -596,6 +598,29 @@ class TestCmdFederation:
         assert outputs[0] == outputs[1]
         assert '"reporting_cycle": 3,' in outputs[1]
 
+    def test_shares_alone_set_n_sites(self, tmp_path, capsys):
+        shares = dict(shares=[0.5, 0.3, 0.2])
+        outputs = []
+        for name, fields in (("s.json", shares), ("sn.json", shares | {"n_sites": 3})):
+            cfg = write_config(tmp_path, name, **fields)
+            code, out, _ = run(["federation", "--config", cfg, "--seed", 3], capsys)
+            assert code == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["sites"]) == 3
+
+    def test_shares_and_n_sites_must_agree(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, shares=[0.5, 0.3, 0.2], n_sites=4)
+        code, out, err = run(["federation", "--config", cfg, "--seed", 3], capsys)
+        assert code == 2 and out == ""
+        assert "n_sites" in err
+
+    def test_seed_past_int64_accepted(self, tmp_path, capsys):
+        # seeds are integers of any size; only counts stop at int64
+        cfg = write_config(tmp_path, n_sites=2, seed=2**64 - 1)
+        code, out, _ = run(["federation", "--config", cfg], capsys)
+        assert code == 0 and json.loads(out)["config"]["seed"] == 2**64 - 1
+
     def test_fixture_fields_with_csv_exit_2(self, tmp_path, counts_csv, capsys):
         cfg = write_config(tmp_path, csv=str(counts_csv), method="fisher", n_sites=2)
         code, _, err = run(["federation", "--config", cfg, "--seed", 1], capsys)
@@ -704,6 +729,35 @@ class TestScipyLastDigits:
         assert [e["alarm"] for e in doc["periods"]] == [e["alarm"] for e in golden["periods"]]
         assert any(e["p"] != g["p"] for e, g in zip(doc["periods"], golden["periods"]))
 
+
+
+class TestCountsPastInt64:
+    """A count past int64 in a config exits 2 naming its field; it used to
+    end in an OverflowError traceback."""
+
+    @pytest.mark.parametrize(
+        "command, field",
+        [
+            ("power-curve", "n_total"),
+            ("power-curve", "calibration_reps"),
+            ("power-curve", "power_reps"),
+            ("semisynth", "n_replicates"),
+            ("semisynth", "entropy_sites"),
+            ("semisynth", "site_sweep"),
+            ("semisynth", "smoothing_window"),
+            ("federation", "baseline_len"),
+            ("federation", "lag"),
+            ("federation", "reporting_cycle"),
+            ("federation", "n_sites"),
+        ],
+    )
+    @pytest.mark.parametrize("huge", [10**400, 1e300], ids=["400-digit", "1e300"])
+    def test_exits_2_naming_the_field(self, tmp_path, capsys, command, field, huge):
+        value = [huge] if field == "site_sweep" else huge
+        cfg = write_config(tmp_path, **{field: value})
+        code, out, err = run([command, "--config", cfg, "--seed", 1], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"fedsurv: error: config field {field!r}")
 
 class TestCmdEvaluate:
     @pytest.fixture

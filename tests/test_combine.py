@@ -20,6 +20,20 @@ def ev(ps, **kw):
     return EvidenceSet(tuple(ps), **kw)
 
 
+# Bad combiner context for two sites, each rejected with ConfigError by
+# EvidenceSet and by combine_matrix alike (TestOneContextRule)
+BAD_SHARES = (
+    (0.6, 0.6),
+    (1.2, -0.2),
+    (1.5, -0.5),
+    (1.0,),
+    (float("nan"), 1.0),
+    (float("inf"), 1.0),
+)
+BAD_TOTALS = (float("nan"), float("inf"), -1, 0, 2.5, True, "ten", 10**400)
+BAD_RHOS = (0.0, 1.0, -0.5, 1.5, float("nan"), "0.5")
+
+
 class TestEvidenceSet:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
@@ -32,13 +46,7 @@ class TestEvidenceSet:
             ev([0.5, float("nan")])
 
     def test_share_validation(self):
-        with pytest.raises(ConfigError):
-            ev([0.5, 0.5], shares=(0.6, 0.6))
-        with pytest.raises(ConfigError):
-            ev([0.5, 0.5], shares=(1.2, -0.2))
-        with pytest.raises(ConfigError):
-            ev([0.5, 0.5], shares=(1.0,))
-        for bad in ((float("nan"), 1.0), (float("inf"), 1.0)):
+        for bad in BAD_SHARES:
             with pytest.raises(ConfigError):
                 ev([0.01, 0.5], shares=bad)
 
@@ -47,9 +55,19 @@ class TestEvidenceSet:
         assert s.p_values == (0.0, 1.0)
 
     def test_non_finite_total_count_rejected(self):
-        for bad in (float("nan"), float("inf"), -1, 2.5):
+        for bad in BAD_TOTALS:
             with pytest.raises(ConfigError):
                 ev([0.5, 0.5], total_count=bad)
+
+    def test_integral_float_total_is_stored_as_int(self):
+        got = ev([0.5, 0.5], total_count=50.0)
+        assert got.total_count == 50 and type(got.total_count) is int
+
+    def test_nested_values_rejected(self):
+        with pytest.raises(ConfigError):
+            ev([[0.5, 0.5]])
+        with pytest.raises(ConfigError):
+            ev([0.5, 0.5], shares=[[0.5, 0.5], [0.5, 0.5]])
 
     def test_total_count_beyond_a_double_rejected(self):
         with pytest.raises(ConfigError):
@@ -555,7 +573,7 @@ class TestSharedProperties:
     def test_matrix_rejects_negative_shares(self):
         p_mat = np.array([[0.2, 0.6], [0.4, 0.01]])
         for method in sorted(cb.SHARE_METHODS):
-            for shares in ((1.5, -0.5), (float("nan"), 1.0), [[0.5, np.nan], [0.5, 1.0]]):
+            for shares in BAD_SHARES + ([[0.5, np.nan], [0.5, 1.0]],):
                 with pytest.raises(ConfigError):
                     cb.combine_matrix(method, p_mat, shares=shares, total_count=50, rho=0.7)
 
@@ -593,6 +611,39 @@ class TestSharedProperties:
                     cb.combine_matrix(
                         method, p_mat, shares=(0.5, 0.5), total_count=total, rho=0.7
                     )
+
+
+class TestOneContextRule:
+    """EvidenceSet checks every piece of context it is given, combine_matrix
+    what its method reads, and both by the same rules."""
+
+    GOOD = dict(shares=(0.5, 0.5), total_count=50, rho=0.7)
+
+    @pytest.mark.parametrize(
+        "context",
+        [{"shares": s} for s in BAD_SHARES]
+        + [{"total_count": t} for t in BAD_TOTALS]
+        + [{"rho": r} for r in BAD_RHOS],
+    )
+    def test_both_paths_reject_alike(self, context):
+        args = self.GOOD | context
+        with pytest.raises(ConfigError):
+            EvidenceSet((0.2, 0.4), **args)
+        with pytest.raises(ConfigError):
+            cb.combine_matrix("cstouffer", [[0.2], [0.4]], **args)
+
+    def test_matrix_checks_only_what_the_method_reads(self):
+        bad = dict(shares=BAD_SHARES[0], total_count=BAD_TOTALS[0], rho=BAD_RHOS[0])
+        assert cb.combine_matrix("fisher", [[0.2], [0.4]], **bad).shape == (1,)
+        with pytest.raises(ConfigError):
+            cb.combine_matrix("wfisher", [[0.2], [0.4]], **bad)
+
+    def test_built_evidence_combines_like_its_matrix(self):
+        e = EvidenceSet((0.2, 0.4), shares=(0.25, 0.75), total_count=30.0, rho=0.7)
+        for method in cb.METHOD_IDS:
+            got = cb.combine_by_id(method, e).p
+            want = cb.combine_matrix(method, [[0.2], [0.4]], (0.25, 0.75), 30, 0.7)[0]
+            assert got == want, method
 
 
 class TestScipyLastDigits:

@@ -34,11 +34,11 @@ class TestTypes:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), None, 1.5, "3"])
     def test_alarm_series_rejects_non_integral_indices(self, bad):
-        with pytest.raises(DomainError, match="alarm indices must be integers"):
+        with pytest.raises(DomainError, match="alarm index must be an integer"):
             ev.AlarmSeries((bad,))
-        with pytest.raises(DomainError, match="alarm indices must be integers"):
+        with pytest.raises(DomainError, match="alarm index must be an integer"):
             ev.AlarmSeries((0, bad))
-        with pytest.raises(DomainError, match="alarm indices must be integers"):
+        with pytest.raises(DomainError, match="alarm index must be an integer"):
             ev.AlarmSeries.of([2, bad])
 
     def test_alarm_series_of_keeps_integral_values_as_ints(self):
@@ -47,15 +47,23 @@ class TestTypes:
         assert all(type(i) is int for i in got.period_indices)
         assert ev.AlarmSeries((1.0, 4)).period_indices == (1, 4)
 
+    @pytest.mark.parametrize("bad", [True, np.bool_(False), 2**63])
+    def test_alarm_series_rejects_bools_and_indices_past_int64(self, bad):
+        with pytest.raises(DomainError, match="alarm index must be an integer"):
+            ev.AlarmSeries((bad,))
+
     def test_match_window_validation(self):
         with pytest.raises(DomainError):
             ev.MatchWindow(-1, 2)
-        for bad in (1.5, 1.0, True, "1", None):
+        for bad in (1.5, True, "1", None, float("nan"), 2**63):
             with pytest.raises(DomainError):
                 ev.MatchWindow(bad, 2)
             with pytest.raises(DomainError):
                 ev.MatchWindow(2, bad)
         assert ev.MatchWindow(np.int64(1), 0) == ev.MatchWindow(1, 0)
+        # an integral float is an integer, stored as int
+        window = ev.MatchWindow(1.0, 2)
+        assert window == ev.MatchWindow(1, 2) and type(window.before) is int
         assert ev.MatchWindow.default_for("weekly") == ev.MatchWindow(1, 2)
         assert ev.MatchWindow.default_for("daily") == ev.MatchWindow(7, 14)
 

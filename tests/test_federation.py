@@ -45,11 +45,16 @@ class TestConfig:
             fed.FederationConfig(HYP, "fisher", reporting_cycle=0)
         with pytest.raises(ConfigError):
             fed.FederationConfig(HYP, "fisher", lag=-1)
-        for bad in (float("nan"), float("inf"), 1.5):
+        for bad in (float("nan"), float("inf"), 1.5, True, 2**63):
             with pytest.raises(ConfigError):
                 fed.FederationConfig(HYP, "fisher", reporting_cycle=bad)
             with pytest.raises(ConfigError):
                 fed.FederationConfig(HYP, "fisher", lag=bad)
+
+    def test_integral_floats_are_stored_as_ints(self):
+        cfg = fed.FederationConfig(HYP, "fisher", reporting_cycle=2.0, lag=1.0)
+        assert cfg == fed.FederationConfig(HYP, "fisher", reporting_cycle=2, lag=1)
+        assert type(cfg.reporting_cycle) is int and type(cfg.lag) is int
 
 
 class TestSiteReports:
@@ -155,9 +160,13 @@ class TestInformationBoundary:
         ]
 
     def test_coarse_total_must_be_a_finite_integer(self):
-        for bad in (float("nan"), float("inf"), -1, 2.5):
+        for bad in (float("nan"), float("inf"), -1, 2.5, True, 10**400):
             with pytest.raises(DomainError):
                 fed.CoarseReport("a", 0, bad)
+            with pytest.raises(DomainError):
+                fed.CoarseReport("a", bad, 5)
+        report = fed.CoarseReport("a", 2.0, 5.0)
+        assert report == fed.CoarseReport("a", 2, 5) and type(report.total_count) is int
 
     def test_wire_schema(self):
         rep = fed.PValueReport("a", 7, 0.25)
@@ -247,6 +256,22 @@ class TestRunFederation:
         assert all(r.shares is None for r in plain)
         weighted = fed.run_federation(nodes, fed.FederationConfig(HYP, "wfisher", share_source="known"))
         assert all(r.shares == (0.5, 0.5) for r in weighted)
+
+    def test_integral_float_settings_run_like_ints(self):
+        # a float baseline length or reporting cycle used to reach numpy
+        # indexing and range() as a float and fail there
+        rng = np.random.default_rng(5)
+        nodes = [node([int(v) for v in rng.poisson(20.0, 16)], f"s{i}") for i in range(3)]
+        for as_float, as_int in (
+            (dict(hypothesis=SurgeHypothesis(0.3, 4.0)), dict(hypothesis=HYP)),
+            (
+                dict(hypothesis=HYP, share_source="estimated", reporting_cycle=2.0),
+                dict(hypothesis=HYP, share_source="estimated", reporting_cycle=2),
+            ),
+        ):
+            got = fed.run_federation(nodes, fed.FederationConfig(method="wfisher", **as_float))
+            want = fed.run_federation(nodes, fed.FederationConfig(method="wfisher", **as_int))
+            assert got == want and len(got) == 12
 
     def test_determinism(self):
         rng = np.random.default_rng(12)

@@ -32,11 +32,21 @@ class TestHypothesis:
             SurgeHypothesis(theta=0.3, baseline_len=0)
         with pytest.raises(DomainError):
             SurgeHypothesis(theta=0.3, baseline_len=4, alpha=1.0)
-        for bad in (float("nan"), float("inf"), 2.5):
+        for bad in (float("nan"), float("inf"), 2.5, True, 2**63):
             with pytest.raises(DomainError):
                 SurgeHypothesis(theta=0.3, baseline_len=bad)
             with pytest.raises(DomainError):
                 PowerScenario(n=bad, theta_alt=0.6, hypothesis=HYP)
+
+    def test_integral_floats_are_stored_as_ints(self):
+        hyp = SurgeHypothesis(theta=0.3, baseline_len=4.0)
+        assert hyp == HYP and type(hyp.baseline_len) is int
+        scn = PowerScenario(n=60.0, theta_alt=0.6, hypothesis=HYP)
+        assert type(scn.n) is int
+        # an integral-float length indexes like the int it stands for
+        got = surge.window_totals(np.arange(8), hyp.baseline_len)
+        want = surge.window_totals(np.arange(8), 4)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     def test_window_validation(self):
         with pytest.raises(DomainError):
@@ -251,6 +261,13 @@ class TestCriticalValue:
     def test_unattainable_returns_n_plus_one(self):
         # n=1: tail(1) = q ~ 0.245 > alpha
         assert surge.critical_value(1, HYP) == 2
+
+    def test_integral_float_n_gives_an_int(self):
+        got = surge.critical_value(100.0, HYP)
+        assert got == 33 and type(got) is int
+        for bad in (0, 2.5, True, float("nan")):
+            with pytest.raises(DomainError):
+                surge.critical_value(bad, HYP)
 
 
 class TestPower:
