@@ -1,23 +1,30 @@
 """p-value combination: four classic combiners plus share-weighted variants.
 
 All nine methods live in one table: method id -> batch kernel and the
-weighting context (shares, total count, rho) the kernel needs. Both entry
-points go through the same validation and the same kernel:
-``combine_matrix`` combines each column of an (N, M) p-value matrix, the
-form the Monte Carlo engines use, and ``combine_by_id`` combines one
-EvidenceSet as the M = 1 case, returning the combined p together with the
-underlying statistic. Every kernel sums over sites in one fixed order, so a
-column's bits do not depend on how many columns are combined with it.
-Kernels that share a statistic share its code: wfisher and lancaster differ
-only in the Gamma shapes they hand one transform, ``_gamma_transform``, and
-cstouffer adds its continuity term to wstouffer's statistic. That transform
-hands every cell to ``numerics.gamma_isf``, whose memo inverts each
-(p, shape) pair about once per process, however often the engines' batches
-repeat it; the result is the same bits as inverting cell by cell.
+weighting context (shares, total count, rho) the kernel needs. Every entry
+point goes through one pass, ``combine_methods``: it combines each column
+of an (N, M) p-value matrix by any number of methods, checking the context
+they read once and clamping p once. The per-site transforms (normal
+quantiles, log p, log(1 - p), the s_i * N weights and the weighted z sum)
+are computed at most once per pass, when the first method that reads one
+needs it, so the engines score every method of a batch from one set of
+them. ``combine_matrix`` is its one-method case, the form the federation
+uses, and ``combine_by_id`` combines one EvidenceSet as the one-method,
+M = 1 case, returning the combined p together with the underlying
+statistic. Every kernel sums over sites in one fixed order, so a column's
+bits do not depend on how many columns, or which other methods, are
+combined with it. Kernels that share a statistic share its code: wfisher
+and lancaster differ only in the Gamma shapes they hand one transform,
+``_gamma_transform``, and cstouffer adds its continuity term to
+wstouffer's statistic. That transform makes one ``numerics.gamma_isf``
+call per method, whose memo inverts each (p, shape) pair about once per
+process, however often the engines' batches repeat it; the result is the
+same bits as inverting cell by cell.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -36,6 +43,7 @@ __all__ = [
     "CombinedResult",
     "combine_by_id",
     "combine_matrix",
+    "combine_methods",
     "window_weights",
 ]
 
@@ -76,10 +84,6 @@ class CombinedResult:
     p: float
     statistic: float
     method: str
-
-
-def _clamped(p_matrix: np.ndarray) -> np.ndarray:
-    return np.clip(p_matrix, CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 
 def _shares_column(shares, n_sites: int) -> np.ndarray:
@@ -153,85 +157,116 @@ def _site_sum(x: np.ndarray) -> np.ndarray:
     return out
 
 
+class _Sites:
+    """One checked (N, M) p-matrix with the context the methods read, and
+    every per-site transform of it, each computed at most once: when the
+    first kernel that needs it reads it."""
+
+    def __init__(self, p_matrix: np.ndarray, shares, totals, rho):
+        self.p = p_matrix
+        self.n = p_matrix.shape[0]
+        self.shares = shares
+        self.totals = totals
+        self.rho = rho
+
+    @functools.cached_property
+    def clamped(self) -> np.ndarray:
+        return np.clip(self.p, CLAMP_EPS, 1.0 - CLAMP_EPS)
+
+    @functools.cached_property
+    def z(self) -> np.ndarray:
+        return numerics.normal_quantile(self.clamped)
+
+    @functools.cached_property
+    def log_p(self) -> np.ndarray:
+        return np.log(self.clamped)
+
+    @functools.cached_property
+    def log_q(self) -> np.ndarray:
+        return np.log1p(-self.clamped)
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        """s_i * N: wfisher's Gamma shapes and Good's weights."""
+        return self.shares * self.n
+
+    @functools.cached_property
+    def weighted_z(self) -> np.ndarray:
+        """Sum of sqrt(s_i) * z_i: wstouffer's statistic and cstouffer's base."""
+        return _site_sum(np.sqrt(self.shares) * self.z)
+
+
 # --------------------------------------------------------------- batch kernels
-# Each takes P of shape (N, M), returns (combined_p, statistic) of shape (M,).
+# Each reads one _Sites of an (N, M) matrix and returns (combined_p,
+# statistic) of shape (M,).
 
-def stouffer_matrix(p_matrix: np.ndarray):
+def _stouffer(s: _Sites):
     """Phi(sum of z-scores / sqrt(N)); the statistic is the raw z sum."""
-    z = numerics.normal_quantile(_clamped(p_matrix))
-    stat = _site_sum(z)
-    n = p_matrix.shape[0]
-    return numerics.normal_cdf(stat / np.sqrt(n)), stat
+    stat = _site_sum(s.z)
+    return numerics.normal_cdf(stat / np.sqrt(s.n)), stat
 
 
-def fisher_matrix(p_matrix: np.ndarray):
+def _fisher(s: _Sites):
     """Upper chi-square(2N) tail of -2 * sum(log p_i)."""
-    stat = -2.0 * _site_sum(np.log(_clamped(p_matrix)))
-    n = p_matrix.shape[0]
-    return numerics.gamma_sf(float(n), stat / 2.0), stat
+    stat = -2.0 * _site_sum(s.log_p)
+    return numerics.gamma_sf(float(s.n), stat / 2.0), stat
 
 
-def pearson_matrix(p_matrix: np.ndarray):
+def _pearson(s: _Sites):
     """Lower chi-square(2N) tail of -2 * sum(log(1-p_i)): small p_i shrink
     the statistic, so evidence lies in the lower tail."""
-    stat = -2.0 * _site_sum(np.log1p(-_clamped(p_matrix)))
-    n = p_matrix.shape[0]
-    return numerics.gamma_cdf(float(n), stat / 2.0), stat
+    stat = -2.0 * _site_sum(s.log_q)
+    return numerics.gamma_cdf(float(s.n), stat / 2.0), stat
 
 
-def tippett_matrix(p_matrix: np.ndarray):
+def _tippett(s: _Sites):
     """1 - (1 - min p_i)^N; the statistic is the minimum p-value."""
-    stat = p_matrix.min(axis=0)
-    n = p_matrix.shape[0]
+    stat = s.p.min(axis=0)
     # min p == 1 rides through log1p as -inf and lands on exactly 1.0
     with np.errstate(divide="ignore"):
-        return -np.expm1(n * np.log1p(-stat)), stat
+        return -np.expm1(s.n * np.log1p(-stat)), stat
 
 
-def _weighted_z_sum(p_matrix: np.ndarray, shares) -> np.ndarray:
-    """Sum of sqrt(s_i) * z_i: wstouffer's statistic and cstouffer's base."""
-    sqrt_s = np.sqrt(_shares_column(shares, p_matrix.shape[0]))
-    return _site_sum(sqrt_s * numerics.normal_quantile(_clamped(p_matrix)))
-
-
-def weighted_stouffer_matrix(p_matrix: np.ndarray, shares):
+def _weighted_stouffer(s: _Sites):
     """Phi(sum of sqrt(s_i) * z_i); equals stouffer at equal shares."""
-    stat = _weighted_z_sum(p_matrix, shares)
+    stat = s.weighted_z
     return numerics.normal_cdf(stat), stat
 
 
-def corrected_stouffer_matrix(p_matrix: np.ndarray, shares, total_count, rho):
+def _corrected_stouffer(s: _Sites):
     """Weighted Stouffer plus the continuity term (1-N)/(2*sqrt(rho*(1-rho)*n)).
 
     The term is zero at N=1 and strictly negative otherwise, making the
     combined p-value smaller (less conservative).
     """
-    base = _weighted_z_sum(p_matrix, shares)
-    correction = (1.0 - p_matrix.shape[0]) / (
-        2.0 * np.sqrt(rho * (1.0 - rho) * np.asarray(total_count, dtype=float))
-    )
-    stat = base + correction
+    correction = (1.0 - s.n) / (2.0 * np.sqrt(s.rho * (1.0 - s.rho) * s.totals))
+    stat = s.weighted_z + correction
     return numerics.normal_cdf(stat), stat
 
 
-def _gamma_transform(p_matrix: np.ndarray, shapes, total_shape):
+def _gamma_transform(clamped: np.ndarray, shapes: np.ndarray, total_shape):
     """Sum of each site's (1-p_i)-quantile of Gamma(shape_i, 1/2), referred
     to Gamma(total_shape, 1/2); returns (combined_p, statistic).
 
     The quantile goes through the survival inverse so tiny p-values keep
     full precision. A site with shape 0 contributes 0, the shape->0 limit
-    of the quantile. Every other cell goes to ``numerics.gamma_isf``, whose
-    memo inverts a repeated (p, shape) pair about once per process.
+    of the quantile, so only when some shape is 0 are the other cells
+    gathered out. Every cell inverted goes to ``numerics.gamma_isf`` in one
+    call, whose memo inverts a repeated (p, shape) pair about once per
+    process.
     """
-    sh_b, p_b = np.broadcast_arrays(shapes, p_matrix)
-    pos = sh_b > 0.0
-    contrib = np.zeros(sh_b.shape, dtype=float)
-    contrib[pos] = 2.0 * numerics.gamma_isf(sh_b[pos], _clamped(p_b[pos]))
+    if (shapes > 0.0).all():
+        contrib = 2.0 * numerics.gamma_isf(shapes, clamped)
+    else:
+        sh_b, p_b = np.broadcast_arrays(shapes, clamped)
+        pos = sh_b > 0.0
+        contrib = np.zeros(sh_b.shape, dtype=float)
+        contrib[pos] = 2.0 * numerics.gamma_isf(sh_b[pos], p_b[pos])
     stat = _site_sum(contrib)
     return numerics.gamma_sf(total_shape, stat / 2.0), stat
 
 
-def wfisher_matrix(p_matrix: np.ndarray, shares):
+def _wfisher(s: _Sites):
     """Share-weighted Fisher: Gamma(s_i*N, 1/2) transforms, chi-square(2N) null.
 
     Site i's p-value maps to the (1-p_i)-quantile of Gamma(s_i*N, 1/2), so
@@ -239,12 +274,10 @@ def wfisher_matrix(p_matrix: np.ndarray, shares):
     the statistic keeps an exact chi-square(2N) null; equal shares reduce
     to fisher.
     """
-    n_sites = p_matrix.shape[0]
-    shapes = _shares_column(shares, n_sites) * n_sites
-    return _gamma_transform(p_matrix, shapes, float(n_sites))
+    return _gamma_transform(s.clamped, s.weights, float(s.n))
 
 
-def goods_matrix(p_matrix: np.ndarray, shares):
+def _goods(s: _Sites):
     """Weighted log sum -2 * sum(s_i*N * log p_i) referred to chi-square(2N).
 
     The chi-square null is an approximation (the exact null of a weighted
@@ -252,13 +285,11 @@ def goods_matrix(p_matrix: np.ndarray, shares):
     the method's classical formulation, with weights w_i = s_i*N chosen so
     the nominal degrees of freedom match fisher's.
     """
-    n_sites = p_matrix.shape[0]
-    weights = _shares_column(shares, n_sites) * n_sites
-    stat = _site_sum(-2.0 * weights * np.log(_clamped(p_matrix)))
-    return numerics.gamma_sf(float(n_sites), stat / 2.0), stat
+    stat = _site_sum(-2.0 * s.weights * s.log_p)
+    return numerics.gamma_sf(float(s.n), stat / 2.0), stat
 
 
-def lancaster_matrix(p_matrix: np.ndarray, shares, total_count):
+def _lancaster(s: _Sites):
     """Lancaster's Gamma-transform combiner with df_i = s_i * n per site.
 
     Site i contributes the (1-p_i)-quantile of Gamma(df_i/2, 1/2), a
@@ -268,24 +299,25 @@ def lancaster_matrix(p_matrix: np.ndarray, shares, total_count):
     df_i = 2 recovers fisher. df_i is floored at 1e-6, so a zero-share
     site still takes part.
     """
-    shapes = np.maximum(shares * total_count, 1e-6) / 2.0
-    return _gamma_transform(p_matrix, shapes, _site_sum(shapes))
+    shapes = np.maximum(s.shares * s.totals, 1e-6) / 2.0
+    return _gamma_transform(s.clamped, shapes, _site_sum(shapes))
 
 
 # ------------------------------------------------------------- method table
-# method -> (kernel, needs_shares, needs_total, needs_rho); the kernel takes
-# the p-matrix followed by the context it needs, in that order. The order
-# of the table is the order of METHOD_IDS.
+# method -> (kernel, needs_shares, needs_total, needs_rho, transforms): the
+# _Sites transforms the kernel reads, directly or through another, so a
+# pass can drop each one after the last method that reads it. The order of
+# the table is the order of METHOD_IDS.
 _METHODS = {
-    "stouffer": (stouffer_matrix, False, False, False),
-    "fisher": (fisher_matrix, False, False, False),
-    "pearson": (pearson_matrix, False, False, False),
-    "tippett": (tippett_matrix, False, False, False),
-    "wstouffer": (weighted_stouffer_matrix, True, False, False),
-    "cstouffer": (corrected_stouffer_matrix, True, True, True),
-    "wfisher": (wfisher_matrix, True, False, False),
-    "goods": (goods_matrix, True, False, False),
-    "lancaster": (lancaster_matrix, True, True, False),
+    "stouffer": (_stouffer, False, False, False, ("clamped", "z")),
+    "fisher": (_fisher, False, False, False, ("clamped", "log_p")),
+    "pearson": (_pearson, False, False, False, ("clamped", "log_q")),
+    "tippett": (_tippett, False, False, False, ()),
+    "wstouffer": (_weighted_stouffer, True, False, False, ("clamped", "z", "weighted_z")),
+    "cstouffer": (_corrected_stouffer, True, True, True, ("clamped", "z", "weighted_z")),
+    "wfisher": (_wfisher, True, False, False, ("clamped", "weights")),
+    "goods": (_goods, True, False, False, ("clamped", "weights", "log_p")),
+    "lancaster": (_lancaster, True, True, False, ("clamped",)),
 }
 
 METHOD_IDS = tuple(_METHODS)
@@ -294,41 +326,64 @@ METHOD_IDS = tuple(_METHODS)
 SHARE_METHODS = frozenset(m for m, entry in _METHODS.items() if entry[1])
 
 
-def _combine(method: str, p_matrix, shares, total_count, rho):
-    """Validate the inputs `method` uses and run its kernel; returns the
-    (combined_p, statistic) pair of (M,) arrays."""
-    if not isinstance(method, str) or method not in _METHODS:
-        raise ConfigError(f"unknown method {method!r}; expected one of {METHOD_IDS}")
-    kernel, needs_shares, needs_total, needs_rho = _METHODS[method]
+def combine_methods(methods, p_matrix, shares=None, total_count=None, rho=None):
+    """Combine each column of an (N, M) p-value matrix by every method in
+    ``methods``; returns an iterator of one (combined_p, statistic) pair of
+    (M,) arrays per method, in order, each computed when it is taken.
+
+    The inputs are checked at once, for the context any of the methods
+    reads: shares may be one (N,) vector or one per column, (N, M);
+    total_count may be one count or one per column. p is clamped once, and
+    each per-site transform is computed once for every method that reads
+    it and dropped after the last one.
+    """
+    methods = tuple(methods)
+    for method in methods:
+        if not isinstance(method, str) or method not in _METHODS:
+            raise ConfigError(f"unknown method {method!r}; expected one of {METHOD_IDS}")
     p_matrix = _checked_p_values(p_matrix)
-    context = []
-    if needs_shares:
-        if shares is None:
-            raise ConfigError(f"{method} requires per-site shares")
-        context.append(_checked_shares(shares, p_matrix.shape[0]))
-    if needs_total:
-        if total_count is None:
-            raise ConfigError(f"{method} requires total_count")
-        context.append(np.asarray(_checked_totals(total_count), dtype=float))
-    if needs_rho:
-        if rho is None:
-            raise ConfigError(f"{method} requires rho")
-        context.append(_checked_rho(rho))
-    return kernel(p_matrix, *context)
+
+    def needed(flag: int, value, what: str) -> bool:
+        method = next((m for m in methods if _METHODS[m][flag]), None)
+        if method is not None and value is None:
+            raise ConfigError(f"{method} requires {what}")
+        return method is not None
+
+    sites = _Sites(
+        p_matrix,
+        _checked_shares(shares, p_matrix.shape[0]) if needed(1, shares, "per-site shares") else None,
+        np.asarray(_checked_totals(total_count), dtype=float)
+        if needed(2, total_count, "total_count")
+        else None,
+        _checked_rho(rho) if needed(3, rho, "rho") else None,
+    )
+    return _run(methods, sites)
+
+
+def _run(methods, sites: _Sites):
+    """The kernels of ``methods`` on ``sites``, one at a time; a transform
+    is dropped as soon as no method left reads it."""
+    last_read = {name: i for i, method in enumerate(methods) for name in _METHODS[method][4]}
+    for i, method in enumerate(methods):
+        yield _METHODS[method][0](sites)
+        for name, j in last_read.items():
+            if j == i:
+                vars(sites).pop(name, None)
 
 
 def combine_by_id(method: str, ev: EvidenceSet) -> CombinedResult:
     """Combine one evidence set by method identifier (the CLI/config
-    vocabulary); the M = 1 case of ``combine_matrix``."""
-    p, stat = _combine(method, np.asarray(ev.p_values)[:, None], ev.shares, ev.total_count, ev.rho)
+    vocabulary); the one-method, M = 1 case of ``combine_methods``."""
+    ((p, stat),) = combine_methods(
+        (method,), np.asarray(ev.p_values)[:, None], ev.shares, ev.total_count, ev.rho
+    )
     return CombinedResult(p=float(p[0]), statistic=float(stat[0]), method=method)
 
 
 def combine_matrix(method: str, p_matrix, shares=None, total_count=None, rho=None):
     """Combine each column of an (N, M) p-value matrix; returns the (M,)
-    array of combined p-values. shares may be one (N,) vector or one per
-    column, (N, M); total_count may be one count or one per column."""
-    return _combine(method, p_matrix, shares, total_count, rho)[0]
+    array of combined p-values. The one-method case of ``combine_methods``."""
+    return next(combine_methods((method,), p_matrix, shares, total_count, rho))[0]
 
 
 def window_weights(n_site) -> tuple[np.ndarray, np.ndarray]:

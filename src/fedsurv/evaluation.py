@@ -143,20 +143,22 @@ _MATCH_BLOCK_CELLS = 350_000
 
 def pr_curves(
     p_matrix,
-    truth: AlarmSeries,
+    truth: "AlarmSeries | Sequence[AlarmSeries]",
     window: MatchWindow,
     thresholds: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Precision and recall of each row of an (S, T) p-value matrix at each
-    sorted threshold, as two (S, K) arrays. Each cell scores
-    `match_alarms(truth, alarms_from_pvalues(row, th), window)`; raising no
-    alarms gives precision 1, and an empty truth set gives recall 1.
+    sorted threshold, as two (S, K) arrays. ``truth`` is one AlarmSeries
+    that every row is scored against, or a sequence of S, one per row. Each
+    cell scores `match_alarms(row_truth, alarms_from_pvalues(row, th),
+    window)`; raising no alarms gives precision 1, and an empty truth set
+    gives recall 1.
 
     The (series, sorted threshold) pairs are matched a block of series at a
-    time (`_true_positives`); every pair is matched on its own, so the
-    blocking changes no bit. Alarm counts come from one `searchsorted` of
-    the p-values into the thresholds and one `bincount` per block, so they
-    need no mask at all.
+    time (`_true_positives`); every pair is matched on its own, so neither
+    the blocking nor the other rows' truths change a bit. Alarm counts come
+    from one `searchsorted` of the p-values into the thresholds and one
+    `bincount` per block, so they need no mask at all.
     """
     if not thresholds:
         raise DomainError("at least one threshold is required")
@@ -177,28 +179,45 @@ def pr_curves(
 
     n_series, length = p.shape
     n_ths = th_values.size
-    # each truth alarm's window clipped to the series; windows wholly
-    # outside the series can claim nothing and are dropped
-    spans = [
-        (max(t - window.before, 0), min(t + window.after, length - 1))
-        for t in truth.period_indices
-    ]
-    spans = [(lo, hi) for lo, hi in spans if lo <= hi]
+    # the distinct truths, and each row's index into them
+    if isinstance(truth, AlarmSeries):
+        truths, truth_of = [truth], np.zeros(n_series, dtype=np.intp)
+    else:
+        per_row = list(truth)
+        if len(per_row) != n_series:
+            raise DomainError(f"{len(per_row)} truth series given for {n_series} rows")
+        for one in per_row:
+            if not isinstance(one, AlarmSeries):
+                raise DomainError(f"truth must be an AlarmSeries or one per row, got {one!r}")
+        index: dict = {}
+        truth_of = np.array([index.setdefault(t, len(index)) for t in per_row], dtype=np.intp)
+        truths = list(index)
     covered = np.zeros(length, dtype=bool)
-    for lo, hi in spans:
-        covered[lo : hi + 1] = True
+    for one in truths:
+        for lo, hi in _spans(one, window, length):
+            covered[lo : hi + 1] = True
     periods = np.flatnonzero(covered)
     # row_of[u]: the first covered row at or after period u; the sentinel
     # row len(periods) for periods past the last covered one
     row_of = np.zeros(length + 1, dtype=np.intp)
     np.cumsum(covered, out=row_of[1:])
+    n_truth = np.array([len(one) for one in truths], dtype=np.int64)
+    if len(truths) == 1:  # one set of bounds, shared by every row
+        shared = tuple(bounds[0] for bounds in _span_bounds(truths, window, length))
 
     precision = np.ones((n_series, n_ths))
     recall = np.ones((n_series, n_ths))
     block = max(1, _MATCH_BLOCK_CELLS // ((periods.size + 1) * n_ths))
     for first in range(0, n_series, block):
-        p_block = p[first : first + block]
-        tp = _true_positives(p_block, spans, periods, row_of, th_values)
+        rows = slice(first, first + block)
+        p_block = p[rows]
+        if len(truths) == 1:
+            lo, hi = shared
+        else:  # the block's rows' bounds, from its distinct truths
+            present, local = np.unique(truth_of[rows], return_inverse=True)
+            bounds = _span_bounds([truths[d] for d in present], window, length)
+            lo, hi = (b[local] for b in bounds)
+        tp = _true_positives(p_block, lo, hi, periods, row_of, th_values)
         # alarms per pair: a p-value alarms at every threshold from the
         # first one above it on, so count first thresholds per series and
         # accumulate
@@ -207,23 +226,50 @@ def pr_curves(
         first_th += (np.arange(n_block) * (n_ths + 1))[:, None]
         n_pred = np.bincount(first_th.ravel(), minlength=n_block * (n_ths + 1))
         n_pred = n_pred.reshape(n_block, n_ths + 1).cumsum(axis=1)[:, :n_ths]
-        rows = slice(first, first + n_block)
         np.divide(tp, n_pred, out=precision[rows], where=n_pred > 0)
-        if len(truth):
-            np.divide(tp, len(truth), out=recall[rows])
+        n_true = n_truth[truth_of[rows]][:, None]
+        np.divide(tp, n_true, out=recall[rows], where=n_true > 0)
     return precision, recall
 
 
-def _true_positives(p, spans, periods, row_of, th_values) -> np.ndarray:
+def _spans(truth: AlarmSeries, window: MatchWindow, length: int) -> list:
+    """Each truth alarm's window clipped to the series, as (lo, hi) pairs in
+    time order; windows wholly outside the series can claim nothing and
+    are dropped."""
+    spans = (
+        (max(t - window.before, 0), min(t + window.after, length - 1))
+        for t in truth.period_indices
+    )
+    return [(lo, hi) for lo, hi in spans if lo <= hi]
+
+
+def _span_bounds(truths, window: MatchWindow, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (D, J) lower and upper bounds of D truths' spans, each row padded
+    to the longest with the empty span (length, -1), which claims nothing."""
+    spans = [_spans(one, window, length) for one in truths]
+    width = max(map(len, spans), default=0)
+    lo = np.full((len(spans), width), length, dtype=np.intp)
+    hi = np.full((len(spans), width), -1, dtype=np.intp)
+    for d, one in enumerate(spans):
+        if one:
+            lo[d, : len(one)], hi[d, : len(one)] = zip(*one)
+    return lo, hi
+
+
+def _true_positives(p, lo, hi, periods, row_of, th_values) -> np.ndarray:
     """Matched truth alarms of every (series, threshold) pair of a (B, T)
     block, as a (B, K) int64 array.
 
     Every pair claims its earliest alarm inside each truth alarm's window
-    (`spans`, clipped to the series) past the first period the pair has not
-    yet claimed or passed. Only covered periods can ever be claimed, so the
-    table of the next alarm at or after a period holds just those periods
-    plus a sentinel row, in the smallest unsigned dtype that holds T, and
-    `row_of` maps any period to the first covered row at or after it.
+    (span j runs from lo[..., j] to hi[..., j], clipped to the series) past
+    the first period the pair has not yet claimed or passed. The bounds
+    are (J,) when every series has the same truth, or (B, J), one row per
+    series. Only covered periods can ever be claimed, so the table of the
+    next alarm at or after a period holds just those periods plus a
+    sentinel row, in the smallest unsigned dtype that holds T, and
+    `row_of` maps any period to the first covered row at or after it. A
+    period that only another series' truth covers is never claimed either:
+    it lies outside the series' own windows.
     """
     n_series, length = p.shape
     n_rows = n_series * th_values.size
@@ -231,24 +277,29 @@ def _true_positives(p, spans, periods, row_of, th_values) -> np.ndarray:
     # lies inside its window, so alarms outside every window never matter
     mask = (p[:, periods].T[:, :, None] < th_values).reshape(periods.size, n_rows)
     # next_alarm[i, r]: first covered alarm period >= periods[i] in column
-    # r, `length` if none; the last row is the sentinel
+    # r, `length` if none; the last row is the sentinel. The suffix minimum
+    # runs row by row, each step one contiguous pass.
     dtype = np.min_scalar_type(length)
     next_alarm = np.full((periods.size + 1, n_rows), length, dtype=dtype)
     np.copyto(next_alarm[:-1], periods.astype(dtype)[:, None], where=mask)
-    np.minimum.accumulate(next_alarm[::-1], axis=0, out=next_alarm[::-1])
+    for i in range(periods.size - 1, -1, -1):
+        np.minimum(next_alarm[i], next_alarm[i + 1], out=next_alarm[i])
 
-    columns = np.arange(n_rows)
+    shape = (n_series, th_values.size)
+    columns = np.arange(n_rows).reshape(shape)
     flat = next_alarm.ravel()
-    first_free = np.zeros(n_rows, dtype=np.int64)
-    tp = np.zeros(n_rows, dtype=np.int64)
-    for lo, hi in spans:
-        # next_alarm[row_of[max(first_free, lo)], columns], gathered flat
-        claimed = flat[row_of[np.maximum(first_free, lo)] * n_rows + columns]
-        hit = claimed <= hi
+    first_free = np.zeros(shape, dtype=np.int64)
+    tp = np.zeros(shape, dtype=np.int64)
+    if lo.ndim == 2:  # per series: each span's bounds as a (B, 1) column
+        lo, hi = lo.T[:, :, None], hi.T[:, :, None]
+    for lo_j, hi_j in zip(lo, hi):
+        # next_alarm[row_of[max(first_free, lo_j)], columns], gathered flat
+        claimed = flat[row_of[np.maximum(first_free, lo_j)] * n_rows + columns]
+        hit = claimed <= hi_j
         tp += hit
         # in int64, so that claimed + 1 cannot wrap in the table's dtype
         first_free = np.where(hit, claimed + np.int64(1), first_free)
-    return tp.reshape(n_series, th_values.size)
+    return tp
 
 
 def pr_curve(

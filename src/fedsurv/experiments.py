@@ -40,7 +40,7 @@ from .semisynth import (
     normalized_entropy,
     scale_magnitude,
 )
-from .surge import SurgeHypothesis, window_p_values, window_totals
+from .surge import SurgeHypothesis, _check_window_sums, window_p_values, window_totals
 
 __all__ = [
     "POWER_METHODS",
@@ -56,7 +56,9 @@ __all__ = [
     "run_semisynth_sweep",
 ]
 
-POWER_METHODS = ("centralized", "largest_site") + combine.METHOD_IDS
+# the engines' own baselines, scored without a combiner
+_ENGINE_METHODS = ("centralized", "largest_site")
+POWER_METHODS = _ENGINE_METHODS + combine.METHOD_IDS
 
 DEFAULT_THETA_GRID = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
@@ -134,11 +136,16 @@ def _method_pvalues(
     totals; both engines score their replicates through here.
 
     Returns the centralized test's (K,) p-values on the pooled totals and
-    an (M, K) matrix with one row per method, in the order of ``methods``.
+    an (M, K) matrix with one row per method, in the order of ``methods``;
+    the combiners' rows come from one ``combine.combine_methods`` pass.
     """
+    _check_window_sums(n_site.shape[0], n_site)  # the pooled totals
     p_site = window_p_values(c_site, n_site, hyp)
     p_central = window_p_values(c_site.sum(axis=0), n_site.sum(axis=0), hyp)
     shares, totals = combine.window_weights(n_site)
+    combined = combine.combine_methods(
+        [m for m in methods if m not in _ENGINE_METHODS], p_site, shares, totals, hyp.rho
+    )
     rows = np.empty((len(methods), p_central.size))
     for row, m in zip(rows, methods):
         if m == "centralized":
@@ -146,7 +153,7 @@ def _method_pvalues(
         elif m == "largest_site":
             row[:] = p_site[largest]
         else:
-            row[:] = combine.combine_matrix(m, p_site, shares, totals, hyp.rho)
+            row[:] = next(combined)[0]
     return p_central, rows
 
 
@@ -166,6 +173,7 @@ def _simulate_method_pvalues(
     base = _poisson(rng, lam_site[:, None, None], (n_sites, hyp.baseline_len, reps))
     test = _poisson(rng, lam_site[:, None] * (1.0 + theta_alt), (n_sites, reps))
 
+    _check_window_sums(hyp.baseline_len + 1, base, test)
     c_site = base.sum(axis=1)
     _, rows = _method_pvalues(cfg.methods, c_site, c_site + test, hyp, int(np.argmax(shares)))
     return dict(zip(cfg.methods, rows))
@@ -333,19 +341,20 @@ def _sweep_point(
     Each replicate draws its pooled series and site split from its own
     seeds. Replicates are scored in groups of as many whole replicates as
     fit in ``_SWEEP_GROUP_SITE_WINDOWS`` site-windows, and at least one (20,
-    8, 4 and 2 replicates at 2, 5, 10 and 20 sites on the default sweep):
-    one `_method_pvalues` call per group, one p-value per window ending at
-    t = l, ..., T - 1. Every p-value is computed column by column, so the
-    grouping does not change a bit. The whole group's rows are matched
-    against the growth truth in one `pr_curves` call, stacked replicate by
-    replicate, which matches them a bounded block of rows at a time; each
-    replicate's rows are matched against its own centralized alarms in one
-    call more. Every (row, threshold) pair is scored on its own, so neither
-    stacking nor blocking changes a bit either. The growth
-    truth is shifted by -l into the series' own indices once. The first l
-    periods have no window, so they could never alarm. Scores fill
-    C-contiguous (methods, replicates) arrays, so each method's mean sums
-    its replicates in the same order as a 1-D `np.mean`."""
+    8, 4 and 2 replicates at 2, 5, 10 and 20 sites on the default sweep),
+    and a group is the unit of work: one `_method_pvalues` call, which
+    scores every combiner in one `combine.combine_methods` pass, one
+    p-value per window ending at t = l, ..., T - 1; then two `pr_curves`
+    calls over the whole group's rows, stacked replicate by replicate. The
+    first matches them against the growth truth at every threshold; the
+    second at alpha, each row against its own replicate's centralized
+    alarms, passed as one truth per row. Every p-value is computed column
+    by column and every (row, threshold) pair is scored on its own, so
+    neither the grouping, the stacking nor `pr_curves`' blocking changes a
+    bit. The growth truth is shifted by -l into the series' own indices
+    once. The first l periods have no window, so they could never alarm.
+    Scores fill C-contiguous (methods, replicates) arrays, so each method's
+    mean sums its replicates in the same order as a 1-D `np.mean`."""
     hyp = cfg.hypothesis
     l = hyp.baseline_len
     alpha = hyp.alpha
@@ -372,17 +381,17 @@ def _sweep_point(
             largest,
         )
         p_central = p_central.reshape(n_reps, k)
-        # (replicates, methods, windows): each replicate's rows are adjacent
-        rows = rows.reshape(len(cfg.methods), n_reps, k).transpose(1, 0, 2)
-        growth = pr_curves(rows.reshape(-1, k), truth_growth, window, cfg.thresholds)
+        # (replicates x methods, windows): each replicate's rows are adjacent
+        rows = rows.reshape(len(cfg.methods), n_reps, k).transpose(1, 0, 2).reshape(-1, k)
+        growth = pr_curves(rows, truth_growth, window, cfg.thresholds)
         recall_fdr[:, first : first + n_reps] = (
             recall_at_fdr(*growth, 0.1).reshape(n_reps, -1).T
         )
-        for j in range(n_reps):
-            truth_central = alarms_from_pvalues(p_central[j], alpha)
-            f1_central[:, first + j] = f1(
-                *pr_curves(rows[j], truth_central, window, (alpha,))
-            )[:, 0]
+        truth_central = [alarms_from_pvalues(p, alpha) for p in p_central]
+        row_truths = [truth for truth in truth_central for _ in cfg.methods]
+        f1_central[:, first : first + n_reps] = (
+            f1(*pr_curves(rows, row_truths, window, (alpha,)))[:, 0].reshape(n_reps, -1).T
+        )
     means = zip(recall_fdr.mean(axis=1).tolist(), f1_central.mean(axis=1).tolist())
     return dict(zip(cfg.methods, means))
 

@@ -78,6 +78,7 @@ def binomial_cdf(c, n, rho):
     Computed as the regularized incomplete beta integral
     I_{1-rho}(n-c, c+1), which equals the partial pmf sum
     sum_{r=0}^{c} C(n,r) rho^r (1-rho)^(n-r) without forming factorials.
+    Raises DomainError, naming n, where the integral has no float64 value.
     """
     scalar = np.isscalar(c) and np.isscalar(n) and np.isscalar(rho)
     c_arr, n_arr = _counts(c, n)
@@ -93,6 +94,14 @@ def binomial_cdf(c, n, rho):
         ni = n_b[interior].astype(float)
         ri = rho_b[interior]
         out[interior] = special.betainc(ni - ci, ci + 1.0, 1.0 - ri)
+        # betainc gives NaN near the mean once n reaches about 1e17
+        lost = np.flatnonzero(np.isnan(out))
+        if lost.size:
+            n_lost = n_b.reshape(-1)[lost[0]]
+            raise DomainError(
+                f"binomial tail has no float64 value at window total n = {n_lost} "
+                f"(c = {c_b.reshape(-1)[lost[0]]}); totals this large are out of range"
+            )
     return _ret(_clamp01(out), scalar)
 
 

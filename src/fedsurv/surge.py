@@ -156,11 +156,30 @@ def exact_p_value(window: SurgeWindow, hyp: SurgeHypothesis) -> float:
     return float(window_p_values(c, n, hyp)[0])
 
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _check_window_sums(width: int, *counts: np.ndarray) -> None:
+    """Raise DomainError unless any ``width`` of the nonnegative ``counts``
+    sum inside int64: one bound on the largest count, checked in O(1)
+    after its max, instead of a check of every sum."""
+    top = max(int(c.max(initial=0)) for c in counts)
+    if top * width > _INT64_MAX:
+        raise DomainError(
+            f"window total overflows int64: {width} counts of up to {top} "
+            f"can sum past {_INT64_MAX}"
+        )
+
+
 def window_totals(counts, baseline_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Baseline totals c and window totals n of the windows ending at
     t = l, ..., T - 1 along the last axis of ``counts``, from one cumulative
-    sum; empty along that axis when T <= l."""
+    sum; empty along that axis when T <= l. Raises DomainError when l + 1
+    counts as large as the largest can overflow int64. The cumulative sum
+    itself may wrap: a window total is a difference of two prefixes, exact
+    modulo 2**64 and so exact whenever the total fits."""
     counts = np.asarray(counts, dtype=np.int64)
+    _check_window_sums(baseline_len + 1, counts)
     zeros = np.zeros(counts.shape[:-1] + (1,), dtype=np.int64)
     prefix = np.concatenate((zeros, np.cumsum(counts, axis=-1)), axis=-1)
     t = np.arange(baseline_len, counts.shape[-1])

@@ -759,6 +759,39 @@ class TestCountsPastInt64:
         assert code == 2 and out == ""
         assert err.startswith(f"fedsurv: error: config field {field!r}")
 
+class TestWindowTotalsOutOfRange:
+    """Window totals past what int64 sums or float64 tails carry exit 2
+    naming the cause; they used to exit 2 with a message about negative
+    counts or p-values outside [0, 1]."""
+
+    SMALL = dict(calibration_reps=1000, power_reps=1000)
+
+    def test_power_curve_window_total_past_int64(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n_total=2**63 - 1, theta_grid=[10.0], **self.SMALL)
+        code, out, err = run(["power-curve", "--config", cfg, "--seed", 1], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("fedsurv: error: window total overflows int64")
+
+    def test_semisynth_window_total_past_int64(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            site_sweep=[2],
+            site_sweep_magnitude=4e16,
+            magnitude_sweep=[],
+            dominant_sweep=[],
+            n_replicates=1,
+        )
+        code, out, err = run(["semisynth", "--config", cfg, "--seed", 1], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("fedsurv: error: window total overflows int64")
+
+    def test_power_curve_binomial_tail_past_float64(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n_total=2**61, theta_grid=[30.0], **self.SMALL)
+        code, out, err = run(["power-curve", "--config", cfg, "--seed", 1], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("fedsurv: error: binomial tail has no float64 value at window total n = ")
+
+
 class TestCmdEvaluate:
     @pytest.fixture
     def eval_inputs(self, tmp_path):

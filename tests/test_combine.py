@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 import types
 
 import numpy as np
@@ -238,7 +239,7 @@ class TestWFisher:
         p_mat = rng.uniform(size=(2, m))
         crit = oracles.KS_K_ALPHA_01 / math.sqrt(m)
 
-        ours = cb.wfisher_matrix(p_mat, (0.5, 0.5))[0]
+        ours = cb.combine_matrix("wfisher", p_mat, (0.5, 0.5))
         assert oracles.ks_statistic_uniform(ours) < crit
 
         halved_stat = (2.0 * special.gammainccinv(0.5, p_mat)).sum(axis=0)
@@ -646,6 +647,101 @@ class TestOneContextRule:
             assert got == want, method
 
 
+class TestCombineMethods:
+    """``combine_methods`` scores many methods in one pass, checking the
+    context once and computing each per-site transform once; every method
+    keeps the bits it has when combined alone."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(2020)
+        p_mat = rng.uniform(size=(4, 30)) ** 3
+        p_mat[:, 0] = 0.0
+        p_mat[:, 1] = 1.0
+        # per-column shares with zero-share sites, and per-column totals
+        shares = rng.dirichlet(np.ones(4), size=30).T
+        shares[1, ::3] = 0.0
+        shares /= shares.sum(axis=0)
+        totals = rng.integers(1, 500, size=30)
+        yield p_mat, shares, totals
+        # one share vector, with a zero share, and one total for every column
+        yield p_mat, np.array([0.5, 0.0, 0.3, 0.2]), 120
+        # M = 1, and one site
+        yield p_mat[:, :1], shares[:, :1], totals[:1]
+        yield p_mat[:1], np.ones(1), 7
+
+    @pytest.mark.parametrize("method", cb.METHOD_IDS)
+    def test_each_method_equals_combine_matrix_bit_for_bit(self, method):
+        for p_mat, shares, totals in self.cases():
+            args = (p_mat, shares, totals, 0.7)
+            combined = dict(zip(cb.METHOD_IDS, cb.combine_methods(cb.METHOD_IDS, *args)))
+            p, stat = combined[method]
+            assert p.tobytes() == cb.combine_matrix(method, *args).tobytes()
+            ((_, alone),) = cb.combine_methods([method], *args)
+            assert stat.tobytes() == alone.tobytes()
+
+    def test_order_and_repeats_change_no_bit(self):
+        for p_mat, shares, totals in self.cases():
+            args = (p_mat, shares, totals, 0.7)
+            forward = cb.combine_methods(cb.METHOD_IDS, *args)
+            mixed = ("lancaster", "stouffer", "cstouffer", "lancaster", "goods", "fisher")
+            want = dict(zip(cb.METHOD_IDS, forward))
+            for method, (p, stat) in zip(mixed, cb.combine_methods(mixed, *args)):
+                assert p.tobytes() == want[method][0].tobytes(), method
+                assert stat.tobytes() == want[method][1].tobytes(), method
+
+    def test_each_transform_is_computed_once(self, monkeypatch):
+        calls = {"normal_quantile": 0, "gamma_isf": 0}
+        for name in calls:
+            real = getattr(numerics, name)
+
+            def spy(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(numerics, name, spy)
+        p_mat, shares, totals = next(self.cases())
+        list(cb.combine_methods(cb.METHOD_IDS, p_mat, shares, totals, 0.7))
+        # the three Stouffers share one quantile; each Gamma method inverts once
+        assert calls == {"normal_quantile": 1, "gamma_isf": 2}
+
+    def test_transforms_are_dropped_after_their_last_reader(self):
+        """A pass over all nine methods, whose rows the caller stores as
+        they come, peaks within two (N, M) arrays of the heaviest single
+        method: each transform is freed once no later method reads it."""
+        rng = np.random.default_rng(44)
+        p_mat = rng.uniform(size=(4, 50_000))
+        shares = rng.dirichlet(np.ones(4), size=50_000).T
+        args = (p_mat, shares, rng.integers(1, 500, size=50_000), 0.7)
+        rows = np.empty((len(cb.METHOD_IDS), 50_000))
+        peaks = []
+        for methods in [[m] for m in cb.METHOD_IDS] + [cb.METHOD_IDS]:
+            tracemalloc.start()
+            try:
+                for row, (p, _) in zip(rows, cb.combine_methods(methods, *args)):
+                    row[:] = p
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[-1] <= max(peaks[:-1]) + 2 * p_mat.nbytes, peaks
+
+    def test_context_is_checked_once_for_the_methods_that_read_it(self):
+        p_mat = [[0.2, 0.3], [0.4, 0.5]]
+        bad = dict(shares=BAD_SHARES[0], total_count=BAD_TOTALS[0], rho=BAD_RHOS[0])
+        assert len(list(cb.combine_methods(["fisher", "tippett"], p_mat, **bad))) == 2
+        assert list(cb.combine_methods([], p_mat, **bad)) == []
+        with pytest.raises(ConfigError, match="goods requires per-site shares"):
+            cb.combine_methods(["fisher", "goods", "wfisher"], p_mat)
+        with pytest.raises(ConfigError, match="lancaster requires total_count"):
+            cb.combine_methods(["wfisher", "lancaster"], p_mat, shares=(0.5, 0.5))
+        with pytest.raises(ConfigError, match="cstouffer requires rho"):
+            cb.combine_methods(["cstouffer"], p_mat, shares=(0.5, 0.5), total_count=9)
+        with pytest.raises(ConfigError, match="unknown method"):
+            cb.combine_methods(["fisher", "nope"], [[2.0]])
+        with pytest.raises(DomainError, match="p-values must lie in"):
+            cb.combine_methods(["fisher"], [[2.0]])
+
+
 class TestScipyLastDigits:
     """Every combiner but tippett takes its special functions from
     ``numerics``: pushing each scipy result there one ulp moves at least
@@ -684,8 +780,8 @@ class TestScipyLastDigits:
         come back."""
         p_mat, shares, totals = self.batch()
         kernels = {
-            "wfisher": lambda: cb.wfisher_matrix(p_mat, shares)[1],
-            "lancaster": lambda: cb.lancaster_matrix(p_mat, shares, totals)[1],
+            "wfisher": lambda: next(cb.combine_methods(["wfisher"], p_mat, shares))[1],
+            "lancaster": lambda: next(cb.combine_methods(["lancaster"], p_mat, shares, totals))[1],
         }
         exact = {m: stat().tobytes() for m, stat in kernels.items()}
         with monkeypatch.context() as patch:

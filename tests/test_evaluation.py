@@ -431,22 +431,104 @@ class TestPRCurvesBlocks:
                     for got, want in zip(blocked, whole):
                         assert got.tobytes() == want.tobytes()
 
-    def test_peak_memory_does_not_grow_with_series(self):
-        """2,200 series of 392 periods against 220: only the (S, K) results
-        grow with S, not the alarm mask or the next-alarm table."""
+    @staticmethod
+    def peaks(truths) -> list:
+        """Peak traced memory of `pr_curves` on 220 and 2,200 series of 392
+        periods, scored against `truths(n_series)`."""
         rng = np.random.default_rng(392)
         thresholds = [float(t) for t in np.geomspace(1e-4, 0.5, 10)]
-        truth = ev.AlarmSeries(tuple(range(1, 392, 4)))  # covers every period
         peaks = []
         for n_series in (220, 2_200):
             p = rng.uniform(size=(n_series, 392)) ** 4
+            truth = truths(n_series)
             tracemalloc.start()
             try:
                 ev.pr_curves(p, truth, ev.MatchWindow(1, 2), thresholds)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+        return peaks
+
+    # truth alarms every fourth period, so their windows cover every period
+    EVERY_FOURTH = tuple(range(1, 392, 4))
+
+    def test_peak_memory_does_not_grow_with_series(self):
+        """Only the (S, K) results grow with S, not the alarm mask or the
+        next-alarm table."""
+        peaks = self.peaks(lambda n_series: ev.AlarmSeries(self.EVERY_FOURTH))
         assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    def test_peak_memory_does_not_grow_with_series_of_per_row_truths(self):
+        """With a different truth for every row, the span bounds do not
+        grow with S either: they are built a block at a time."""
+        peaks = self.peaks(
+            lambda n_series: [
+                ev.AlarmSeries(self.EVERY_FOURTH[: 98 - s % 7] + (392 + s,))
+                for s in range(n_series)
+            ]
+        )
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+class TestPRCurvesPerRowTruth:
+    """With one truth per row, `pr_curves` equals one call per row, bit for
+    bit, whatever the other rows' truths cover."""
+
+    @staticmethod
+    def per_row_calls(p, truths, window, thresholds):
+        calls = [ev.pr_curves(row[None, :], t, window, thresholds) for row, t in zip(p, truths)]
+        return tuple(np.concatenate(part) for part in zip(*calls))
+
+    def test_equals_one_call_per_row(self, monkeypatch):
+        rng = np.random.default_rng(2016)
+        for _ in range(60):
+            n_series = int(rng.integers(1, 9))
+            length = int(rng.integers(1, 60))
+            thresholds = [float(t) for t in rng.uniform(1e-3, 0.99, rng.integers(1, 6))]
+            window = ev.MatchWindow(int(rng.integers(0, 4)), int(rng.integers(0, 4)))
+            p = rng.uniform(size=(n_series, length)) ** 3
+            # a row with no alarms, an empty truth, and truth partly or
+            # wholly outside the series; some rows share a truth
+            p[int(rng.integers(n_series))] = 1.0
+            pool = [ev.AlarmSeries(()), ev.AlarmSeries((-9, length + 9))] + [
+                ev.AlarmSeries.of(rng.integers(-3, length + 3, size=rng.integers(1, 12)))
+                for _ in range(3)
+            ]
+            truths = [pool[int(i)] for i in rng.integers(len(pool), size=n_series)]
+            want = self.per_row_calls(p, truths, window, thresholds)
+            for budget in (10**12, 1):  # one block, then one series a block
+                monkeypatch.setattr(ev, "_MATCH_BLOCK_CELLS", budget)
+                got = ev.pr_curves(p, truths, window, thresholds)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes()
+            for row, t, got in zip(p, truths, curve_points(thresholds, *got)):
+                assert got == oracles.pr_points_by_matching(row, t, window, thresholds)
+
+    def test_one_shared_truth_per_row_equals_the_shared_call(self):
+        rng = np.random.default_rng(5)
+        p = rng.uniform(size=(6, 80)) ** 4
+        truth = ev.AlarmSeries.of(rng.integers(0, 80, size=10))
+        window = ev.MatchWindow(1, 2)
+        shared = ev.pr_curves(p, truth, window, [0.01, 0.2])
+        per_row = ev.pr_curves(p, [truth] * 6, window, (0.01, 0.2))
+        for a, b in zip(shared, per_row):
+            assert a.tobytes() == b.tobytes()
+
+    def test_empty_truths_and_no_alarms(self):
+        p = np.array([[0.01, 0.9, 0.01], [1.0, 1.0, 1.0]])
+        truths = [ev.AlarmSeries(()), ev.AlarmSeries((1,))]
+        precision, recall = ev.pr_curves(p, truths, ev.MatchWindow(0, 0), [0.05])
+        # no truth: recall 1; no alarms: precision 1 and recall 0
+        assert precision.tolist() == [[0.0], [1.0]]
+        assert recall.tolist() == [[1.0], [0.0]]
+
+    def test_truth_count_and_type_checked(self):
+        p = np.full((2, 5), 0.5)
+        window = ev.MatchWindow(1, 1)
+        with pytest.raises(DomainError, match="3 truth series given for 2 rows"):
+            ev.pr_curves(p, [ev.AlarmSeries((1,))] * 3, window, [0.1])
+        with pytest.raises(DomainError, match="truth must be an AlarmSeries"):
+            ev.pr_curves(p, [ev.AlarmSeries((1,)), (1,)], window, [0.1])
 
 
 class TestRecallAtFdr:

@@ -3,9 +3,11 @@ semi-synthetic detection sweep."""
 
 import datetime
 import math
+import types
 
 import numpy as np
 import pytest
+from scipy import special
 
 from fedsurv.errors import ConfigError, DomainError
 from fedsurv.evaluation import alarms_from_growth, alarms_from_pvalues
@@ -20,7 +22,7 @@ from fedsurv.experiments import (
     run_power_curve,
     run_semisynth_sweep,
 )
-from fedsurv import experiments
+from fedsurv import combine, experiments, numerics
 from fedsurv.combine import METHOD_IDS, EvidenceSet, combine_by_id
 from fedsurv.experiments import _method_pvalues, _simulate_method_pvalues
 from fedsurv.federation import (
@@ -41,6 +43,8 @@ from fedsurv.semisynth import (
     split_multinomial,
 )
 from fedsurv.surge import SurgeHypothesis, SurgeWindow, exact_p_value, window_totals
+
+from support import NUMERICS_UFUNCS
 
 
 class TestPowerCurveConfig:
@@ -601,7 +605,7 @@ class TestSweepGroups:
         assert next(remaining, None) is None
         assert group_sizes == [3, 3, 1] + [1] * self.N_REPS
 
-    def test_one_growth_match_per_group_and_one_f1_match_per_replicate(self, monkeypatch):
+    def test_one_growth_match_and_one_f1_match_per_group(self, monkeypatch):
         cfg = SemisynthConfig(
             site_sweep=(2, 5),
             magnitude_sweep=(),
@@ -644,12 +648,69 @@ class TestSweepGroups:
             assert kind == "matched" and thresholds == cfg.thresholds
             assert p.shape == (n_reps * n_methods, k)
             np.testing.assert_array_equal(p, rows.transpose(1, 0, 2).reshape(-1, k))
-            # then one F1 match per replicate, against its own central alarms
-            for j in range(n_reps):
-                kind, p, truth, thresholds = next(pending)
-                assert kind == "matched" and thresholds == (alpha,)
-                np.testing.assert_array_equal(p, rows[:, j])
-                assert truth == alarms_from_pvalues(p_central.reshape(n_reps, k)[j], alpha)
+            # then one F1 match for the whole group, the same rows, each
+            # against its own replicate's central alarms
+            kind, p, truth, thresholds = next(pending)
+            assert kind == "matched" and thresholds == (alpha,)
+            np.testing.assert_array_equal(p, rows.transpose(1, 0, 2).reshape(-1, k))
+            central = p_central.reshape(n_reps, k)
+            assert list(truth) == [
+                alarms_from_pvalues(central[j], alpha) for j in range(n_reps) for _ in cfg.methods
+            ]
         assert group_sizes == [3, 3, 1] + [1] * self.N_REPS
         matched = [e for e in events if e[0] == "matched"]
-        assert len(matched) == len(group_sizes) + 2 * self.N_REPS
+        assert len(matched) == 2 * len(group_sizes)
+
+    def test_default_sweep_counts_one_pass_per_group(self, monkeypatch):
+        """The group pass pinned by counts, not time, on the default sweep
+        at seed 7 (43 groups): every combiner's normal quantiles come from
+        one ``normal_quantile`` call per group (three Stouffers once called
+        it each), the rows are matched in two ``pr_curves`` calls per group
+        (one growth and one F1 call; there was one F1 call per replicate),
+        and the Gamma inversions are those of combining the same groups
+        one method at a time (299,389 here)."""
+        real_quantile = numerics.normal_quantile
+        real_methods = combine.combine_methods
+        real_pr_curves = experiments.pr_curves
+        counts = {"normal_quantile": 0, "pr_curves": 0}
+        groups = []
+        inverted = []
+        real_inverse = special.gammainccinv
+
+        def quantile_spy(p):
+            counts["normal_quantile"] += 1
+            return real_quantile(p)
+
+        def methods_spy(methods, *args):
+            groups.append((tuple(methods), args))
+            return real_methods(methods, *args)
+
+        def pr_curves_spy(*args):
+            counts["pr_curves"] += 1
+            return real_pr_curves(*args)
+
+        def inverse_spy(a, x):
+            inverted.append(np.size(x))
+            return real_inverse(a, x)
+
+        ufuncs = {name: getattr(special, name) for name in NUMERICS_UFUNCS}
+        monkeypatch.setattr(
+            numerics, "special", types.SimpleNamespace(**dict(ufuncs, gammainccinv=inverse_spy))
+        )
+        monkeypatch.setattr(numerics, "normal_quantile", quantile_spy)
+        monkeypatch.setattr(combine, "combine_methods", methods_spy)
+        monkeypatch.setattr(experiments, "pr_curves", pr_curves_spy)
+        run_semisynth_sweep(SemisynthConfig(), 7)
+        assert len(groups) == 43
+        assert counts == {"normal_quantile": 43, "pr_curves": 86}
+        batched = sum(inverted)
+
+        # the same groups, one method at a time, from an empty memo
+        monkeypatch.setattr(combine, "combine_methods", real_methods)
+        monkeypatch.setattr(numerics, "_isf_memo", None)
+        inverted.clear()
+        for methods, args in groups:
+            assert methods == METHOD_IDS
+            for method in methods:
+                combine.combine_matrix(method, *args)
+        assert batched == sum(inverted)

@@ -50,6 +50,15 @@ class TestBinomialCdf:
         assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
         assert vals[-1] == 1.0
 
+    @pytest.mark.parametrize("n", [10**17, 2 * 10**18])
+    def test_lost_tail_near_the_mean_raises_naming_the_total(self, n):
+        # betainc returns NaN here; 1e15 still has a value
+        assert nm.binomial_cdf(int(10**15 * 0.75), 10**15, 0.75) == pytest.approx(0.5, abs=1e-6)
+        with pytest.raises(DomainError, match=f"at window total n = {n} "):
+            nm.binomial_cdf(int(n * 0.75), n, 0.75)
+        with pytest.raises(DomainError, match=f"at window total n = {n} "):
+            nm.binomial_cdf(np.array([3, int(n * 0.75)]), np.array([10, n]), 0.75)
+
     def test_degenerate_rho(self):
         assert nm.binomial_cdf(0, 10, 0.0) == 1.0
         assert nm.binomial_cdf(3, 10, 1.0) == 0.0

@@ -169,6 +169,22 @@ class TestWindowPValues:
             surge.window_p_values(np.array(c), np.array(n), HYP)
 
 
+class TestWindowTotals:
+    def test_window_sums_past_int64_raise(self):
+        counts = np.array([[1, 2, 3], [0, 2**62, 2**62]])
+        with pytest.raises(DomainError, match="window total overflows int64"):
+            surge.window_totals(counts, 1)
+        # the largest count bounds every sum: l + 1 of them fit exactly
+        top = (2**63 - 1) // 3
+        c, n = surge.window_totals(np.full(6, top), 2)
+        assert c.tolist() == [2 * top] * 4 and n.tolist() == [3 * top] * 4
+
+    def test_wrapped_prefix_sums_give_exact_windows(self):
+        # the series total is 2**64, past int64, but every window fits
+        c, n = surge.window_totals(np.full(8, 2**61), 1)
+        assert c.tolist() == [2**61] * 7 and n.tolist() == [2**62] * 7
+
+
 class TestGaussianPValue:
     def test_mean_point_is_half(self):
         # n=21, c=16 puts c/n exactly at rho for theta=0.25, l=4
