@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import combine
-from .errors import ConfigError, DomainError, FedsurvError, checked_int
+from .errors import ConfigError, DomainError, FedsurvError, checked_float, checked_int
 from .evaluation import AlarmSeries, MatchWindow, f1, pr_curve
 from .experiments import (
     DEFAULT_THRESHOLDS,
@@ -43,7 +43,8 @@ from .experiments import (
     run_semisynth_sweep,
 )
 from .federation import FederationConfig, SiteNode, run_federation
-from .semisynth import _PERIOD_DAYS, CountSeries, ShareVector, _checked_seed, split_multinomial
+from .semisynth import _PERIOD_DAYS, CountSeries, ShareVector, _check_aligned, _checked_seed
+from .semisynth import split_multinomial
 from .surge import SurgeHypothesis, SurgeWindow, exact_p_value
 
 __all__ = ["main", "read_counts_csv"]
@@ -130,13 +131,6 @@ def read_counts_csv(path: Path | str) -> list[CountSeries]:
     return series
 
 
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"must lie in [0, 1], got {value!r}")
-    return value
-
-
 def _read_column(path: Path, column: str, parse) -> list:
     """One column of a CSV file, converted by `parse`, in row order. A
     `period` column beside it numbers the rows: it must read 0, 1, 2, ...,
@@ -161,12 +155,9 @@ def _read_column(path: Path, column: str, parse) -> list:
 
 
 def _pooled(series: Sequence[CountSeries]) -> CountSeries:
-    first = series[0]
-    for s in series[1:]:
-        if s.timestamps != first.timestamps or s.period != first.period:
-            raise ConfigError("sites must share cadence and timestamp alignment")
-    counts = tuple(sum(s.counts[i] for s in series) for i in range(len(first.counts)))
-    return CountSeries("pooled", first.period, first.timestamps, counts)
+    _check_aligned(series)
+    counts = tuple(map(sum, zip(*(s.counts for s in series))))
+    return CountSeries("pooled", series[0].period, series[0].timestamps, counts)
 
 
 # ------------------------------------------------------------ config bag
@@ -177,13 +168,14 @@ _REQUIRED = object()
 
 def _as_kind(value, kind, what: str):
     """`value` as `kind`, or a ConfigError naming `what`: a JSON string for
-    str; a JSON number (never bool) for float; an integer by the package's
+    str; a finite number by the package's real-number rule
+    (``errors.checked_float``, never bool) for float; an integer by its
     integer rule (``errors.checked_int``) for int."""
-    if kind is int:
-        return checked_int(value, what, error=ConfigError)
-    if isinstance(value, str) if kind is str else type(value) in (int, float):
-        return kind(value)
-    raise ConfigError(f"{what} must be {'a string' if kind is str else 'a number'}, got {value!r}")
+    if kind in (int, float):
+        return (checked_int if kind is int else checked_float)(value, what, error=ConfigError)
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{what} must be a string, got {value!r}")
 
 
 class _JsonConstant:
@@ -219,7 +211,7 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
             data = json.loads(text, parse_constant=_JsonConstant)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also an integer literal past Python's digit limit
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         return ExperimentConfig(data, p.parent)
 
@@ -560,7 +552,8 @@ def cmd_evaluate(args) -> int:
     # the cadence is checked even where an explicit window overrides its default
     default_window = MatchWindow.default_for(cadence)
     window = MatchWindow(*window_raw) if window_raw is not None else default_window
-    pvalues = _read_column(scores_path, "p", _probability)
+    # a probability, unnamed: the cell's error names its column
+    pvalues = _read_column(scores_path, "p", lambda text: checked_float(float(text), "", 0.0, 1.0))
     if not pvalues:
         raise ConfigError(f"{scores_path}: no data rows")
     truth = AlarmSeries.of(_read_column(truth_path, "period", int))
@@ -608,8 +601,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, DomainError, FileNotFoundError) as exc:
         print(f"fedsurv: error: {exc}", file=sys.stderr)
         return 2
-    except (FedsurvError, OSError) as exc:
-        print(f"fedsurv: error: {exc}", file=sys.stderr)
+    except (FedsurvError, OSError, MemoryError) as exc:  # MemoryError: a valid size too large
+        print(f"fedsurv: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

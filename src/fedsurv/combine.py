@@ -25,13 +25,13 @@ same bits as inverting cell by cell.
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numerics
-from .errors import ConfigError, DomainError, checked_int
+from .errors import ConfigError, DomainError, checked_float, checked_floats, checked_int
+from .errors import checked_shares
 
 CLAMP_EPS = 1e-15
 
@@ -63,11 +63,11 @@ class EvidenceSet:
     rho: float | None = None
 
     def __post_init__(self):
-        # as (N, 1) columns; a nested sequence becomes 3-D and is rejected
-        ps = _checked_p_values(np.asarray(self.p_values, dtype=float)[:, None])
-        object.__setattr__(self, "p_values", tuple(ps[:, 0].tolist()))
+        # one value per site: a nested sequence is rejected
+        ps = _checked_p_values(self.p_values, "p_values", ndim=1)
+        object.__setattr__(self, "p_values", tuple(ps.tolist()))
         if self.shares is not None:
-            shares = _checked_shares(np.asarray(self.shares, dtype=float)[:, None], len(ps))
+            shares = _checked_shares(self.shares, len(ps), columns=False)
             object.__setattr__(self, "shares", tuple(shares[:, 0].tolist()))
         if self.total_count is not None:
             object.__setattr__(self, "total_count", _checked_total(self.total_count))
@@ -86,39 +86,29 @@ class CombinedResult:
     method: str
 
 
-def _shares_column(shares, n_sites: int) -> np.ndarray:
-    """Per-site weights as a column: either one vector for every column of
-    the p-matrix, shape (N,), or one vector per column, shape (N, M)."""
-    sh = np.asarray(shares, dtype=float)
-    if sh.ndim == 1 and sh.shape[0] == n_sites:
-        return sh.reshape(n_sites, 1)
-    if sh.ndim == 2 and sh.shape[0] == n_sites:
-        return sh
-    raise ConfigError(f"shares must have shape ({n_sites},) or ({n_sites}, M), got {sh.shape}")
-
-
 # Combiner context: one check per rule, shared by EvidenceSet and _combine.
 
-def _checked_p_values(p_matrix) -> np.ndarray:
-    """An (N, M) float matrix with N >= 1 and every entry in [0, 1]."""
-    p = np.asarray(p_matrix, dtype=float)
-    if p.ndim != 2:
-        raise ConfigError(f"p-values must form an (n_sites, n_sets) matrix, got shape {p.shape}")
+def _checked_p_values(p_values, name: str = "p-values", ndim: int = 2) -> np.ndarray:
+    """An (N, M) float matrix, or with ``ndim`` 1 an (N,) vector, with
+    N >= 1 and every entry in [0, 1]."""
+    p = checked_floats(p_values, name, 0.0, 1.0)
+    if p.ndim != ndim:
+        form = "one p-value per site" if ndim == 1 else "an (n_sites, n_sets) matrix"
+        raise ConfigError(f"{name} must form {form}, got shape {p.shape}")
     if p.shape[0] < 1:
-        raise DomainError("at least one site's p-value is required")
-    if not ((p >= 0) & (p <= 1)).all():
-        raise DomainError("p-values must lie in [0, 1]")
+        raise DomainError(f"{name} must hold at least one site's p-value")
     return p
 
 
-def _checked_shares(shares, n_sites: int) -> np.ndarray:
-    """``_shares_column``, finite, nonnegative and summing to 1 per column."""
-    sh = _shares_column(shares, n_sites)
-    if not ((sh >= 0) & np.isfinite(sh)).all():
-        raise ConfigError("shares must be finite and nonnegative")
-    if np.abs(sh.sum(axis=0) - 1.0).max(initial=0.0) > 1e-9:
-        raise ConfigError("shares must sum to 1 within 1e-9 in every column")
-    return sh
+def _checked_shares(shares, n_sites: int, columns: bool = True) -> np.ndarray:
+    """Per-site weights by the package's share rule (``errors.checked_shares``)
+    as (N, M) columns: one vector for every column of the p-matrix, shape
+    (N,), or with ``columns`` one vector per column, shape (N, M)."""
+    sh = checked_shares(shares, error=ConfigError)
+    if len(sh) != n_sites or (sh.ndim == 2 and not columns):
+        shapes = f"({n_sites},) or ({n_sites}, M)" if columns else f"({n_sites},)"
+        raise ConfigError(f"shares must have shape {shapes}, got {sh.shape}")
+    return sh.reshape(n_sites, -1)
 
 
 def _checked_total(total) -> int:
@@ -142,9 +132,7 @@ def _checked_totals(total_count):
 
 def _checked_rho(rho) -> float:
     """The null baseline share, strictly inside (0, 1)."""
-    if not (isinstance(rho, numbers.Real) and 0.0 < rho < 1.0):
-        raise ConfigError(f"rho must lie strictly inside (0, 1), got {rho!r}")
-    return float(rho)
+    return checked_float(rho, "rho", 0.0, 1.0, strict=True, error=ConfigError)
 
 
 def _site_sum(x: np.ndarray) -> np.ndarray:
@@ -351,7 +339,7 @@ def combine_methods(methods, p_matrix, shares=None, total_count=None, rho=None):
 
     sites = _Sites(
         p_matrix,
-        _checked_shares(shares, p_matrix.shape[0]) if needed(1, shares, "per-site shares") else None,
+        _checked_shares(shares, len(p_matrix)) if needed(1, shares, "per-site shares") else None,
         np.asarray(_checked_totals(total_count), dtype=float)
         if needed(2, total_count, "total_count")
         else None,

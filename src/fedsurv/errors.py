@@ -1,15 +1,20 @@
-"""Exception taxonomy shared across the package, and its one integer rule.
+"""Exception taxonomy shared across the package, and its input rules.
 
 Three failure classes cover every contract in the library: a value outside
 an operation's mathematical domain, an inconsistent or incomplete
 configuration, and a diagnostic requested at a boundary point where the
 underlying inequalities do not apply. Every count, length, index and
-extent a caller supplies is an integer by ``checked_int``.
+extent a caller supplies is an integer by ``checked_int``; every real
+number is a finite float inside its field's bounds by ``checked_float``,
+and every array of them (p-values, thresholds, rates) by
+``checked_floats``; ``checked_shares`` adds a share vector's sum to one.
 """
 
 import math
 import numbers
 import operator
+
+import numpy as np
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
@@ -55,3 +60,70 @@ def check_int_fields(obj, error=DomainError, **minimums) -> None:
     ``checked_int`` gives for it, with the field's minimum."""
     for name, minimum in minimums.items():
         object.__setattr__(obj, name, checked_int(getattr(obj, name), name, minimum, error=error))
+
+
+def _within(x, low, high, strict: bool):
+    """Whether x, a float or an array, is finite and in [low, high] (strict:
+    in (low, high)), elementwise; NaN never is."""
+    below = operator.lt if strict else operator.le
+    return np.isfinite(x) & below(low, x) & below(x, high)
+
+
+def _fault(name: str, low, high, strict: bool, got: str) -> str:
+    """A real's message; with an empty ``name`` the caller's context names it."""
+    num = [repr(float(b)).removesuffix(".0") for b in (low, high)]
+    if low > -math.inf and high < math.inf:
+        rule = f"must lie in {'(' if strict else '['}{num[0]}, {num[1]}{')' if strict else ']'}"
+    elif low > -math.inf:
+        rule = f"must be finite and {'>' if strict else '>='} {num[0]}"
+    else:  # no field has only an upper bound
+        rule = "must be finite"
+    return f"{name} {rule}, got {got}".lstrip()
+
+
+def checked_float(value, name, low=-math.inf, high=math.inf, strict=False, error=DomainError):
+    """``value`` as a finite float in [low, high] (``strict``: in (low, high)),
+    else ``error`` naming ``name``. Any Python or numpy real passes but
+    bool; an integer past a double's range is out of range, not an
+    OverflowError."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise error(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    if not _within(x, low, high, strict):
+        raise error(_fault(name, low, high, strict, repr(value)))
+    return x
+
+
+def checked_floats(values, name, low=-math.inf, high=math.inf, strict=False, error=DomainError):
+    """``values`` as a float array whose every entry is finite and in [low,
+    high] (``strict``: in (low, high)), else ``error`` naming ``name`` and
+    the first bad entry's index. Valid input costs one min and one max,
+    which propagate NaN, and builds no mask."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"{name} must be real numbers: {exc}") from exc
+    if arr.size and not _within(np.array((arr.min(), arr.max())), low, high, strict).all():
+        first = np.flatnonzero(~_within(arr, low, high, strict))[0]
+        at = tuple(map(int, np.unravel_index(first, arr.shape)))
+        where = f" at index {at[0] if arr.ndim == 1 else at}" if arr.ndim else ""
+        raise error(_fault(name, low, high, strict, repr(float(arr[at])) + where))
+    return arr
+
+
+def checked_shares(shares, name: str = "shares", error=DomainError) -> np.ndarray:
+    """``shares`` as a float array of one share vector (N,), or one per
+    column (N, M): each share finite and >= 0, each vector summing to 1
+    within 1e-9, else ``error`` naming ``name``."""
+    sh = checked_floats(shares, name, 0.0, error=error)
+    if sh.ndim not in (1, 2) or len(sh) == 0:
+        raise error(f"{name} must be one share vector or one per column, got shape {sh.shape}")
+    total = sh.sum(axis=0)
+    off = np.flatnonzero(np.abs(total - 1.0) > 1e-9)
+    if off.size:
+        where = f" in column {off[0]}" if sh.ndim == 2 else ""
+        raise error(f"{name} must sum to 1 within 1e-9, got {float(total.flat[off[0]])!r}{where}")
+    return sh

@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, check_int_fields, checked_int
+from .errors import DomainError, check_int_fields, checked_float, checked_floats, checked_int
 from .semisynth import PrevalenceSeries
 
 __all__ = [
@@ -80,14 +80,10 @@ class MatchCounts(NamedTuple):
 
 
 def alarms_from_pvalues(p_series: Sequence[float], threshold: float) -> AlarmSeries:
-    """Alarm wherever the p-value falls strictly below the threshold."""
-    if not 0.0 <= threshold <= 1.0:
-        raise DomainError(f"threshold must lie in [0, 1], got {threshold!r}")
-    arr = np.asarray(p_series, dtype=float)
-    bad = np.flatnonzero(np.isnan(arr) | (arr < 0.0) | (arr > 1.0))
-    if bad.size:
-        i = int(bad[0])
-        raise DomainError(f"p-values must lie in [0, 1], got {arr[i]!r} at index {i}")
+    """Alarm wherever the p-value falls strictly below the threshold, which
+    lies in (0, 1) as every threshold does."""
+    threshold = checked_float(threshold, "threshold", 0.0, 1.0, strict=True)
+    arr = checked_floats(p_series, "p-values", 0.0, 1.0)
     return AlarmSeries(tuple(int(i) for i in np.flatnonzero(arr < threshold)))
 
 
@@ -95,8 +91,7 @@ def alarms_from_growth(prev: PrevalenceSeries, theta: float, l: int) -> AlarmSer
     """Alarm where the rate exceeds its trailing l-period mean by more than
     a factor of 1+theta. Periods whose trailing mean is zero never alarm."""
     l = checked_int(l, "baseline length l", 1)
-    if not (math.isfinite(theta) and theta >= 0):
-        raise DomainError(f"theta must be finite and >= 0, got {theta!r}")
+    theta = checked_float(theta, "theta", 0.0)
     if prev.length <= l:
         raise DomainError(
             f"series of length {prev.length} leaves no period with a "
@@ -160,22 +155,12 @@ def pr_curves(
     from one `searchsorted` of the p-values into the thresholds and one
     `bincount` per block, so they need no mask at all.
     """
-    if not thresholds:
-        raise DomainError("at least one threshold is required")
-    for th in thresholds:
-        if not 0.0 < th < 1.0:
-            raise DomainError(f"thresholds must lie in (0, 1), got {th!r}")
-    th_values = np.sort(np.asarray(thresholds, dtype=float))
-    p = np.asarray(p_matrix, dtype=float)
+    th_values = np.sort(checked_floats(thresholds, "thresholds", 0.0, 1.0, strict=True))
+    if not th_values.size:
+        raise DomainError("thresholds must be nonempty")
+    p = checked_floats(p_matrix, "p-values", 0.0, 1.0)
     if p.ndim != 2:
         raise DomainError(f"p-values must form an (S, T) matrix, got shape {p.shape}")
-    # min and max propagate NaN, and build no (S, T) mask on valid input
-    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
-        s, i = (int(v) for v in np.argwhere(~((p >= 0.0) & (p <= 1.0)))[0])
-        raise DomainError(
-            f"p-values must lie in [0, 1], got {float(p[s, i])!r} "
-            f"at index {i} of series {s}"
-        )
 
     n_series, length = p.shape
     n_ths = th_values.size
@@ -316,14 +301,9 @@ def pr_curve(
 
 def _rates(precision, recall) -> tuple[np.ndarray, np.ndarray]:
     """Precision and recall as float arrays of one shape, each in [0, 1]."""
-    p = np.asarray(precision, dtype=float)
-    r = np.asarray(recall, dtype=float)
+    p, r = (checked_floats(v, "precision/recall", 0.0, 1.0) for v in (precision, recall))
     if p.shape != r.shape:
         raise DomainError(f"precision {p.shape} and recall {r.shape} differ in shape")
-    for v in (p, r):
-        bad = ~((v >= 0.0) & (v <= 1.0))
-        if bad.any():
-            raise DomainError(f"precision/recall must lie in [0, 1], got {v[bad][0]!r}")
     return p, r
 
 
@@ -333,8 +313,7 @@ def recall_at_fdr(precision, recall, fdr: float):
     p, r = _rates(precision, recall)
     if p.ndim == 0 or p.shape[-1] == 0:
         raise DomainError("cannot summarize an empty curve")
-    if not 0.0 <= fdr <= 1.0:
-        raise DomainError(f"fdr must lie in [0, 1], got {fdr!r}")
+    fdr = checked_float(fdr, "fdr", 0.0, 1.0)
     return np.where(p >= 1.0 - fdr, r, 0.0).max(axis=-1)
 
 

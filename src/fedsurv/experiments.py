@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
-import math
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import combine
-from .errors import ConfigError, DomainError, check_int_fields, checked_int
+from .errors import ConfigError, DomainError, check_int_fields, checked_float, checked_floats
+from .errors import checked_int
 from .evaluation import (
     AlarmSeries,
     MatchWindow,
@@ -94,12 +94,10 @@ class PowerCurveConfig:
 
     def __post_init__(self) -> None:
         check_int_fields(self, ConfigError, n_total=1, calibration_reps=1000, power_reps=1000)
-        ShareVector(tuple(float(s) for s in self.shares))
+        ShareVector(self.shares)
         if not self.theta_grid:
             raise ConfigError("theta_grid must be nonempty")
-        for th in self.theta_grid:
-            if not (th > -1.0 and math.isfinite(th)):
-                raise ConfigError(f"theta_grid entries must be finite and exceed -1, got {th!r}")
+        checked_floats(self.theta_grid, "theta_grid", -1.0, strict=True, error=ConfigError)
         for m in self.methods:
             if m not in POWER_METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {POWER_METHODS}")
@@ -282,24 +280,18 @@ class SemisynthConfig:
         check_int_fields(self, ConfigError, smoothing_window=1, n_replicates=1, entropy_sites=2)
         sites = tuple(checked_int(n, "site count", 1, error=ConfigError) for n in self.site_sweep)
         object.__setattr__(self, "site_sweep", sites)
-        if not self.site_sweep_magnitude > 0:
-            raise ConfigError("site_sweep_magnitude must be positive")
-        for m in self.magnitude_sweep:
-            if not m > 0:
-                raise ConfigError(f"magnitudes must be positive, got {m!r}")
-        for d in self.dominant_sweep:
-            if not 1.0 / self.entropy_sites <= d < 1.0 + 1e-12:
-                raise ConfigError(
-                    f"dominant share {d!r} must lie in [1/{self.entropy_sites}, 1]"
-                )
+        checked_float(
+            self.site_sweep_magnitude, "site_sweep_magnitude", 0.0, strict=True, error=ConfigError
+        )
+        checked_floats(self.magnitude_sweep, "magnitude_sweep", 0.0, strict=True, error=ConfigError)
+        lowest = 1.0 / self.entropy_sites
+        checked_floats(self.dominant_sweep, "dominant_sweep", lowest, 1.0, error=ConfigError)
         for m in self.methods:
             if m not in POWER_METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {POWER_METHODS}")
         if not self.thresholds:
             raise ConfigError("thresholds must be nonempty")
-        for th in self.thresholds:
-            if not 0.0 < th < 1.0:
-                raise ConfigError(f"thresholds must lie in (0, 1), got {th!r}")
+        checked_floats(self.thresholds, "thresholds", 0.0, 1.0, strict=True, error=ConfigError)
 
 
 class SweepRow(NamedTuple):

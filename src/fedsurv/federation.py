@@ -26,14 +26,13 @@ dictionaries, which is the seam a networked deployment would replace.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import combine
-from .errors import ConfigError, DomainError, check_int_fields
-from .semisynth import CountSeries, ShareVector
+from .errors import ConfigError, DomainError, check_int_fields, checked_float
+from .semisynth import CountSeries, ShareVector, _check_aligned
 from .surge import SurgeHypothesis, SurgeWindow, exact_p_value, window_p_values, window_totals
 
 __all__ = [
@@ -87,8 +86,7 @@ class PValueReport:
     p_value: float
 
     def __post_init__(self) -> None:
-        if math.isnan(self.p_value) or not 0.0 <= self.p_value <= 1.0:
-            raise DomainError(f"p_value must lie in [0, 1], got {self.p_value!r}")
+        object.__setattr__(self, "p_value", checked_float(self.p_value, "p_value", 0.0, 1.0))
 
     def to_json(self) -> dict:
         return {"site_id": self.site_id, "period": self.period_index, "p": self.p_value}
@@ -296,11 +294,8 @@ def run_federation(
     ids = [s.site_id for s in ordered]
     if len(set(ids)) != len(ids):
         raise ConfigError("site_ids must be unique")
+    _check_aligned([s.private_series for s in ordered])
     timeline = ordered[0].timeline
-    period = ordered[0].period
-    for s in ordered[1:]:
-        if s.timeline != timeline or s.period != period:
-            raise ConfigError("sites must share cadence and timestamp alignment")
     hyp = cfg.hypothesis
     l = hyp.baseline_len
     counts = np.array([s.private_series.counts for s in ordered], dtype=np.int64)

@@ -25,7 +25,7 @@ import threading
 import numpy as np
 from scipy import special
 
-from .errors import DomainError
+from .errors import DomainError, checked_float, checked_floats
 
 __all__ = [
     "EXACT_MAX_N",
@@ -82,9 +82,7 @@ def binomial_cdf(c, n, rho):
     """
     scalar = np.isscalar(c) and np.isscalar(n) and np.isscalar(rho)
     c_arr, n_arr = _counts(c, n)
-    rho_arr = _as_float_array(rho, "rho")
-    if (rho_arr < 0).any() or (rho_arr > 1).any():
-        raise DomainError("rho must lie in [0, 1]")
+    rho_arr = checked_floats(rho, "rho", 0.0, 1.0)
 
     c_b, n_b, rho_b = np.broadcast_arrays(c_arr, n_arr, rho_arr)
     out = np.ones(c_b.shape, dtype=float)
@@ -216,9 +214,7 @@ def binomial_cdf_exact(c, n, rho):
     """
     scalar = np.isscalar(c) and np.isscalar(n)
     c_arr, n_arr = _counts(c, n)
-    rho = float(rho)
-    if not 0.0 <= rho <= 1.0:
-        raise DomainError("rho must lie in [0, 1]")
+    rho = checked_float(rho, "rho", 0.0, 1.0)
     if (n_arr > EXACT_MAX_N).any():
         raise DomainError(f"n must not exceed EXACT_MAX_N = {EXACT_MAX_N}")
     return _ret(_cdf_table(rho).lookup(c_arr, n_arr), scalar)
@@ -227,10 +223,7 @@ def binomial_cdf_exact(c, n, rho):
 def normal_cdf(z):
     """Standard normal CDF Phi(z)."""
     scalar = np.isscalar(z)
-    z_arr = _as_float_array(z, "z")
-    if np.isinf(z_arr).any():
-        raise DomainError("z must be finite")
-    return _ret(_clamp01(special.ndtr(z_arr)), scalar)
+    return _ret(_clamp01(special.ndtr(checked_floats(z, "z"))), scalar)
 
 
 def normal_pdf(z):
@@ -243,21 +236,11 @@ def normal_pdf(z):
 def normal_quantile(p):
     """Inverse of ``normal_cdf``; defined on the open interval (0, 1)."""
     scalar = np.isscalar(p)
-    p_arr = _as_float_array(p, "p")
-    if (p_arr <= 0).any() or (p_arr >= 1).any():
-        raise DomainError("p must lie strictly inside (0, 1); clamp before calling")
-    return _ret(special.ndtri(p_arr), scalar)
-
-
-def _shape(a) -> np.ndarray:
-    a_arr = _as_float_array(a, "a")
-    if not ((a_arr > 0) & (a_arr < np.inf)).all():
-        raise DomainError("a must be positive and finite")
-    return a_arr
+    return _ret(special.ndtri(checked_floats(p, "p", 0.0, 1.0, strict=True)), scalar)
 
 
 def _gamma_args(a, x) -> tuple[np.ndarray, np.ndarray]:
-    a_arr = _shape(a)
+    a_arr = checked_floats(a, "a", 0.0, strict=True)
     x_arr = _as_float_array(x, "x")
     if (x_arr < 0).any():
         raise DomainError("x must be nonnegative")
@@ -355,10 +338,8 @@ def gamma_isf(a, p):
     gives, so the memo's state never changes a result.
     """
     scalar = np.isscalar(a) and np.isscalar(p)
-    a_arr = _shape(a)
-    p_arr = _as_float_array(p, "p")
-    if (p_arr < 0).any() or (p_arr > 1).any():
-        raise DomainError("p must lie in [0, 1]")
+    a_arr = checked_floats(a, "a", 0.0, strict=True)
+    p_arr = checked_floats(p, "p", 0.0, 1.0)
     # flat views where a and p are contiguous and of one shape, else copies
     shape = np.broadcast_shapes(a_arr.shape, p_arr.shape)
     a_flat = np.broadcast_to(a_arr, shape).reshape(-1)

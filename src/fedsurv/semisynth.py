@@ -15,7 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, checked_int
+from .errors import ConfigError, DomainError, checked_float, checked_floats, checked_int
+from .errors import checked_shares
 
 __all__ = [
     "CountSeries",
@@ -56,6 +57,14 @@ def _check_timeline(timestamps: Sequence[datetime.date], period: str) -> None:
             )
 
 
+def _check_aligned(series: Sequence["CountSeries"]) -> None:
+    """Raise ConfigError unless every series has the first one's cadence
+    and timestamps: the rule for sites that are pooled or combined."""
+    for s in series[1:]:
+        if s.timestamps != series[0].timestamps or s.period != series[0].period:
+            raise ConfigError("sites must share cadence and timestamp alignment")
+
+
 @dataclasses.dataclass(frozen=True)
 class CountSeries:
     """One site's observed counts on a regular daily or weekly timeline."""
@@ -92,9 +101,7 @@ class PrevalenceSeries:
         if len(self.timestamps) != len(self.rates):
             raise DomainError("timestamps and rates must have equal length")
         _check_timeline(self.timestamps, self.period)
-        for r in self.rates:
-            if not math.isfinite(r) or r < 0:
-                raise DomainError(f"rates must be finite and nonnegative, got {r!r}")
+        checked_floats(self.rates, "rates", 0.0)
 
     @property
     def length(self) -> int:
@@ -103,19 +110,16 @@ class PrevalenceSeries:
 
 @dataclasses.dataclass(frozen=True)
 class ShareVector:
-    """Site share profile: nonnegative fractions summing to one."""
+    """Site share profile: nonnegative fractions summing to one, by the
+    package's one share rule (``errors.checked_shares``), kept as floats."""
 
     shares: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.shares:
-            raise DomainError("at least one share is required")
-        for s in self.shares:
-            if not math.isfinite(s) or s < 0:
-                raise DomainError(f"shares must be finite and nonnegative, got {s!r}")
-        total = math.fsum(self.shares)
-        if abs(total - 1.0) > 1e-9:
-            raise DomainError(f"shares must sum to 1, got {total!r}")
+        shares = checked_shares(self.shares)
+        if shares.ndim != 1:
+            raise DomainError(f"shares must be one vector, got shape {shares.shape}")
+        object.__setattr__(self, "shares", tuple(shares.tolist()))
 
     @property
     def n_sites(self) -> int:
@@ -128,9 +132,7 @@ class ShareVector:
 
 
 def _coerce_shares(shares: "ShareVector | Iterable[float]") -> ShareVector:
-    if isinstance(shares, ShareVector):
-        return shares
-    return ShareVector(tuple(float(s) for s in shares))
+    return shares if isinstance(shares, ShareVector) else ShareVector(tuple(shares))
 
 
 def _checked_seed(seed) -> int:
@@ -238,8 +240,7 @@ def _multinomial_table(counts: Sequence[int], shares: ShareVector, seed: int) ->
 
 def scale_magnitude(prev: PrevalenceSeries, multiplier: float) -> PrevalenceSeries:
     """Multiply every rate by a positive factor."""
-    if not math.isfinite(multiplier) or multiplier <= 0:
-        raise DomainError(f"multiplier must be positive, got {multiplier!r}")
+    multiplier = checked_float(multiplier, "multiplier", 0.0, strict=True)
     return PrevalenceSeries(
         prev.period, prev.timestamps, tuple(r * multiplier for r in prev.rates)
     )

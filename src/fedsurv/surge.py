@@ -20,7 +20,7 @@ import numpy as np
 
 from . import numerics
 from .errors import BoundsNotApplicableError, ConfigError, DomainError
-from .errors import check_int_fields, checked_int
+from .errors import check_int_fields, checked_float, checked_int
 
 __all__ = [
     "SurgeHypothesis",
@@ -51,11 +51,9 @@ class SurgeHypothesis:
     alpha: float = 0.05
 
     def __post_init__(self):
-        if not math.isfinite(self.theta) or self.theta < 0:
-            raise DomainError("theta must be finite and >= 0")
+        object.__setattr__(self, "theta", checked_float(self.theta, "theta", 0.0))
         check_int_fields(self, baseline_len=1)
-        if not 0 < self.alpha < 1:
-            raise DomainError("alpha must lie strictly inside (0, 1)")
+        object.__setattr__(self, "alpha", checked_float(self.alpha, "alpha", 0.0, 1.0, strict=True))
 
     @property
     def rho(self) -> float:
@@ -103,8 +101,7 @@ class PowerScenario:
 
     def __post_init__(self):
         check_int_fields(self, n=1)
-        if not math.isfinite(self.theta_alt) or self.theta_alt < 0:
-            raise DomainError("theta_alt must be finite and >= 0")
+        object.__setattr__(self, "theta_alt", checked_float(self.theta_alt, "theta_alt", 0.0))
 
     @property
     def q_alt(self) -> float:

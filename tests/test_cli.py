@@ -8,13 +8,14 @@ import random
 import subprocess
 import sys
 import tracemalloc
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fedsurv import numerics
-from fedsurv.cli import ExperimentConfig, _json_text, main, read_counts_csv
+from fedsurv.cli import ExperimentConfig, _json_text, _pooled, main, read_counts_csv
 from fedsurv.combine import EvidenceSet, combine_by_id
 from fedsurv.errors import ConfigError
 from fedsurv.experiments import (
@@ -23,7 +24,8 @@ from fedsurv.experiments import (
     run_power_curve,
     run_semisynth_sweep,
 )
-from fedsurv.federation import FederationConfig
+from fedsurv.federation import FederationConfig, SiteNode, run_federation
+from fedsurv.semisynth import CountSeries
 from fedsurv.surge import SurgeHypothesis, SurgeWindow, exact_p_value
 
 from support import nudged_special, package_env
@@ -759,6 +761,114 @@ class TestCountsPastInt64:
         assert code == 2 and out == ""
         assert err.startswith(f"fedsurv: error: config field {field!r}")
 
+
+def _float_keys(cls) -> list[str]:
+    """The keys of the config dataclass ``cls`` that hold a float or a list
+    of floats, read from its type hints as ``ExperimentConfig.take_fields``
+    reads them, nested config dataclasses included."""
+    hints = typing.get_type_hints(cls)
+    keys = []
+    for field in dataclasses.fields(cls):
+        kind = hints[field.name]
+        if dataclasses.is_dataclass(kind):
+            keys += _float_keys(kind)
+        elif kind is float or typing.get_args(kind) == (float, ...):
+            keys.append(field.name)
+    return keys
+
+
+class TestFloatFieldTable:
+    """Every float-typed key of every command, set one at a time on a tiny
+    valid config to each value of a fixed table, exits 0 or 2 without a
+    traceback, and an exit 2 names the key. A list key also takes each
+    value as its first entry. The table asks for no large array: every
+    value is rejected or, as an empty sweep, shrinks the run."""
+
+    # raw JSON texts: the integer 10**400 and 1e400 (which parses as inf)
+    # are written out, as json.dumps cannot write them
+    VALUES = ("1" + "0" * 400, "1e400", "-1e300", '"x"', "true", "null", "[]", "{}")
+
+    @staticmethod
+    def bases(tmp_path, counts_csv) -> dict:
+        scores = tmp_path / "scores.csv"
+        scores.write_text("period,p\n0,1.0\n1,0.04\n2,0.2\n3,0.01\n", encoding="utf-8")
+        truth = tmp_path / "truth.csv"
+        truth.write_text("period\n1\n", encoding="utf-8")
+        tiny_power = dict(calibration_reps=1000, power_reps=1000, theta_grid=[0.5], n_total=50)
+        tiny_sweep = dict(
+            n_replicates=1,
+            site_sweep=[2],
+            magnitude_sweep=[1.0],
+            dominant_sweep=[0.6],
+            thresholds=[0.01, 0.1],
+        )
+        methods = ["centralized", "fisher"]
+        return {
+            "test": (dict(csv=str(counts_csv), at=5), SurgeHypothesis, ()),
+            "combine": (
+                dict(
+                    method="cstouffer", p_values=[0.01, 0.3], shares=[0.5, 0.5], total_count=9, rho=0.5
+                ),
+                None,
+                ("rho", "p_values", "shares"),
+            ),
+            "power-curve": (tiny_power | {"methods": methods}, PowerCurveConfig, ()),
+            "semisynth": (tiny_sweep | {"methods": methods}, SemisynthConfig, ()),
+            "federation": ({}, FederationConfig, ("shares",)),
+            "evaluate": (dict(scores=str(scores), truth=str(truth)), None, ("thresholds",)),
+        }
+
+    @pytest.mark.parametrize(
+        "command", ["test", "combine", "power-curve", "semisynth", "federation", "evaluate"]
+    )
+    def test_every_float_key_exits_0_or_2_naming_it(self, tmp_path, counts_csv, capsys, command):
+        base, cls, extra = self.bases(tmp_path, counts_csv)[command]
+        keys = (_float_keys(cls) if cls else []) + list(extra)
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)} if cls else {}
+        assert keys
+        faults = []
+        seeded = ["--seed", 1] if command in ("power-curve", "semisynth", "federation") else []
+        for key in keys:
+            current = base.get(key, defaults.get(key, [0.5, 0.5]))
+            # "@" marks where the raw value goes: the key, or its first entry
+            slots = ["@"] + ([["@", *current[1:]]] if isinstance(current, (list, tuple)) else [])
+            for slot in slots:
+                for value in self.VALUES:
+                    path = tmp_path / "config.json"
+                    text = json.dumps(base | {key: slot}).replace('"@"', value)
+                    path.write_text(text, encoding="utf-8")
+                    case = (key, "entry" if slot != "@" else "key", value[:8])
+                    try:
+                        code, _, err = run([command, "--config", path, *seeded], capsys)
+                    except Exception as exc:  # noqa: BLE001 - any escape is a fault
+                        faults.append((*case, repr(exc)[:80]))
+                        continue
+                    if code not in (0, 2) or "Traceback" in err or (code == 2 and key not in err):
+                        faults.append((*case, code, err[:80]))
+        assert not faults, faults
+
+    def test_integer_literal_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"theta": 1' + "0" * 5000 + "}", encoding="utf-8")
+        code, out, err = run(["test", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"fedsurv: error: {cfg}: invalid JSON")
+
+
+class TestOneSiteAlignmentRule:
+    def test_pooling_and_federation_reject_a_misaligned_pair_alike(self):
+        dates = [datetime.date(2024, 1, 1) + datetime.timedelta(weeks=i) for i in range(6)]
+        a = CountSeries("a", "weekly", tuple(dates), (5,) * 6)
+        shifted = tuple(d + datetime.timedelta(days=1) for d in dates)
+        b = CountSeries("b", "weekly", shifted, (5,) * 6)
+        with pytest.raises(ConfigError) as pooled:
+            _pooled([a, b])
+        with pytest.raises(ConfigError) as federated:
+            run_federation([SiteNode.wrap(a), SiteNode.wrap(b)], FederationConfig())
+        assert str(pooled.value) == str(federated.value)
+        assert str(pooled.value) == "sites must share cadence and timestamp alignment"
+
+
 class TestWindowTotalsOutOfRange:
     """Window totals past what int64 sums or float64 tails carry exit 2
     naming the cause; they used to exit 2 with a message about negative
@@ -1131,6 +1241,27 @@ class TestExitCodes:
         code, _, err = run(["semisynth", "--config", cfg, "--seed", 1], capsys)
         assert code == 1
         assert "engine failure" in err
+
+    @pytest.mark.parametrize(
+        "exc, want",
+        [
+            (MemoryError("Unable to allocate 8.00 TiB"), "Unable to allocate 8.00 TiB"),
+            (MemoryError(), "out of memory"),
+        ],
+    )
+    def test_allocation_failure_exits_1(self, tmp_path, capsys, monkeypatch, exc, want):
+        # a count within its field's rule that cannot be allocated, such as
+        # calibration_reps 2**40; the engine is replaced, so nothing is allocated
+        import fedsurv.cli as cli_module
+
+        def out_of_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli_module, "run_power_curve", out_of_memory)
+        cfg = write_config(tmp_path, calibration_reps=2**40)
+        code, out, err = run(["power-curve", "--config", cfg, "--seed", 1], capsys)
+        assert code == 1 and out == ""
+        assert err == f"fedsurv: error: {want}\n"
 
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -69,8 +69,13 @@ class TestTypes:
 
 
 class TestAlarmsFromPValues:
-    def test_zero_threshold_never_fires(self):
-        assert len(ev.alarms_from_pvalues([0.0, 0.5, 1.0], 0.0)) == 0
+    @pytest.mark.parametrize(
+        "threshold", [0.0, 1.0, float("nan"), 10**400, True], ids=["0", "1", "nan", "400-digit", "bool"]
+    )
+    def test_threshold_outside_open_unit_interval_rejected(self, threshold):
+        # one threshold domain, (0, 1), as pr_curves and the configs use
+        with pytest.raises(DomainError, match="^threshold must"):
+            ev.alarms_from_pvalues([0.0, 0.5, 1.0], threshold)
 
     def test_golden_comparison(self):
         got = ev.alarms_from_pvalues([1.0, 0.04, 0.2, 0.01], 0.05)
