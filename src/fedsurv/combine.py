@@ -31,7 +31,7 @@ import numpy as np
 
 from . import numerics
 from .errors import ConfigError, DomainError, checked_float, checked_floats, checked_int
-from .errors import checked_shares
+from .errors import checked_ints, checked_shares
 
 CLAMP_EPS = 1e-15
 
@@ -70,7 +70,8 @@ class EvidenceSet:
             shares = _checked_shares(self.shares, len(ps), columns=False)
             object.__setattr__(self, "shares", tuple(shares[:, 0].tolist()))
         if self.total_count is not None:
-            object.__setattr__(self, "total_count", _checked_total(self.total_count))
+            total = checked_int(self.total_count, "total_count", 1, error=ConfigError)
+            object.__setattr__(self, "total_count", total)
         if self.rho is not None:
             object.__setattr__(self, "rho", _checked_rho(self.rho))
 
@@ -111,22 +112,12 @@ def _checked_shares(shares, n_sites: int, columns: bool = True) -> np.ndarray:
     return sh.reshape(n_sites, -1)
 
 
-def _checked_total(total) -> int:
-    """A pooled count: an integer of at least 1."""
-    return checked_int(total, "total_count", minimum=1, error=ConfigError)
-
-
-def _checked_totals(total_count):
-    """One pooled count, or one per column, each by ``_checked_total``."""
-    totals = np.asarray(total_count)
-    if totals.ndim == 0:
-        return _checked_total(total_count)
-    if totals.dtype.kind in "iu":  # integers by dtype: the extremes decide
-        values = [totals.min(initial=1), totals.max(initial=1)]
-    else:
-        values = np.unique(totals).tolist()
-    for total in values:
-        _checked_total(total)
+def _checked_totals(total_count, n_columns: int) -> np.ndarray:
+    """One pooled count, or one per column of M = ``n_columns``, shape (M,),
+    each an integer of at least 1."""
+    totals = checked_ints(total_count, "total_count", 1, error=ConfigError)
+    if totals.shape not in ((), (n_columns,)):
+        raise ConfigError(f"total_count must be one count or {n_columns}, got shape {totals.shape}")
     return totals
 
 
@@ -340,7 +331,7 @@ def combine_methods(methods, p_matrix, shares=None, total_count=None, rho=None):
     sites = _Sites(
         p_matrix,
         _checked_shares(shares, len(p_matrix)) if needed(1, shares, "per-site shares") else None,
-        np.asarray(_checked_totals(total_count), dtype=float)
+        _checked_totals(total_count, p_matrix.shape[1]).astype(float)
         if needed(2, total_count, "total_count")
         else None,
         _checked_rho(rho) if needed(3, rho, "rho") else None,

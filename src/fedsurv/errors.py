@@ -4,10 +4,12 @@ Three failure classes cover every contract in the library: a value outside
 an operation's mathematical domain, an inconsistent or incomplete
 configuration, and a diagnostic requested at a boundary point where the
 underlying inequalities do not apply. Every count, length, index and
-extent a caller supplies is an integer by ``checked_int``; every real
+extent a caller supplies is an integer by ``checked_int``, and every array
+of them (counts, totals, alarm indices) by ``checked_ints``; every real
 number is a finite float inside its field's bounds by ``checked_float``,
 and every array of them (p-values, thresholds, rates) by
 ``checked_floats``; ``checked_shares`` adds a share vector's sum to one.
+Both array rules admit only integer and float dtypes, and no bool entry.
 """
 
 import math
@@ -69,18 +71,6 @@ def _within(x, low, high, strict: bool):
     return np.isfinite(x) & below(low, x) & below(x, high)
 
 
-def _fault(name: str, low, high, strict: bool, got: str) -> str:
-    """A real's message; with an empty ``name`` the caller's context names it."""
-    num = [repr(float(b)).removesuffix(".0") for b in (low, high)]
-    if low > -math.inf and high < math.inf:
-        rule = f"must lie in {'(' if strict else '['}{num[0]}, {num[1]}{')' if strict else ']'}"
-    elif low > -math.inf:
-        rule = f"must be finite and {'>' if strict else '>='} {num[0]}"
-    else:  # no field has only an upper bound
-        rule = "must be finite"
-    return f"{name} {rule}, got {got}".lstrip()
-
-
 def checked_float(value, name, low=-math.inf, high=math.inf, strict=False, error=DomainError):
     """``value`` as a finite float in [low, high] (``strict``: in (low, high)),
     else ``error`` naming ``name``. Any Python or numpy real passes but
@@ -93,32 +83,92 @@ def checked_float(value, name, low=-math.inf, high=math.inf, strict=False, error
     except OverflowError:
         x = math.inf if value > 0 else -math.inf
     if not _within(x, low, high, strict):
-        raise error(_fault(name, low, high, strict, repr(value)))
+        num = [repr(float(b)).removesuffix(".0") for b in (low, high)]
+        if low > -math.inf and high < math.inf:
+            rule = f"must lie in {'(' if strict else '['}{num[0]}, {num[1]}{')' if strict else ']'}"
+        elif low > -math.inf:
+            rule = f"must be finite and {'>' if strict else '>='} {num[0]}"
+        else:  # no field has only an upper bound
+            rule = "must be finite"
+        # with an empty ``name`` the caller's context names the value
+        raise error(f"{name} {rule}, got {value!r}".lstrip())
     return x
 
 
-def checked_floats(values, name, low=-math.inf, high=math.inf, strict=False, error=DomainError):
-    """``values`` as a float array whose every entry is finite and in [low,
-    high] (``strict``: in (low, high)), else ``error`` naming ``name`` and
-    the first bad entry's index. Valid input costs one min and one max,
-    which propagate NaN, and builds no mask."""
+def _holds_bool(values) -> bool:
+    """Whether ``values`` is a bool or an array of them, or a list or tuple,
+    nested or not, that holds one."""
+    if isinstance(values, (list, tuple)):
+        return any(map(_holds_bool, values))
+    return isinstance(values, bool) or getattr(values, "dtype", None) == bool
+
+
+def _array(values, name: str, what: str, ndim, error) -> np.ndarray:
+    """``values`` as an array of an integer or float dtype and, unless
+    ``ndim`` is None, of ``ndim`` axes, else ``error`` naming ``name`` and
+    ``what`` it must hold: the gate of both array rules."""
     try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise error(f"{name} must be real numbers: {exc}") from exc
-    if arr.size and not _within(np.array((arr.min(), arr.max())), low, high, strict).all():
-        first = np.flatnonzero(~_within(arr, low, high, strict))[0]
-        at = tuple(map(int, np.unravel_index(first, arr.shape)))
-        where = f" at index {at[0] if arr.ndim == 1 else at}" if arr.ndim else ""
-        raise error(_fault(name, low, high, strict, repr(float(arr[at])) + where))
+        arr = np.asarray(values)
+    except (TypeError, ValueError) as exc:  # ragged nesting
+        raise error(f"{name} must be {what}: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise error(f"{name} must be {what}, got dtype {arr.dtype}")
+    if ndim is not None and arr.ndim != ndim:
+        raise error(f"{name} must be {ndim}-d, got shape {arr.shape}")
     return arr
 
 
-def checked_shares(shares, name: str = "shares", error=DomainError) -> np.ndarray:
-    """``shares`` as a float array of one share vector (N,), or one per
-    column (N, M): each share finite and >= 0, each vector summing to 1
-    within 1e-9, else ``error`` naming ``name``."""
-    sh = checked_floats(shares, name, 0.0, error=error)
+def _each(rule, values, shape, name: str, error, *bounds) -> list:
+    """The scalar ``rule`` on each entry of ``values`` in order; the first
+    entry it rejects raises its ``error`` with the entry's index."""
+    out = []
+    for i, x in enumerate(np.asarray(values, dtype=object).flat):
+        try:
+            out.append(rule(x, name, *bounds, error=error))
+        except error as exc:
+            at = tuple(map(int, np.unravel_index(i, shape)))
+            where = f" at index {at[0] if len(at) == 1 else at}" if at else ""
+            raise error(f"{exc}{where}") from None
+    return out
+
+
+def checked_ints(values, name, minimum=INT64_MIN, maximum=INT64_MAX, error=DomainError, ndim=None):
+    """The array form of ``checked_int``: ``values`` as an int64 array whose
+    every entry is an integer in [minimum, maximum], else ``error`` naming
+    ``name`` and the first bad entry's index. Integer dtypes and integral
+    floats pass; bool, str and object dtypes, bool entries, fractions, NaN
+    and ±inf do not. A valid int64 array costs one min and one max, no copy."""
+    arr = _array(values, name, "an integer", ndim, error)
+    if arr.dtype.kind == "f" and ((np.trunc(arr) == arr) & (np.abs(arr) < 2.0**53)).all():
+        arr = arr.astype(np.int64)  # exact: below 2**53 numpy rounded no int of a sequence
+    if arr.dtype.kind in "iu" and (arr is values or not _holds_bool(values)) and (
+        not arr.size or minimum <= int(arr.min()) and int(arr.max()) <= maximum
+    ):
+        return arr.astype(np.int64, copy=False)
+    ints = _each(checked_int, values, arr.shape, name, error, minimum, maximum)
+    return np.array(ints, dtype=np.int64).reshape(arr.shape)
+
+
+def checked_floats(
+    values, name, low=-math.inf, high=math.inf, strict=False, error=DomainError, ndim=None
+):
+    """``values`` as a float array whose every entry is finite and in [low,
+    high] (``strict``: in (low, high)), else ``error`` naming ``name`` and
+    the first bad entry's index; dtypes, bool entries and ``ndim`` as in
+    ``checked_ints``. A valid float array costs one min and one max."""
+    arr = _array(values, name, "real numbers", ndim, error).astype(float, copy=False)
+    if (arr is not values and _holds_bool(values)) or (
+        arr.size and not _within(np.array((arr.min(), arr.max())), low, high, strict).all()
+    ):
+        _each(checked_float, values, arr.shape, name, error, low, high, strict)
+    return arr
+
+
+def checked_shares(shares, name: str = "shares", error=DomainError, ndim=None) -> np.ndarray:
+    """``shares`` as a float array of one share vector (N,) or one per column
+    (N, M), or of ``ndim`` axes: each share finite and >= 0, each vector
+    summing to 1 within 1e-9, else ``error`` naming ``name``."""
+    sh = checked_floats(shares, name, 0.0, error=error, ndim=ndim)
     if sh.ndim not in (1, 2) or len(sh) == 0:
         raise error(f"{name} must be one share vector or one per column, got shape {sh.shape}")
     total = sh.sum(axis=0)

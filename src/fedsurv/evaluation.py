@@ -15,6 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, check_int_fields, checked_float, checked_floats, checked_int
+from .errors import checked_ints
 from .semisynth import PrevalenceSeries
 
 __all__ = [
@@ -38,15 +39,14 @@ class AlarmSeries:
     period_indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        indices = tuple(checked_int(idx, "alarm index") for idx in self.period_indices)
-        for a, b in zip(indices, indices[1:]):
-            if b <= a:
-                raise DomainError("alarm indices must be sorted and unique")
-        object.__setattr__(self, "period_indices", indices)
+        indices = checked_ints(self.period_indices, "alarm index", ndim=1)
+        if (indices[1:] <= indices[:-1]).any():
+            raise DomainError("alarm indices must be sorted and unique")
+        object.__setattr__(self, "period_indices", tuple(indices.tolist()))
 
     @staticmethod
     def of(indices: Iterable[int]) -> "AlarmSeries":
-        return AlarmSeries(tuple(sorted({checked_int(i, "alarm index") for i in indices})))
+        return AlarmSeries(np.unique(checked_ints(list(indices), "alarm index", ndim=1)))
 
     def __len__(self) -> int:
         return len(self.period_indices)
@@ -83,8 +83,8 @@ def alarms_from_pvalues(p_series: Sequence[float], threshold: float) -> AlarmSer
     """Alarm wherever the p-value falls strictly below the threshold, which
     lies in (0, 1) as every threshold does."""
     threshold = checked_float(threshold, "threshold", 0.0, 1.0, strict=True)
-    arr = checked_floats(p_series, "p-values", 0.0, 1.0)
-    return AlarmSeries(tuple(int(i) for i in np.flatnonzero(arr < threshold)))
+    arr = checked_floats(p_series, "p-values", 0.0, 1.0, ndim=1)
+    return AlarmSeries(np.flatnonzero(arr < threshold))
 
 
 def alarms_from_growth(prev: PrevalenceSeries, theta: float, l: int) -> AlarmSeries:
@@ -155,12 +155,12 @@ def pr_curves(
     from one `searchsorted` of the p-values into the thresholds and one
     `bincount` per block, so they need no mask at all.
     """
-    th_values = np.sort(checked_floats(thresholds, "thresholds", 0.0, 1.0, strict=True))
+    th_values = np.sort(checked_floats(thresholds, "thresholds", 0.0, 1.0, strict=True, ndim=1))
     if not th_values.size:
         raise DomainError("thresholds must be nonempty")
-    p = checked_floats(p_matrix, "p-values", 0.0, 1.0)
-    if p.ndim != 2:
-        raise DomainError(f"p-values must form an (S, T) matrix, got shape {p.shape}")
+    if not isinstance(window, MatchWindow):
+        raise DomainError(f"window must be a MatchWindow, got {window!r}")
+    p = checked_floats(p_matrix, "p-values", 0.0, 1.0, ndim=2)
 
     n_series, length = p.shape
     n_ths = th_values.size

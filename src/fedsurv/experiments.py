@@ -17,7 +17,7 @@ import numpy as np
 
 from . import combine
 from .errors import ConfigError, DomainError, check_int_fields, checked_float, checked_floats
-from .errors import checked_int
+from .errors import checked_ints
 from .evaluation import (
     AlarmSeries,
     MatchWindow,
@@ -257,7 +257,7 @@ def builtin_wave_counts() -> CountSeries:
         "builtin",
         "weekly",
         date_range(datetime.date(2016, 1, 4), length, "weekly"),
-        tuple(int(v) for v in noisy),
+        noisy,
     )
 
 
@@ -278,8 +278,8 @@ class SemisynthConfig:
 
     def __post_init__(self) -> None:
         check_int_fields(self, ConfigError, smoothing_window=1, n_replicates=1, entropy_sites=2)
-        sites = tuple(checked_int(n, "site count", 1, error=ConfigError) for n in self.site_sweep)
-        object.__setattr__(self, "site_sweep", sites)
+        sites = checked_ints(self.site_sweep, "site count", 1, error=ConfigError, ndim=1)
+        object.__setattr__(self, "site_sweep", tuple(sites.tolist()))
         checked_float(
             self.site_sweep_magnitude, "site_sweep_magnitude", 0.0, strict=True, error=ConfigError
         )

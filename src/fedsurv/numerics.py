@@ -25,7 +25,7 @@ import threading
 import numpy as np
 from scipy import special
 
-from .errors import DomainError, checked_float, checked_floats
+from .errors import INT64_MAX, ConfigError, DomainError, checked_float, checked_floats, checked_ints
 
 __all__ = [
     "EXACT_MAX_N",
@@ -40,36 +40,26 @@ __all__ = [
 ]
 
 
-def _as_float_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any():
-        raise DomainError(f"{name} must not contain NaN")
-    return arr
-
-
 def _ret(value: np.ndarray, scalar: bool):
     return float(value) if scalar else value
 
 
-def _clamp01(p: np.ndarray) -> np.ndarray:
-    return np.clip(p, 0.0, 1.0)
+def _broadcast(**arrays) -> list[np.ndarray]:
+    """The named arrays broadcast against each other, else ConfigError."""
+    try:
+        return np.broadcast_arrays(*arrays.values())
+    except ValueError:
+        shapes = ", ".join(f"{name} {a.shape}" for name, a in arrays.items())
+        raise ConfigError(f"shapes do not broadcast: {shapes}") from None
 
 
-def _counts(c, n) -> tuple[np.ndarray, np.ndarray]:
-    """c and n as int64 arrays, checked integral with 0 <= c <= n."""
-    c_arr = np.asarray(c)
-    n_arr = np.asarray(n)
-    if not np.issubdtype(c_arr.dtype, np.integer) and not np.all(c_arr == np.floor(c_arr)):
-        raise DomainError("c must be integral")
-    if not np.issubdtype(n_arr.dtype, np.integer) and not np.all(n_arr == np.floor(n_arr)):
-        raise DomainError("n must be integral")
-    c_arr = c_arr.astype(np.int64)
-    n_arr = n_arr.astype(np.int64)
-    if (c_arr < 0).any() or (n_arr < 0).any():
-        raise DomainError("c and n must be nonnegative")
-    if (c_arr > n_arr).any():
+def _counts(c, n, n_max=INT64_MAX, **more) -> list[np.ndarray]:
+    """c and n as int64 arrays by the integer rule, 0 <= c <= n <= n_max,
+    broadcast together with the arrays of ``more``."""
+    arrays = _broadcast(c=checked_ints(c, "c", 0), n=checked_ints(n, "n", 0, n_max), **more)
+    if (arrays[0] > arrays[1]).any():
         raise DomainError("c must not exceed n")
-    return c_arr, n_arr
+    return arrays
 
 
 def binomial_cdf(c, n, rho):
@@ -81,10 +71,7 @@ def binomial_cdf(c, n, rho):
     Raises DomainError, naming n, where the integral has no float64 value.
     """
     scalar = np.isscalar(c) and np.isscalar(n) and np.isscalar(rho)
-    c_arr, n_arr = _counts(c, n)
-    rho_arr = checked_floats(rho, "rho", 0.0, 1.0)
-
-    c_b, n_b, rho_b = np.broadcast_arrays(c_arr, n_arr, rho_arr)
+    c_b, n_b, rho_b = _counts(c, n, rho=checked_floats(rho, "rho", 0.0, 1.0))
     out = np.ones(c_b.shape, dtype=float)
     interior = c_b < n_b
     if interior.any():
@@ -100,25 +87,12 @@ def binomial_cdf(c, n, rho):
                 f"binomial tail has no float64 value at window total n = {n_lost} "
                 f"(c = {c_b.reshape(-1)[lost[0]]}); totals this large are out of range"
             )
-    return _ret(_clamp01(out), scalar)
+    return _ret(np.clip(out, 0.0, 1.0), scalar)
 
 
 # Cap of the exact table: row n costs n fixed-point steps and needs every
 # row below it, so callers send larger totals to binomial_cdf.
 EXACT_MAX_N = 300
-
-
-def _dyadic_to_float(num: int, scale: int) -> float:
-    """num / 2**scale, correctly rounded: the top 64 bits of num plus a sticky
-    bit, rounded once by float() and scaled by ldexp, exact unless subnormal."""
-    size = num.bit_length()
-    if size <= 64 or size - scale <= -1021:
-        return num / (1 << scale)
-    shift = size - 64
-    top = num >> shift
-    if top << shift != num:
-        top |= 1
-    return math.ldexp(float(top), shift - scale)
 
 
 # Fraction bits of the fixed-point rows. 1,150 bits resolve every tail down
@@ -131,17 +105,17 @@ def _fixed_to_float(g: int, n: int, p: int) -> float | None:
     """The double that every x in [g, g + n) / 2**p rounds to, or None where
     two of them round to different doubles. Usually g / 2**p is normal, g
     has a bit set below its top 64 and adding n does not carry into them:
-    then every such x has g's top 64 bits plus a sticky bit, as in
-    `_dyadic_to_float`, and one conversion settles it. Otherwise both ends
-    are converted and compared."""
+    then every such x has g's top 64 bits plus a sticky bit, and one
+    conversion settles it. Otherwise both ends are converted and compared,
+    by int true division, which is correctly rounded."""
     size = g.bit_length()
     if size > 64 and size - p > -1021:
         shift = size - 64
         top = g >> shift
         if top << shift != g and (g + n) >> shift == top:
             return math.ldexp(float(top | 1), shift - p)
-    value = _dyadic_to_float(g, p)
-    return value if value == _dyadic_to_float(g + n, p) else None
+    value = g / (1 << p)
+    return value if value == (g + n) / (1 << p) else None
 
 
 def _exact_cdf(c: int, n: int, a: int, b: int, e: int) -> float:
@@ -152,7 +126,7 @@ def _exact_cdf(c: int, n: int, a: int, b: int, e: int) -> float:
     for j in range(c + 1):
         num = num * b + term
         term = term * a * (n - j) // (j + 1)
-    return _dyadic_to_float(num * b ** (n - c), e * n)
+    return num * b ** (n - c) / (1 << (e * n))
 
 
 class _CdfTable:
@@ -213,23 +187,21 @@ def binomial_cdf_exact(c, n, rho):
     to the largest n asked for, once per rho and process.
     """
     scalar = np.isscalar(c) and np.isscalar(n)
-    c_arr, n_arr = _counts(c, n)
+    c_arr, n_arr = _counts(c, n, EXACT_MAX_N)
     rho = checked_float(rho, "rho", 0.0, 1.0)
-    if (n_arr > EXACT_MAX_N).any():
-        raise DomainError(f"n must not exceed EXACT_MAX_N = {EXACT_MAX_N}")
     return _ret(_cdf_table(rho).lookup(c_arr, n_arr), scalar)
 
 
 def normal_cdf(z):
     """Standard normal CDF Phi(z)."""
     scalar = np.isscalar(z)
-    return _ret(_clamp01(special.ndtr(checked_floats(z, "z"))), scalar)
+    return _ret(np.clip(special.ndtr(checked_floats(z, "z")), 0.0, 1.0), scalar)
 
 
 def normal_pdf(z):
     """Standard normal density phi(z)."""
     scalar = np.isscalar(z)
-    z_arr = _as_float_array(z, "z")
+    z_arr = checked_floats(z, "z")
     return _ret(np.exp(-0.5 * z_arr * z_arr) / np.sqrt(2.0 * np.pi), scalar)
 
 
@@ -241,23 +213,23 @@ def normal_quantile(p):
 
 def _gamma_args(a, x) -> tuple[np.ndarray, np.ndarray]:
     a_arr = checked_floats(a, "a", 0.0, strict=True)
-    x_arr = _as_float_array(x, "x")
-    if (x_arr < 0).any():
-        raise DomainError("x must be nonnegative")
+    x_arr = np.asarray(x, dtype=float)
+    if not (x_arr >= 0.0).all():  # NaN fails too; +inf is the upper limit
+        raise DomainError("x must be nonnegative and not NaN")
     return a_arr, x_arr
 
 
 def gamma_cdf(a, x):
     """Regularized lower incomplete gamma P(a, x): the CDF of Gamma(a, 1) at x."""
     scalar = np.isscalar(a) and np.isscalar(x)
-    return _ret(_clamp01(special.gammainc(*_gamma_args(a, x))), scalar)
+    return _ret(np.clip(special.gammainc(*_gamma_args(a, x)), 0.0, 1.0), scalar)
 
 
 def gamma_sf(a, x):
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x): the survival
     function of Gamma(a, 1) at x."""
     scalar = np.isscalar(a) and np.isscalar(x)
-    return _ret(_clamp01(special.gammaincc(*_gamma_args(a, x))), scalar)
+    return _ret(np.clip(special.gammaincc(*_gamma_args(a, x)), 0.0, 1.0), scalar)
 
 
 # The quantile memo, direct-mapped: column i of one (3, _ISF_MEMO_SLOTS)
@@ -341,9 +313,8 @@ def gamma_isf(a, p):
     a_arr = checked_floats(a, "a", 0.0, strict=True)
     p_arr = checked_floats(p, "p", 0.0, 1.0)
     # flat views where a and p are contiguous and of one shape, else copies
-    shape = np.broadcast_shapes(a_arr.shape, p_arr.shape)
-    a_flat = np.broadcast_to(a_arr, shape).reshape(-1)
-    p_flat = np.broadcast_to(p_arr, shape).reshape(-1)
+    a_b, p_b = _broadcast(a=a_arr, p=p_arr)
+    a_flat, p_flat = a_b.reshape(-1), p_b.reshape(-1)
     out = np.empty(a_flat.size)
     inverse = special.gammainccinv
     for start in range(0, out.size, _ISF_BLOCK):
@@ -351,4 +322,4 @@ def gamma_isf(a, p):
         _isf_block(inverse, a_flat[cells], p_flat[cells], out[cells])
     # [()] unwraps a 0-d array's result to a numpy scalar, as the ufunc
     # returns it
-    return _ret(out.reshape(shape)[()], scalar)
+    return _ret(out.reshape(a_b.shape)[()], scalar)

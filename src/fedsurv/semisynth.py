@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DomainError, checked_float, checked_floats, checked_int
-from .errors import checked_shares
+from .errors import checked_ints, checked_shares
 
 __all__ = [
     "CountSeries",
@@ -75,14 +75,11 @@ class CountSeries:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.timestamps) != len(self.counts):
+        counts = checked_ints(self.counts, "count", 0, ndim=1)
+        if len(counts) != len(self.timestamps):
             raise DomainError("timestamps and counts must have equal length")
         _check_timeline(self.timestamps, self.period)
-        # int64 counts are integers by dtype; any others meet the integer rule
-        counts = np.asarray(self.counts)
-        if counts.dtype != np.int64 or (counts < 0).any():
-            for c in self.counts:
-                checked_int(c, "count", 0)
+        object.__setattr__(self, "counts", tuple(counts.tolist()))
 
     @property
     def length(self) -> int:
@@ -98,10 +95,9 @@ class PrevalenceSeries:
     rates: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.timestamps) != len(self.rates):
+        if len(checked_floats(self.rates, "rates", 0.0, ndim=1)) != len(self.timestamps):
             raise DomainError("timestamps and rates must have equal length")
         _check_timeline(self.timestamps, self.period)
-        checked_floats(self.rates, "rates", 0.0)
 
     @property
     def length(self) -> int:
@@ -116,10 +112,7 @@ class ShareVector:
     shares: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        shares = checked_shares(self.shares)
-        if shares.ndim != 1:
-            raise DomainError(f"shares must be one vector, got shape {shares.shape}")
-        object.__setattr__(self, "shares", tuple(shares.tolist()))
+        object.__setattr__(self, "shares", tuple(checked_shares(self.shares, ndim=1).tolist()))
 
     @property
     def n_sites(self) -> int:
@@ -161,18 +154,14 @@ def moving_average(series: CountSeries, window: int) -> PrevalenceSeries:
     w = checked_int(window, "window", 1)
     if series.length == 0:
         raise DomainError("cannot smooth an empty series")
-    counts = np.asarray(series.counts, dtype=float)
-    n = counts.size
-    prefix = np.concatenate(([0.0], np.cumsum(counts)))
+    prefix = np.concatenate(([0.0], np.cumsum(np.asarray(series.counts, dtype=float))))
+    i = np.arange(series.length)
     back, fwd = (w - 1) // 2, w // 2
-    rates = []
-    for i in range(n):
-        if i - back >= 0 and i + fwd < n:
-            lo, hi = i - back, i + fwd + 1
-        else:
-            lo, hi = max(0, i - w + 1), i + 1
-        rates.append(float((prefix[hi] - prefix[lo]) / (hi - lo)))
-    return PrevalenceSeries(series.period, series.timestamps, tuple(rates))
+    inside = (i >= back) & (i + fwd < series.length)
+    lo = np.where(inside, i - back, np.maximum(i - w + 1, 0))
+    hi = np.where(inside, i + fwd, i) + 1
+    rates = (prefix[hi] - prefix[lo]) / (hi - lo)
+    return PrevalenceSeries(series.period, series.timestamps, tuple(rates.tolist()))
 
 
 # numpy's Poisson sampler rejects any rate above this: the int64 maximum
@@ -207,7 +196,7 @@ def poisson_sample(
 ) -> CountSeries:
     """Draw one Poisson observation per timestamp, deterministically in seed."""
     counts = _poisson_counts(prev, seed)
-    return CountSeries(site_id, prev.period, prev.timestamps, tuple(counts.tolist()))
+    return CountSeries(site_id, prev.period, prev.timestamps, counts)
 
 
 def split_multinomial(
@@ -222,8 +211,8 @@ def split_multinomial(
     sv = _coerce_shares(shares)
     table = _multinomial_table(series.counts, sv, seed)
     return [
-        CountSeries(f"{series.site_id}-{i + 1}", series.period, series.timestamps, tuple(counts))
-        for i, counts in enumerate(table.T.tolist())
+        CountSeries(f"{series.site_id}-{i + 1}", series.period, series.timestamps, counts)
+        for i, counts in enumerate(table.T)
     ]
 
 

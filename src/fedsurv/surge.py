@@ -19,8 +19,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numerics
-from .errors import BoundsNotApplicableError, ConfigError, DomainError
-from .errors import check_int_fields, checked_float, checked_int
+from .errors import INT64_MAX, BoundsNotApplicableError, ConfigError, DomainError
+from .errors import check_int_fields, checked_float, checked_int, checked_ints
 
 __all__ = [
     "SurgeHypothesis",
@@ -74,8 +74,8 @@ class SurgeWindow:
     test_count: int
 
     def __post_init__(self):
-        baseline = tuple(checked_int(k, "baseline count", 0) for k in self.baseline_counts)
-        object.__setattr__(self, "baseline_counts", baseline)
+        baseline = checked_ints(self.baseline_counts, "baseline count", 0, ndim=1)
+        object.__setattr__(self, "baseline_counts", tuple(baseline.tolist()))
         check_int_fields(self, test_count=0)
 
     @property
@@ -153,53 +153,51 @@ def exact_p_value(window: SurgeWindow, hyp: SurgeHypothesis) -> float:
     return float(window_p_values(c, n, hyp)[0])
 
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
-
-
 def _check_window_sums(width: int, *counts: np.ndarray) -> None:
     """Raise DomainError unless any ``width`` of the nonnegative ``counts``
     sum inside int64: one bound on the largest count, checked in O(1)
     after its max, instead of a check of every sum."""
     top = max(int(c.max(initial=0)) for c in counts)
-    if top * width > _INT64_MAX:
+    if top * width > INT64_MAX:
         raise DomainError(
             f"window total overflows int64: {width} counts of up to {top} "
-            f"can sum past {_INT64_MAX}"
+            f"can sum past {INT64_MAX}"
         )
 
 
 def window_totals(counts, baseline_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Baseline totals c and window totals n of the windows ending at
     t = l, ..., T - 1 along the last axis of ``counts``, from one cumulative
-    sum; empty along that axis when T <= l. Raises DomainError when l + 1
-    counts as large as the largest can overflow int64. The cumulative sum
-    itself may wrap: a window total is a difference of two prefixes, exact
-    modulo 2**64 and so exact whenever the total fits."""
-    counts = np.asarray(counts, dtype=np.int64)
-    _check_window_sums(baseline_len + 1, counts)
+    sum; empty along that axis when T <= l. The counts are integers >= 0
+    along at least one axis. Raises DomainError when l + 1 counts as large
+    as the largest can overflow int64. The cumulative sum itself may wrap:
+    a window total is a difference of two prefixes, exact modulo 2**64 and
+    so exact whenever the total fits."""
+    counts = checked_ints(counts, "count", 0)
+    l = checked_int(baseline_len, "baseline_len", 1)
+    if counts.ndim == 0:
+        raise DomainError("counts must have a time axis, got a scalar")
+    _check_window_sums(l + 1, counts)
     zeros = np.zeros(counts.shape[:-1] + (1,), dtype=np.int64)
     prefix = np.concatenate((zeros, np.cumsum(counts, axis=-1)), axis=-1)
-    t = np.arange(baseline_len, counts.shape[-1])
-    start = prefix[..., t - baseline_len]
-    return prefix[..., t] - start, prefix[..., t + 1] - start
+    T = counts.shape[-1]
+    start = prefix[..., : max(T - l, 0)]
+    return prefix[..., l:T] - start, prefix[..., l + 1 :] - start
 
 
 def window_p_values(c, n, hyp: SurgeHypothesis) -> np.ndarray:
     """Exact p-values for arrays of windows given as baseline totals c and
-    window totals n (same shape).
+    window totals n (same shape), integers by ``errors.checked_ints``.
 
     The rule for every window: an empty window (n = 0) carries no evidence
     and gets 1; up to ``numerics.EXACT_MAX_N`` counts the value is the
     correctly rounded tail (``binomial_cdf_exact``), which no library
     build can move; larger windows go through ``binomial_cdf``.
     """
-    c_arr = np.asarray(c)
-    n_arr = np.asarray(n)
+    c_arr = checked_ints(c, "c", 0)
+    n_arr = checked_ints(n, "n", 0)
     if c_arr.shape != n_arr.shape:
         raise ConfigError(f"c has shape {c_arr.shape} but n has shape {n_arr.shape}")
-    for name, arr in (("c", c_arr), ("n", n_arr)):
-        if arr.size and not np.issubdtype(arr.dtype, np.integer):
-            raise DomainError(f"{name} must hold integers, got dtype {arr.dtype}")
     rho = hyp.rho
     p = np.empty(c_arr.shape)
     above = n_arr > numerics.EXACT_MAX_N
