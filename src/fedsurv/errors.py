@@ -6,10 +6,11 @@ configuration, and a diagnostic requested at a boundary point where the
 underlying inequalities do not apply. Every count, length, index and
 extent a caller supplies is an integer by ``checked_int``, and every array
 of them (counts, totals, alarm indices) by ``checked_ints``; every real
-number is a finite float inside its field's bounds by ``checked_float``,
-and every array of them (p-values, thresholds, rates) by
-``checked_floats``; ``checked_shares`` adds a share vector's sum to one.
-Both array rules admit only integer and float dtypes, and no bool entry.
+number is a finite float inside its field's bounds by ``checked_float``
+(only a Gamma function's x may also be +inf, by ``finite=False``), and
+every array of them (p-values, thresholds, rates) by ``checked_floats``;
+``checked_shares`` adds a share vector's sum to one. Both array rules
+admit only integer and float dtypes, and no bool entry.
 """
 
 import math
@@ -64,30 +65,34 @@ def check_int_fields(obj, error=DomainError, **minimums) -> None:
         object.__setattr__(obj, name, checked_int(getattr(obj, name), name, minimum, error=error))
 
 
-def _within(x, low, high, strict: bool):
-    """Whether x, a float or an array, is finite and in [low, high] (strict:
-    in (low, high)), elementwise; NaN never is."""
+def _within(x, low, high, strict: bool, finite: bool = True):
+    """Whether x, a float or an array, is in [low, high] (strict: in (low,
+    high)) and, if ``finite``, finite, elementwise; NaN never is."""
     below = operator.lt if strict else operator.le
-    return np.isfinite(x) & below(low, x) & below(x, high)
+    inside = below(low, x) & below(x, high)
+    return np.isfinite(x) & inside if finite else inside
 
 
-def checked_float(value, name, low=-math.inf, high=math.inf, strict=False, error=DomainError):
+def checked_float(
+    value, name, low=-math.inf, high=math.inf, strict=False, error=DomainError, finite=True
+):
     """``value`` as a finite float in [low, high] (``strict``: in (low, high)),
-    else ``error`` naming ``name``. Any Python or numpy real passes but
-    bool; an integer past a double's range is out of range, not an
-    OverflowError."""
+    else ``error`` naming ``name``; with ``finite=False`` an infinite bound
+    is admitted as a value. Any Python or numpy real passes but bool; an
+    integer past a double's range is out of range, not an OverflowError."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise error(f"{name} must be a number, got {value!r}")
     try:
         x = float(value)
     except OverflowError:
         x = math.inf if value > 0 else -math.inf
-    if not _within(x, low, high, strict):
+    if not _within(x, low, high, strict, finite):
         num = [repr(float(b)).removesuffix(".0") for b in (low, high)]
         if low > -math.inf and high < math.inf:
             rule = f"must lie in {'(' if strict else '['}{num[0]}, {num[1]}{')' if strict else ']'}"
         elif low > -math.inf:
-            rule = f"must be finite and {'>' if strict else '>='} {num[0]}"
+            op = f"{'>' if strict else '>='} {num[0]}"
+            rule = f"must be finite and {op}" if finite else f"must be {op} and not NaN"
         else:  # no field has only an upper bound
             rule = "must be finite"
         # with an empty ``name`` the caller's context names the value
@@ -118,13 +123,13 @@ def _array(values, name: str, what: str, ndim, error) -> np.ndarray:
     return arr
 
 
-def _each(rule, values, shape, name: str, error, *bounds) -> list:
+def _each(rule, values, shape, name: str, error, *bounds, **options) -> list:
     """The scalar ``rule`` on each entry of ``values`` in order; the first
     entry it rejects raises its ``error`` with the entry's index."""
     out = []
     for i, x in enumerate(np.asarray(values, dtype=object).flat):
         try:
-            out.append(rule(x, name, *bounds, error=error))
+            out.append(rule(x, name, *bounds, error=error, **options))
         except error as exc:
             at = tuple(map(int, np.unravel_index(i, shape)))
             where = f" at index {at[0] if len(at) == 1 else at}" if at else ""
@@ -150,17 +155,25 @@ def checked_ints(values, name, minimum=INT64_MIN, maximum=INT64_MAX, error=Domai
 
 
 def checked_floats(
-    values, name, low=-math.inf, high=math.inf, strict=False, error=DomainError, ndim=None
+    values,
+    name,
+    low=-math.inf,
+    high=math.inf,
+    strict=False,
+    error=DomainError,
+    ndim=None,
+    finite=True,
 ):
     """``values`` as a float array whose every entry is finite and in [low,
     high] (``strict``: in (low, high)), else ``error`` naming ``name`` and
-    the first bad entry's index; dtypes, bool entries and ``ndim`` as in
-    ``checked_ints``. A valid float array costs one min and one max."""
+    the first bad entry's index; ``finite`` as in ``checked_float``, and
+    dtypes, bool entries and ``ndim`` as in ``checked_ints``. A valid float
+    array costs one min and one max."""
     arr = _array(values, name, "real numbers", ndim, error).astype(float, copy=False)
     if (arr is not values and _holds_bool(values)) or (
-        arr.size and not _within(np.array((arr.min(), arr.max())), low, high, strict).all()
+        arr.size and not _within(np.array((arr.min(), arr.max())), low, high, strict, finite).all()
     ):
-        _each(checked_float, values, arr.shape, name, error, low, high, strict)
+        _each(checked_float, values, arr.shape, name, error, low, high, strict, finite=finite)
     return arr
 
 

@@ -3,17 +3,18 @@
 ``binomial_cdf_exact`` is the correctly rounded binomial tail for totals up
 to ``EXACT_MAX_N``, read from a per-rho table of fixed-point tails whose
 rounding is certified entry by entry, with the exact big-integer sum as the
-fallback: the same under any scipy build. Every other function wraps one
-``scipy.special`` ufunc, with last digits that depend on the scipy build:
-``binomial_cdf`` (the regularized incomplete beta function, accurate for
-totals in the thousands), ``normal_cdf`` and ``normal_quantile``, and the
-regularized incomplete gamma functions ``gamma_cdf`` (lower), ``gamma_sf``
-(upper) and ``gamma_isf`` (the inverse of the upper one) behind the
-combiners. This is the only module that imports scipy. All validate their
-domain up front, clamp probabilities to [0, 1] and take scalars or numpy
-arrays. ``gamma_isf`` keeps a bounded memo of the quantiles it has
-inverted, so a pair that batches repeat is inverted about once per
-process, with the same bits.
+fallback: the same under any scipy build. The default hypothesis's table
+ships with the package and is mapped read-only instead of rebuilt. Every
+other function wraps one ``scipy.special`` ufunc, with last digits that
+depend on the scipy build: ``binomial_cdf`` (the regularized incomplete
+beta function, accurate for totals in the thousands), ``normal_cdf`` and
+``normal_quantile``, and the regularized incomplete gamma functions
+``gamma_cdf`` (lower), ``gamma_sf`` (upper) and ``gamma_isf`` (the inverse
+of the upper one) behind the combiners. This is the only module that
+imports scipy. All validate their domain up front, clamp probabilities to
+[0, 1] and take scalars or numpy arrays. ``gamma_isf`` keeps a bounded
+memo of the quantiles it has inverted, so a pair that batches repeat is
+inverted about once per process, with the same bits.
 """
 
 from __future__ import annotations
@@ -21,11 +22,20 @@ from __future__ import annotations
 import functools
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 from scipy import special
 
-from .errors import INT64_MAX, ConfigError, DomainError, checked_float, checked_floats, checked_ints
+from .errors import (
+    INT64_MAX,
+    ConfigError,
+    DomainError,
+    FedsurvError,
+    checked_float,
+    checked_floats,
+    checked_ints,
+)
 
 __all__ = [
     "EXACT_MAX_N",
@@ -131,7 +141,8 @@ def _exact_cdf(c: int, n: int, a: int, b: int, e: int) -> float:
 
 class _CdfTable:
     """Correctly rounded Pr[X <= c], X ~ Binomial(n, rho), for every c <= n
-    of the rows built so far, flat at index n(n+1)/2 + c.
+    of the rows built so far, flat at index n(n+1)/2 + c: the builder of
+    every table, the shipped ones included (``_ShippedTable``).
 
     A double rho is a / 2**e; with b = 2**e - a the tails obey
     F(c, n) = (b F(c, n-1) + a F(c-1, n-1)) / 2**e. Row n holds them in
@@ -173,9 +184,50 @@ class _CdfTable:
         self.values = values
 
 
-# tables for the 16 most recently used rho values, about 0.4 MB each at
-# EXACT_MAX_N: 45,451 doubles plus one fixed-point row of about 43 KB
-_cdf_table = functools.lru_cache(maxsize=16)(_CdfTable)
+# Complete tables shipped with the package, one .npy file of little-endian
+# float64 per rho, named by rho.hex(): rows 0..EXACT_MAX_N of
+# `_CdfTable(rho)`, which tools/write_cdf_table.py writes and a unit test
+# checks bit for bit. Only the default hypothesis's rho ships: every run
+# on defaults would otherwise build it in big-integer arithmetic.
+_TABLE_DIR = Path(__file__).resolve().parent / "cdf_tables"
+_TABLE_ENTRIES = (EXACT_MAX_N + 1) * (EXACT_MAX_N + 2) // 2
+
+
+def _table_path(rho: float) -> Path:
+    return _TABLE_DIR / f"{rho.hex()}.npy"
+
+
+class _ShippedTable:
+    """The complete table of one rho, mapped read-only from its shipped
+    file; it never grows. A file of another size or dtype raises."""
+
+    def __init__(self, path: Path):
+        try:
+            values = np.load(path, mmap_mode="r")
+        except ValueError as exc:  # a bad header, or shorter than it says
+            raise FedsurvError(f"shipped table {path} cannot be mapped: {exc}") from exc
+        if values.dtype != np.dtype("<f8") or values.shape != (_TABLE_ENTRIES,):
+            raise FedsurvError(
+                f"shipped table {path} must hold {_TABLE_ENTRIES} little-endian float64 "
+                f"values, got dtype {values.dtype} and shape {values.shape}"
+            )
+        # a plain view of the map: np.memmap's Python-level indexing hooks
+        # make each lookup several times slower
+        self.values = values.view(np.ndarray)
+
+    def lookup(self, c: np.ndarray, n: np.ndarray) -> np.ndarray:
+        return self.values[n * (n + 1) // 2 + c]
+
+
+# The tables of the 16 most recently used rho values: the shipped file of
+# rho's exact bits, mapped at the first lookup at that rho, else a table
+# built on demand, which grows to the largest n asked for once per rho and
+# process (about 0.4 MB at EXACT_MAX_N: 45,451 doubles plus one fixed-point
+# row of about 43 KB).
+@functools.lru_cache(maxsize=16)
+def _cdf_table(rho: float) -> _CdfTable | _ShippedTable:
+    path = _table_path(rho)
+    return _ShippedTable(path) if path.is_file() else _CdfTable(rho)
 
 
 def binomial_cdf_exact(c, n, rho):
@@ -183,8 +235,10 @@ def binomial_cdf_exact(c, n, rho):
     ``EXACT_MAX_N``; c and n broadcast elementwise, rho is one scalar.
 
     Values come from a per-rho table of the exact tails (``_CdfTable``),
-    rounded once, so they do not depend on the scipy build. The table grows
-    to the largest n asked for, once per rho and process.
+    rounded once, so they do not depend on the scipy build. The default
+    hypothesis's table ships with the package and is mapped read-only at
+    the first lookup at its rho; any other rho's table grows to the
+    largest n asked for, once per rho and process.
     """
     scalar = np.isscalar(c) and np.isscalar(n)
     c_arr, n_arr = _counts(c, n, EXACT_MAX_N)
@@ -211,12 +265,12 @@ def normal_quantile(p):
     return _ret(special.ndtri(checked_floats(p, "p", 0.0, 1.0, strict=True)), scalar)
 
 
-def _gamma_args(a, x) -> tuple[np.ndarray, np.ndarray]:
-    a_arr = checked_floats(a, "a", 0.0, strict=True)
-    x_arr = np.asarray(x, dtype=float)
-    if not (x_arr >= 0.0).all():  # NaN fails too; +inf is the upper limit
-        raise DomainError("x must be nonnegative and not NaN")
-    return a_arr, x_arr
+def _gamma_args(a, x) -> list[np.ndarray]:
+    """a and x by the real-number rule, broadcast together; x may be +inf,
+    the upper limit of the integral."""
+    return _broadcast(
+        a=checked_floats(a, "a", 0.0, strict=True), x=checked_floats(x, "x", 0.0, finite=False)
+    )
 
 
 def gamma_cdf(a, x):

@@ -855,6 +855,70 @@ class TestFloatFieldTable:
         assert err.startswith(f"fedsurv: error: {cfg}: invalid JSON")
 
 
+def _field_keys(cls) -> list[str]:
+    """Every key of the config dataclass ``cls``, nested config dataclasses
+    included, as ``ExperimentConfig.take_fields`` reads them."""
+    keys = []
+    for field in dataclasses.fields(cls):
+        kind = typing.get_type_hints(cls)[field.name]
+        keys += _field_keys(kind) if dataclasses.is_dataclass(kind) else [field.name]
+    return keys
+
+
+class TestSeededFieldPairs:
+    """Seeded pairs of the keys a command reads, each set to a value of
+    ``TestFloatFieldTable.VALUES`` or left at the tiny base of that table,
+    exit 0, 1 or 2 without a traceback, and an exit 2 names one of the
+    two keys. Values that ask for large arrays are left out: the table
+    holds no valid large size (a ``calibration_reps`` of 2**40 would
+    allocate terabytes), so every value drawn is rejected or, as an empty
+    sweep or an optional key's null, shrinks the run or leaves its
+    default."""
+
+    PAIRS = 100
+    KEEP = None  # the key keeps its base value, or stays absent
+    # the keys each command reads besides its config dataclass's fields
+    KEYS = {
+        "test": ("csv", "at", "site"),
+        "combine": ("method", "p_values", "shares", "total_count", "rho"),
+        "power-curve": ("seed",),
+        "semisynth": ("csv", "seed"),
+        "federation": ("csv", "n_sites", "shares", "seed"),
+        "evaluate": ("scores", "truth", "cadence", "match_window", "thresholds"),
+    }
+    # combine reads the hypothesis's keys for rho when no rho is given
+    CLASSES = {"combine": SurgeHypothesis}
+
+    @pytest.mark.parametrize("command", list(KEYS))
+    def test_pairs_exit_0_1_or_2_naming_a_key(self, tmp_path, counts_csv, capsys, command):
+        base, cls, _ = TestFloatFieldTable.bases(tmp_path, counts_csv)[command]
+        cls = self.CLASSES.get(command, cls)
+        keys = sorted({*self.KEYS[command], *(_field_keys(cls) if cls else ())})
+        seeded = ["--seed", 1] if "seed" in keys else []
+        rnd = random.Random(f"field pairs of {command}")
+        values = (self.KEEP, *TestFloatFieldTable.VALUES)
+        faults = []
+        for _ in range(self.PAIRS):
+            pair = rnd.sample(keys, 2)
+            drawn = {key: rnd.choice(values) for key in pair}
+            drawn = {key: value for key, value in drawn.items() if value is not self.KEEP}
+            # "@key" marks where the key's raw value goes
+            text = json.dumps(base | {key: f"@{key}" for key in drawn})
+            for key, value in drawn.items():
+                text = text.replace(f'"@{key}"', value)
+            path = tmp_path / "config.json"
+            path.write_text(text, encoding="utf-8")
+            try:
+                code, _, err = run([command, "--config", path, *seeded], capsys)
+            except Exception as exc:  # noqa: BLE001 - any escape is a fault
+                faults.append((pair, drawn, repr(exc)[:80]))
+                continue
+            named = any(key in err for key in pair)
+            if code not in (0, 1, 2) or "Traceback" in err or (code == 2 and not named):
+                faults.append((pair, drawn, code, err[:120]))
+        assert not faults, faults
+
+
 class TestOneSiteAlignmentRule:
     def test_pooling_and_federation_reject_a_misaligned_pair_alike(self):
         dates = [datetime.date(2024, 1, 1) + datetime.timedelta(weeks=i) for i in range(6)]

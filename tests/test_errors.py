@@ -5,6 +5,7 @@ where integer-ness and finiteness are decided."""
 
 import ast
 import datetime
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -256,6 +257,16 @@ class TestCheckedFloat:
         with pytest.raises(DomainError, match=r"^must lie in \[0.2, 1\], got 0.1$"):
             checked_float(0.1, "", 0.2, 1.0)  # the caller's context names it
 
+    def test_finite_false_admits_an_infinite_bound(self):
+        inf = float("inf")
+        assert checked_float(inf, "x", 0.0, finite=False) == inf
+        assert checked_floats([0.0, inf], "x", 0.0, finite=False).tolist() == [0.0, inf]
+        for bad in (-inf, float("nan"), -0.5):
+            with pytest.raises(DomainError, match=r"^x must be >= 0 and not NaN, got "):
+                checked_float(bad, "x", 0.0, finite=False)
+        with pytest.raises(DomainError, match=r"^x must be a number, got True at index 1$"):
+            checked_floats([inf, True], "x", 0.0, finite=False)
+
 
 class TestCheckedFloats:
     def test_valid_arrays_pass_as_float_arrays(self):
@@ -459,6 +470,9 @@ def _bad_calls():
     yield "PrevalenceSeries 2-D", lambda: semisynth.PrevalenceSeries("weekly", _dates(1), [[1.0]])
     yield "PrevalenceSeries 0-d", lambda: semisynth.PrevalenceSeries("weekly", (), 1.0)
     yield "normal_pdf str", lambda: numerics.normal_pdf("1.5")
+    yield "gamma_cdf str x", lambda: numerics.gamma_cdf(2.0, "1.5")
+    yield "gamma_sf bool x", lambda: numerics.gamma_sf(2.0, True)
+    yield "gamma_cdf mismatched", lambda: numerics.gamma_cdf([1.0, 2.0], [0.5] * 3)
 
 
 _BAD_CALLS = dict(_bad_calls())
@@ -481,6 +495,20 @@ class TestBadArrayInputs:
         assert surge.window_p_values([1.0, 2.0], [3.0, 5.0], _HYP).tolist() == want.tolist()
         series = semisynth.CountSeries("s", "weekly", _dates(3), (1.0, 2.0, 3.0))
         assert series.counts == (1, 2, 3) and all(type(c) is int for c in series.counts)
+
+    def test_gamma_x_takes_the_real_rule_and_inf(self):
+        # x is the upper limit of the integral, so +inf is the one
+        # non-finite x the Gamma functions take
+        with pytest.raises(DomainError, match="x must be real numbers, got dtype <U3"):
+            numerics.gamma_cdf(2.0, "1.5")
+        with pytest.raises(DomainError, match="x must be a number, got True at index 1"):
+            numerics.gamma_sf(2.0, [math.inf, True])
+        with pytest.raises(ConfigError, match=r"shapes do not broadcast: a \(2,\), x \(3,\)"):
+            numerics.gamma_cdf([1.0, 2.0], [0.5] * 3)
+        with pytest.raises(DomainError, match="x must be >= 0 and not NaN, got -inf at index 1"):
+            numerics.gamma_sf(2.0, [0.5, -math.inf])
+        assert numerics.gamma_sf(2.0, [0.5, math.inf]).tolist() == [numerics.gamma_sf(2.0, 0.5), 0.0]
+        assert numerics.gamma_cdf(2.0, math.inf) == 1.0
 
     def test_window_totals_are_contiguous(self):
         c, n = surge.window_totals(np.arange(5 * 8 * 12).reshape(5, 8, 12), 4)

@@ -2,6 +2,8 @@ import ast
 import functools
 import math
 import random
+import subprocess
+import sys
 import tracemalloc
 import types
 from fractions import Fraction
@@ -12,11 +14,11 @@ import pytest
 from scipy import special
 
 from fedsurv import numerics as nm
-from fedsurv.errors import DomainError
+from fedsurv.errors import DomainError, FedsurvError
 from fedsurv.surge import SurgeHypothesis
 
 import oracles
-from support import NUMERICS_UFUNCS, nudged_special
+from support import NUMERICS_UFUNCS, nudged_special, package_env
 
 SRC = Path(nm.__file__).resolve().parent
 
@@ -93,6 +95,9 @@ HYPOTHESIS_RHOS = sorted(
 # the table's exactness rhos: every hypothesis rho, exact ties at 0.5, and
 # tails that reach zero and the subnormal range
 EXACT_RHOS = HYPOTHESIS_RHOS + [0.5, 1e-5, 0.999, 0.999999]
+
+# the rho whose table ships with the package
+DEFAULT_RHO = SurgeHypothesis().rho
 
 
 @functools.cache
@@ -178,7 +183,10 @@ class TestCdfTable:
 
     def test_every_entry_equals_bigint_reference(self):
         # 0.999 and 0.999999 drive the low tails to zero and through the
-        # subnormal range; at 0.5 exact ties take the exact fallback
+        # subnormal range; at 0.5 exact ties take the exact fallback. The
+        # shipped rho is among them, as its file is checked against this
+        # builder
+        assert DEFAULT_RHO in EXACT_RHOS
         for rho in EXACT_RHOS:
             table = nm._CdfTable(rho)
             table.lookup(np.array([0]), np.array([nm.EXACT_MAX_N]))
@@ -294,6 +302,98 @@ class TestCdfTable:
             nm.binomial_cdf_exact(0, nm.EXACT_MAX_N + 1, 0.5)
         with pytest.raises(DomainError):
             nm.binomial_cdf_exact(np.array([0, 1]), np.array([2, nm.EXACT_MAX_N + 1]), 0.5)
+
+
+def _built(rho: float) -> nm._CdfTable:
+    table = nm._CdfTable(rho)
+    table.lookup(np.array([0]), np.array([nm.EXACT_MAX_N]))
+    return table
+
+
+@pytest.fixture
+def fresh_tables():
+    """An empty table cache before and after the test."""
+    nm._cdf_table.cache_clear()
+    yield
+    nm._cdf_table.cache_clear()
+
+
+class TestShippedTable:
+    """The default hypothesis's table ships as a file that
+    ``binomial_cdf_exact`` maps read-only instead of building it."""
+
+    REWRITE = "PYTHONPATH=src python tools/write_cdf_table.py"
+
+    def test_file_equals_the_builder_bit_for_bit(self):
+        path = nm._table_path(DEFAULT_RHO)
+        assert path.name == "0x1.826a439f656f2p-1.npy"
+        shipped = np.load(path)
+        built = _built(DEFAULT_RHO).values
+        top = nm.EXACT_MAX_N
+        assert shipped.shape == ((top + 1) * (top + 2) // 2,) == built.shape, self.REWRITE
+        assert shipped.dtype == np.dtype("<f8"), self.REWRITE
+        same = shipped.astype(float).tobytes() == built.tobytes()
+        assert same, f"{path.name} differs from _CdfTable; rewrite it with: {self.REWRITE}"
+
+    def test_mapped_read_only_at_the_first_lookup(self, fresh_tables):
+        table = nm._cdf_table(DEFAULT_RHO)
+        assert isinstance(table, nm._ShippedTable)
+        assert isinstance(table.values.base, np.memmap)  # file-backed
+        assert not table.values.flags.writeable
+        with pytest.raises(ValueError):
+            table.values[0] = 0.5
+
+    def test_import_maps_nothing(self):
+        code = (
+            "from fedsurv import cli, numerics\n"
+            "assert numerics._cdf_table.cache_info().currsize == 0\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=package_env(), capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_lookup_builds_nothing(self, monkeypatch, fresh_tables):
+        calls = []
+        monkeypatch.setattr(nm._CdfTable, "_grow", lambda self, top: calls.append(top))
+        monkeypatch.setattr(nm, "_exact_cdf", lambda *args: calls.append(args))
+        top = nm.EXACT_MAX_N
+        got = nm.binomial_cdf_exact(np.arange(top + 1), top, DEFAULT_RHO)
+        assert not calls
+        assert got.tolist() == bigint_reference(DEFAULT_RHO)[-(top + 1) :]
+
+    def test_any_rho_with_a_file_is_mapped(self, tmp_path, monkeypatch, fresh_tables):
+        monkeypatch.setattr(nm, "_TABLE_DIR", tmp_path)
+        built = _built(0.25).values
+        np.save(nm._table_path(0.25), built)
+        assert isinstance(nm._cdf_table(0.25), nm._ShippedTable)
+        assert isinstance(nm._cdf_table(0.5), nm._CdfTable)
+        n = np.repeat(np.arange(nm.EXACT_MAX_N + 1), np.arange(1, nm.EXACT_MAX_N + 2))
+        c = np.arange(n.size) - n * (n + 1) // 2
+        assert nm.binomial_cdf_exact(c, n, 0.25).tobytes() == built.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.zeros(nm._TABLE_ENTRIES - 1),
+            np.zeros(nm._TABLE_ENTRIES + 1),
+            np.zeros(nm._TABLE_ENTRIES, dtype=np.float32),
+            np.zeros(nm._TABLE_ENTRIES, dtype=">f8"),
+            np.zeros((1, nm._TABLE_ENTRIES)),
+        ],
+        ids=["short", "long", "float32", "big-endian", "2-D"],
+    )
+    def test_wrong_size_or_dtype_raises(self, tmp_path, monkeypatch, fresh_tables, bad):
+        monkeypatch.setattr(nm, "_TABLE_DIR", tmp_path)
+        np.save(nm._table_path(0.25), bad)
+        with pytest.raises(FedsurvError, match="shipped table"):
+            nm.binomial_cdf_exact(1, 2, 0.25)
+
+    def test_truncated_file_raises(self, tmp_path, monkeypatch, fresh_tables):
+        monkeypatch.setattr(nm, "_TABLE_DIR", tmp_path)
+        path = nm._table_path(0.25)
+        np.save(path, _built(0.25).values)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(FedsurvError, match="cannot be mapped"):
+            nm.binomial_cdf_exact(1, 2, 0.25)
 
 
 class TestNormal:
