@@ -42,7 +42,7 @@ from .experiments import (
     run_power_curve,
     run_semisynth_sweep,
 )
-from .federation import FederationConfig, SiteNode, run_federation
+from .federation import FederationConfig, run_federation
 from .semisynth import _PERIOD_DAYS, CountSeries, ShareVector, _check_aligned, _checked_seed
 from .semisynth import split_multinomial
 from .surge import SurgeHypothesis, SurgeWindow, exact_p_value
@@ -491,7 +491,7 @@ def cmd_federation(args) -> int:
         if cfg.take("n_sites", None) is not None or cfg.take("shares", None) is not None:
             raise ConfigError("n_sites and shares apply only when no csv is given")
         cfg.finish()
-        sites = [SiteNode.wrap(s) for s in read_counts_csv(csv_path)]
+        sites = read_counts_csv(csv_path)
         seed = None
     else:
         # no input data: split the built-in fixture into synthetic sites
@@ -505,11 +505,10 @@ def cmd_federation(args) -> int:
             shares = ShareVector(shares_raw)
             if n_sites not in (None, shares.n_sites):
                 raise ConfigError("shares length must equal n_sites")
-        parts = split_multinomial(builtin_wave_counts(), shares, seed)
-        sites = [SiteNode.wrap(s) for s in parts]
+        sites = split_multinomial(builtin_wave_counts(), shares, seed)
 
     combined = run_federation(sites, fed_cfg)
-    timeline = sites[0].timeline
+    timeline = sites[0].timestamps
     alpha = fed_cfg.hypothesis.alpha
     periods = [
         {

@@ -131,8 +131,9 @@ def match_alarms(
 # Cells ((covered periods + 1) x series x thresholds) of the alarm mask and
 # the next-alarm table that `pr_curves` builds at a time: it matches blocks
 # of as many series as fit, so its peak memory stops growing with the number
-# of series. The budget stays under the largest growth call of the default
-# sweep in groups of ten two-site replicates, 75 x 110 x 43 = 354,750 cells.
+# of series. The default sweep's largest growth call, twenty two-site
+# replicates of eleven methods, has 75 x 220 x 43 = 709,500 cells and is
+# matched in blocks of 108, 108 and 4 rows; its 43 growth calls make 45 blocks.
 _MATCH_BLOCK_CELLS = 350_000
 
 

@@ -79,6 +79,26 @@ def _child_seed(seed_seq: np.random.SeedSequence) -> int:
     return int(seed_seq.generate_state(1, np.uint64)[0])
 
 
+def _check_distinct(keys: Sequence, field: str) -> None:
+    """Raise ConfigError naming ``field`` at the first repeated key: two
+    equal keys would make two output rows that no column tells apart."""
+    seen = set()
+    for key in keys:
+        if key in seen:
+            raise ConfigError(f"{field} repeats {key!r}")
+        seen.add(key)
+
+
+def _check_methods(methods: Sequence[str]) -> None:
+    """The engines' rule for ``methods``: nonempty, known, no repeats."""
+    if not methods:
+        raise ConfigError("methods must be nonempty")
+    for m in methods:
+        if m not in POWER_METHODS:
+            raise ConfigError(f"unknown method {m!r}; expected one of {POWER_METHODS}")
+    _check_distinct(methods, "methods")
+
+
 # ----------------------------------------------------------- power curves
 
 
@@ -97,10 +117,11 @@ class PowerCurveConfig:
         ShareVector(self.shares)
         if not self.theta_grid:
             raise ConfigError("theta_grid must be nonempty")
-        checked_floats(self.theta_grid, "theta_grid", -1.0, strict=True, error=ConfigError)
-        for m in self.methods:
-            if m not in POWER_METHODS:
-                raise ConfigError(f"unknown method {m!r}; expected one of {POWER_METHODS}")
+        grid = checked_floats(
+            self.theta_grid, "theta_grid", -1.0, strict=True, error=ConfigError, ndim=1
+        )
+        _check_distinct(grid.tolist(), "theta_grid")
+        _check_methods(self.methods)
 
     @property
     def baseline_rate(self) -> float:
@@ -280,15 +301,21 @@ class SemisynthConfig:
         check_int_fields(self, ConfigError, smoothing_window=1, n_replicates=1, entropy_sites=2)
         sites = checked_ints(self.site_sweep, "site count", 1, error=ConfigError, ndim=1)
         object.__setattr__(self, "site_sweep", tuple(sites.tolist()))
+        _check_distinct(self.site_sweep, "site_sweep")
         checked_float(
             self.site_sweep_magnitude, "site_sweep_magnitude", 0.0, strict=True, error=ConfigError
         )
-        checked_floats(self.magnitude_sweep, "magnitude_sweep", 0.0, strict=True, error=ConfigError)
+        mags = checked_floats(
+            self.magnitude_sweep, "magnitude_sweep", 0.0, strict=True, error=ConfigError, ndim=1
+        )
         lowest = 1.0 / self.entropy_sites
-        checked_floats(self.dominant_sweep, "dominant_sweep", lowest, 1.0, error=ConfigError)
-        for m in self.methods:
-            if m not in POWER_METHODS:
-                raise ConfigError(f"unknown method {m!r}; expected one of {POWER_METHODS}")
+        doms = checked_floats(
+            self.dominant_sweep, "dominant_sweep", lowest, 1.0, error=ConfigError, ndim=1
+        )
+        # compared as the setting string each sweep row carries
+        _check_distinct([f"{v:g}" for v in mags.tolist()], "magnitude_sweep")
+        _check_distinct([f"{v:g}" for v in doms.tolist()], "dominant_sweep")
+        _check_methods(self.methods)
         if not self.thresholds:
             raise ConfigError("thresholds must be nonempty")
         checked_floats(self.thresholds, "thresholds", 0.0, 1.0, strict=True, error=ConfigError)
@@ -337,7 +364,7 @@ def _sweep_point(
     and a group is the unit of work: one `_method_pvalues` call, which
     scores every combiner in one `combine.combine_methods` pass, one
     p-value per window ending at t = l, ..., T - 1; then two `pr_curves`
-    calls over the whole group's rows, stacked replicate by replicate. The
+    calls over the whole group's rows, stacked method by method. The
     first matches them against the growth truth at every threshold; the
     second at alpha, each row against its own replicate's centralized
     alarms, passed as one truth per row. Every p-value is computed column
@@ -373,17 +400,14 @@ def _sweep_point(
             largest,
         )
         p_central = p_central.reshape(n_reps, k)
-        # (replicates x methods, windows): each replicate's rows are adjacent
-        rows = rows.reshape(len(cfg.methods), n_reps, k).transpose(1, 0, 2).reshape(-1, k)
+        # (methods x replicates, windows), a view: each method's rows are adjacent
+        rows = rows.reshape(-1, k)
         growth = pr_curves(rows, truth_growth, window, cfg.thresholds)
-        recall_fdr[:, first : first + n_reps] = (
-            recall_at_fdr(*growth, 0.1).reshape(n_reps, -1).T
-        )
+        recall_fdr[:, first : first + n_reps] = recall_at_fdr(*growth, 0.1).reshape(-1, n_reps)
         truth_central = [alarms_from_pvalues(p, alpha) for p in p_central]
-        row_truths = [truth for truth in truth_central for _ in cfg.methods]
-        f1_central[:, first : first + n_reps] = (
-            f1(*pr_curves(rows, row_truths, window, (alpha,)))[:, 0].reshape(n_reps, -1).T
-        )
+        f1_central[:, first : first + n_reps] = f1(
+            *pr_curves(rows, truth_central * len(cfg.methods), window, (alpha,))
+        )[:, 0].reshape(-1, n_reps)
     means = zip(recall_fdr.mean(axis=1).tolist(), f1_central.mean(axis=1).tolist())
     return dict(zip(cfg.methods, means))
 

@@ -36,7 +36,6 @@ from .semisynth import CountSeries, ShareVector, _check_aligned
 from .surge import SurgeHypothesis, SurgeWindow, exact_p_value, window_p_values, window_totals
 
 __all__ = [
-    "SiteNode",
     "PValueReport",
     "CoarseReport",
     "FederationConfig",
@@ -50,31 +49,6 @@ __all__ = [
 ]
 
 SHARE_SOURCES = ("known", "estimated", "none")
-
-
-@dataclasses.dataclass(frozen=True)
-class SiteNode:
-    """A data custodian. The raw series never leaves this object; callers
-    get p-value and coarse reports only."""
-
-    site_id: str
-    private_series: CountSeries = dataclasses.field(repr=False)
-
-    @staticmethod
-    def wrap(series: CountSeries) -> "SiteNode":
-        return SiteNode(series.site_id, series)
-
-    @property
-    def length(self) -> int:
-        return self.private_series.length
-
-    @property
-    def period(self) -> str:
-        return self.private_series.period
-
-    @property
-    def timeline(self) -> tuple:
-        return self.private_series.timestamps
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,7 +122,7 @@ class CombinedPeriod(NamedTuple):
 
 
 def site_compute_report(
-    site: SiteNode, t: int, hyp: SurgeHypothesis
+    site: CountSeries, t: int, hyp: SurgeHypothesis
 ) -> Optional[PValueReport]:
     """The site's exact surge p-value for the window ending at period t,
     or None while there is not yet a full baseline of history."""
@@ -157,7 +131,7 @@ def site_compute_report(
         raise DomainError(f"period {t} beyond series of length {site.length}")
     if t < l:
         return None
-    counts = site.private_series.counts
+    counts = site.counts
     window = SurgeWindow(counts[t - l : t], counts[t])
     return PValueReport(site.site_id, t, exact_p_value(window, hyp))
 
@@ -274,7 +248,7 @@ def _estimated_weights(
 
 
 def run_federation(
-    sites: Sequence[SiteNode], cfg: FederationConfig
+    sites: Sequence[CountSeries], cfg: FederationConfig
 ) -> list[CombinedPeriod]:
     """Drive the protocol over every period with a full baseline.
 
@@ -294,14 +268,13 @@ def run_federation(
     ids = [s.site_id for s in ordered]
     if len(set(ids)) != len(ids):
         raise ConfigError("site_ids must be unique")
-    _check_aligned([s.private_series for s in ordered])
-    timeline = ordered[0].timeline
+    _check_aligned(ordered)
     hyp = cfg.hypothesis
     l = hyp.baseline_len
-    counts = np.array([s.private_series.counts for s in ordered], dtype=np.int64)
+    counts = np.array([s.counts for s in ordered], dtype=np.int64)
     c, n = window_totals(counts, l)
     p_values = window_p_values(c, n, hyp)
-    periods = np.arange(l, len(timeline))
+    periods = np.arange(l, ordered[0].length)
     shares = totals = None
     if cfg.share_source == "known":
         # benchmark side channel: true window totals, bypassing the report

@@ -260,7 +260,7 @@ def site_coarse_reports(site, cfg) -> tuple:
     [k*C, (k+1)*C - 1] and is released `lag` periods after its last one.
     The reference for the cycle-total table of `fed._estimated_weights`."""
     c = cfg.reporting_cycle
-    counts = site.private_series.counts
+    counts = site.counts
     reports = []
     k = 0
     while (k + 1) * c <= len(counts):
@@ -288,7 +288,7 @@ def run_federation_per_period(sites, cfg) -> list:
         reports = [fed.site_compute_report(s, t, cfg.hypothesis) for s in ordered]
         shares = total = None
         if cfg.share_source == "known":
-            totals = [sum(s.private_series.counts[t - l : t + 1]) for s in ordered]
+            totals = [sum(s.counts[t - l : t + 1]) for s in ordered]
             total = sum(totals)
             if total == 0:
                 shares, total = ShareVector.equal(len(ordered)), 1

@@ -24,7 +24,7 @@ from fedsurv.experiments import (
     run_power_curve,
     run_semisynth_sweep,
 )
-from fedsurv.federation import FederationConfig, SiteNode, run_federation
+from fedsurv.federation import FederationConfig, run_federation
 from fedsurv.semisynth import CountSeries
 from fedsurv.surge import SurgeHypothesis, SurgeWindow, exact_p_value
 
@@ -345,6 +345,9 @@ class TestCmdPowerCurve:
             ("calibration_reps", True),
             ("power_reps", 1000.5),
             ("theta_grid", [float("nan")]),
+            ("theta_grid", [0.5, 0.5]),
+            ("methods", []),
+            ("methods", ["fisher", "fisher"]),
         ],
     )
     def test_malformed_scalar_exits_2(self, tmp_path, capsys, field, value):
@@ -451,6 +454,11 @@ class TestCmdSemisynth:
             ("thresholds", [0.1, None]),
             ("thresholds", [0.1, 1.0]),
             ("methods", "fisher"),
+            ("methods", []),
+            ("methods", ["fisher", "fisher"]),
+            ("site_sweep", [2, 2]),
+            ("magnitude_sweep", [0.5, 0.5]),
+            ("dominant_sweep", [0.4, 0.4]),
         ],
     )
     def test_malformed_field_exits_2(self, tmp_path, capsys, field, value):
@@ -928,7 +936,7 @@ class TestOneSiteAlignmentRule:
         with pytest.raises(ConfigError) as pooled:
             _pooled([a, b])
         with pytest.raises(ConfigError) as federated:
-            run_federation([SiteNode.wrap(a), SiteNode.wrap(b)], FederationConfig())
+            run_federation([a, b], FederationConfig())
         assert str(pooled.value) == str(federated.value)
         assert str(pooled.value) == "sites must share cadence and timestamp alignment"
 

@@ -25,12 +25,7 @@ from fedsurv.experiments import (
 from fedsurv import combine, experiments, numerics
 from fedsurv.combine import METHOD_IDS, EvidenceSet, combine_by_id
 from fedsurv.experiments import _method_pvalues, _simulate_method_pvalues
-from fedsurv.federation import (
-    FederationConfig,
-    SiteNode,
-    run_federation,
-    site_compute_report,
-)
+from fedsurv.federation import FederationConfig, run_federation, site_compute_report
 from fedsurv.numerics import EXACT_MAX_N
 from fedsurv.semisynth import (
     CountSeries,
@@ -68,6 +63,20 @@ class TestPowerCurveConfig:
     def test_rejects_empty_grid(self):
         with pytest.raises(ConfigError):
             PowerCurveConfig(theta_grid=())
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("methods", ()),
+            ("methods", ("fisher", "fisher")),
+            ("methods", ("centralized", "stouffer", "centralized")),
+            ("theta_grid", (0.5, 0.5)),
+            ("theta_grid", (0.5, 0.3, 0.5)),
+        ],
+    )
+    def test_rejects_empty_or_repeated_entries(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            PowerCurveConfig(**{field: value})
 
     @pytest.mark.parametrize("theta", [-1.0, -2.0, float("nan"), float("inf")])
     def test_rejects_grid_point_at_or_below_minus_one(self, theta):
@@ -244,11 +253,22 @@ class TestSemisynthConfig:
             {"n_replicates": float("inf")},
             {"entropy_sites": 4.5, "dominant_sweep": (0.6,)},
             {"entropy_sites": float("inf")},
+            {"methods": ()},
+            {"methods": ("fisher", "fisher")},
+            {"site_sweep": (2, 2)},
+            {"site_sweep": (2, 5, 2.0)},
+            {"magnitude_sweep": (0.5, 0.5)},
+            # compared as the setting string each row carries, "0.5" for both
+            {"magnitude_sweep": (0.5, 0.5000001)},
+            {"dominant_sweep": (0.4, 0.6, 0.4)},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ConfigError):
             SemisynthConfig(**kwargs)
+
+    def test_thresholds_may_repeat(self):
+        assert SemisynthConfig(thresholds=(0.1, 0.1)).thresholds == (0.1, 0.1)
 
 
 class TestMethodPValues:
@@ -341,7 +361,7 @@ class TestOneWindowRule:
         rng = np.random.default_rng(707)
         counts = tuple(int(k) for k in rng.poisson(np.linspace(20.0, 100.0, 30)))
         timeline = date_range(datetime.date(2024, 1, 1), len(counts), "daily")
-        site = SiteNode.wrap(CountSeries("s", "daily", timeline, counts))
+        site = CountSeries("s", "daily", timeline, counts)
         assert sum(counts[-5:]) > EXACT_MAX_N >= sum(counts[:5])
         for t in range(4, len(counts)):
             r = site_compute_report(site, t, self.HYP)
@@ -372,7 +392,7 @@ class TestSweepMatchesFederation:
         _, (series,) = _method_pvalues((method,), c, n, hyp, 0)
 
         cfg = FederationConfig(hypothesis=hyp, method=method, share_source="known")
-        combined = run_federation([SiteNode.wrap(p) for p in parts], cfg)
+        combined = run_federation(parts, cfg)
         assert len(combined) == series.size
         for j, period in enumerate(combined):
             assert period.period_index == hyp.baseline_len + j
@@ -643,19 +663,19 @@ class TestSweepGroups:
             n_reps = p_central.size // k
             group_sizes.append(n_reps)
             rows = rows.reshape(n_methods, n_reps, k)
-            # one growth match for the whole group, rows replicate-major
+            # one growth match for the whole group, rows method-major
             kind, p, _, thresholds = next(pending)
             assert kind == "matched" and thresholds == cfg.thresholds
-            assert p.shape == (n_reps * n_methods, k)
-            np.testing.assert_array_equal(p, rows.transpose(1, 0, 2).reshape(-1, k))
+            assert p.shape == (n_methods * n_reps, k)
+            np.testing.assert_array_equal(p, rows.reshape(-1, k))
             # then one F1 match for the whole group, the same rows, each
             # against its own replicate's central alarms
             kind, p, truth, thresholds = next(pending)
             assert kind == "matched" and thresholds == (alpha,)
-            np.testing.assert_array_equal(p, rows.transpose(1, 0, 2).reshape(-1, k))
+            np.testing.assert_array_equal(p, rows.reshape(-1, k))
             central = p_central.reshape(n_reps, k)
             assert list(truth) == [
-                alarms_from_pvalues(central[j], alpha) for j in range(n_reps) for _ in cfg.methods
+                alarms_from_pvalues(central[j], alpha) for _ in cfg.methods for j in range(n_reps)
             ]
         assert group_sizes == [3, 3, 1] + [1] * self.N_REPS
         matched = [e for e in events if e[0] == "matched"]

@@ -21,10 +21,6 @@ def series(values, site_id="s", period="weekly"):
     return CountSeries(site_id, period, date_range(D0, len(values), period), tuple(values))
 
 
-def node(values, site_id="s"):
-    return fed.SiteNode.wrap(series(values, site_id=site_id))
-
-
 class TestConfig:
     def test_share_method_requires_share_source(self):
         for method in sorted(cb.SHARE_METHODS):
@@ -59,13 +55,13 @@ class TestConfig:
 
 class TestSiteReports:
     def test_no_report_before_full_baseline(self):
-        n = node([3, 4, 5, 6, 7, 8])
+        n = series([3, 4, 5, 6, 7, 8])
         for t in range(HYP.baseline_len):
             assert fed.site_compute_report(n, t, HYP) is None
 
     def test_report_matches_direct_recomputation(self):
         values = [3, 9, 2, 7, 5, 11, 4, 6]
-        n = node(values)
+        n = series(values)
         for t in range(4, len(values)):
             rep = fed.site_compute_report(n, t, HYP)
             window = SurgeWindow(tuple(values[t - 4 : t]), values[t])
@@ -73,17 +69,17 @@ class TestSiteReports:
             assert (rep.site_id, rep.period_index) == ("s", t)
 
     def test_all_zero_site_reports_one(self):
-        n = node([0] * 10)
+        n = series([0] * 10)
         for t in range(4, 10):
             assert fed.site_compute_report(n, t, HYP).p_value == 1.0
 
     def test_out_of_range_period(self):
         with pytest.raises(DomainError):
-            fed.site_compute_report(node([1] * 6), 6, HYP)
+            fed.site_compute_report(series([1] * 6), 6, HYP)
 
     def test_coarse_reports_cover_complete_cycles_only(self):
         cfg = fed.FederationConfig(HYP, "fisher", reporting_cycle=4, lag=2)
-        n = node([5, 6, 7, 8, 9, 10, 11, 12, 13, 14])  # 10 periods, 2 full cycles
+        n = series([5, 6, 7, 8, 9, 10, 11, 12, 13, 14])  # 10 periods, 2 full cycles
         reports = oracles.site_coarse_reports(n, cfg)
         assert [(r.cycle_index, r.total_count) for r in reports] == [(0, 26), (1, 42)]
 
@@ -93,8 +89,8 @@ class TestShareEstimation:
 
     @staticmethod
     def coarse():
-        a = node([5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16], site_id="a")
-        b = node([1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3], site_id="b")
+        a = series([5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16], site_id="a")
+        b = series([1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3], site_id="b")
         return list(oracles.site_coarse_reports(a, TestShareEstimation.CFG)) + list(
             oracles.site_coarse_reports(b, TestShareEstimation.CFG)
         )
@@ -199,7 +195,7 @@ class TestInformationBoundary:
 class TestRunFederation:
     def test_single_site_identity_for_every_method(self):
         values = [6, 9, 4, 8, 12, 5, 7, 10, 15, 3]
-        n = node(values, site_id="only")
+        n = series(values, site_id="only")
         direct = [
             exact_p_value(SurgeWindow(tuple(values[t - 4 : t]), values[t]), HYP)
             for t in range(4, len(values))
@@ -215,26 +211,25 @@ class TestRunFederation:
         rng = np.random.default_rng(321)
         pooled = series([int(v) for v in rng.poisson(40.0, size=30)], site_id="hub")
         parts = split_multinomial(pooled, ShareVector((0.7, 0.3)), seed=5)
-        nodes = [fed.SiteNode.wrap(p) for p in parts]
         for t in (4, 11, 29):
-            for part, nd in zip(parts, nodes):
-                rep = fed.site_compute_report(nd, t, HYP)
+            for part in parts:
+                rep = fed.site_compute_report(part, t, HYP)
                 window = SurgeWindow(part.counts[t - 4 : t], part.counts[t])
                 assert rep.p_value == exact_p_value(window, HYP)
 
     def test_equal_known_shares_make_wstouffer_match_stouffer(self):
         values = [7, 9, 3, 8, 11, 6, 10, 4, 9, 8, 12, 5]
-        nodes = [node(values, site_id=f"s{i}") for i in range(3)]
-        plain = fed.run_federation(nodes, fed.FederationConfig(HYP, "stouffer", share_source="none"))
-        weighted = fed.run_federation(nodes, fed.FederationConfig(HYP, "wstouffer", share_source="known"))
+        sites = [series(values, site_id=f"s{i}") for i in range(3)]
+        plain = fed.run_federation(sites, fed.FederationConfig(HYP, "stouffer", share_source="none"))
+        weighted = fed.run_federation(sites, fed.FederationConfig(HYP, "wstouffer", share_source="known"))
         for a, b in zip(plain, weighted):
             assert b.p == pytest.approx(a.p, abs=1e-12)
             assert b.shares == (1 / 3, 1 / 3, 1 / 3)
 
     def test_estimated_equals_known_on_constant_sites(self):
         # constant counts: fresh one-period cycles reproduce window shares
-        a = node([30] * 12, site_id="a")
-        b = node([10] * 12, site_id="b")
+        a = series([30] * 12, site_id="a")
+        b = series([10] * 12, site_id="b")
         for method in ("wstouffer", "cstouffer"):
             known = fed.run_federation(
                 [a, b], fed.FederationConfig(HYP, method, share_source="known")
@@ -251,17 +246,17 @@ class TestRunFederation:
 
     def test_share_vector_reported_only_for_share_methods(self):
         values = [5, 8, 6, 7, 9, 10]
-        nodes = [node(values, site_id=f"s{i}") for i in range(2)]
-        plain = fed.run_federation(nodes, fed.FederationConfig(HYP, "fisher", share_source="known"))
+        sites = [series(values, site_id=f"s{i}") for i in range(2)]
+        plain = fed.run_federation(sites, fed.FederationConfig(HYP, "fisher", share_source="known"))
         assert all(r.shares is None for r in plain)
-        weighted = fed.run_federation(nodes, fed.FederationConfig(HYP, "wfisher", share_source="known"))
+        weighted = fed.run_federation(sites, fed.FederationConfig(HYP, "wfisher", share_source="known"))
         assert all(r.shares == (0.5, 0.5) for r in weighted)
 
     def test_integral_float_settings_run_like_ints(self):
         # a float baseline length or reporting cycle used to reach numpy
         # indexing and range() as a float and fail there
         rng = np.random.default_rng(5)
-        nodes = [node([int(v) for v in rng.poisson(20.0, 16)], f"s{i}") for i in range(3)]
+        sites = [series([int(v) for v in rng.poisson(20.0, 16)], f"s{i}") for i in range(3)]
         for as_float, as_int in (
             (dict(hypothesis=SurgeHypothesis(0.3, 4.0)), dict(hypothesis=HYP)),
             (
@@ -269,20 +264,19 @@ class TestRunFederation:
                 dict(hypothesis=HYP, share_source="estimated", reporting_cycle=2),
             ),
         ):
-            got = fed.run_federation(nodes, fed.FederationConfig(method="wfisher", **as_float))
-            want = fed.run_federation(nodes, fed.FederationConfig(method="wfisher", **as_int))
+            got = fed.run_federation(sites, fed.FederationConfig(method="wfisher", **as_float))
+            want = fed.run_federation(sites, fed.FederationConfig(method="wfisher", **as_int))
             assert got == want and len(got) == 12
 
     def test_determinism(self):
         rng = np.random.default_rng(12)
         pooled = series([int(v) for v in rng.poisson(25.0, size=24)], site_id="hub")
         parts = split_multinomial(pooled, ShareVector((0.5, 0.3, 0.2)), seed=8)
-        nodes = [fed.SiteNode.wrap(p) for p in parts]
         cfg = fed.FederationConfig(
             HYP, "cstouffer", share_source="estimated", reporting_cycle=3, lag=1
         )
-        first = fed.run_federation(nodes, cfg)
-        second = fed.run_federation(nodes, cfg)
+        first = fed.run_federation(parts, cfg)
+        second = fed.run_federation(parts, cfg)
         assert first == second
 
     def test_validation_errors(self):
@@ -290,16 +284,16 @@ class TestRunFederation:
         with pytest.raises(ConfigError):
             fed.run_federation([], cfg)
         with pytest.raises(ConfigError):
-            fed.run_federation([node([1] * 8, "x"), node([1] * 8, "x")], cfg)
+            fed.run_federation([series([1] * 8, "x"), series([1] * 8, "x")], cfg)
         with pytest.raises(ConfigError):
-            fed.run_federation([node([1] * 8, "x"), node([1] * 9, "y")], cfg)
+            fed.run_federation([series([1] * 8, "x"), series([1] * 9, "y")], cfg)
 
     def test_fisher_eight_equal_sites_total(self):
         rng = np.random.default_rng(31)
         pooled = series([int(v) for v in rng.poisson(160.0, size=40)], site_id="hub")
         parts = split_multinomial(pooled, ShareVector.equal(8), seed=2)
         out = fed.run_federation(
-            [fed.SiteNode.wrap(p) for p in parts],
+            parts,
             fed.FederationConfig(HYP, "fisher", share_source="none"),
         )
         assert len(out) == 36
@@ -324,15 +318,15 @@ class TestBatchedLoopMatchesPerPeriodReference:
         drift = rng.uniform(0.3, 2.0, size=length)
         counts = rng.poisson(rates[:, None] * drift, size=(n_sites, length))
         counts[:, rng.random(length) < 0.2] = 0  # all-zero periods
-        nodes = [node([int(v) for v in row], site_id=f"s{i}") for i, row in enumerate(counts)]
-        rng.shuffle(nodes)  # input order must not matter
-        return nodes
+        sites = [series([int(v) for v in row], site_id=f"s{i}") for i, row in enumerate(counts)]
+        rng.shuffle(sites)  # input order must not matter
+        return sites
 
-    def check(self, nodes, hyp, source, cycle=1, lag=0):
+    def check(self, sites, hyp, source, cycle=1, lag=0):
         for method in self.METHODS[source]:
             cfg = fed.FederationConfig(hyp, method, source, reporting_cycle=cycle, lag=lag)
-            want = oracles.run_federation_per_period(nodes, cfg)
-            got = fed.run_federation(nodes, cfg)
+            want = oracles.run_federation_per_period(sites, cfg)
+            got = fed.run_federation(sites, cfg)
             assert got == want, (source, method, cycle, lag)
         return got
 
@@ -342,42 +336,42 @@ class TestBatchedLoopMatchesPerPeriodReference:
             for lag in range(6):
                 hyp = SurgeHypothesis(float(rng.choice([0.0, 0.3, 1.0])), int(rng.integers(1, 6)))
                 # up to 13 sites: numpy's pairwise and row-by-row sums part from 8
-                nodes = self.sites(rng, int(rng.integers(1, 14)), int(rng.integers(1, 30)))
+                sites = self.sites(rng, int(rng.integers(1, 14)), int(rng.integers(1, 30)))
                 for source in ("known", "estimated", "none"):
-                    self.check(nodes, hyp, source, cycle, lag)
+                    self.check(sites, hyp, source, cycle, lag)
 
     def test_first_release_after_the_series_ends(self):
         rng = np.random.default_rng(7)
-        nodes = self.sites(rng, 3, 10)
+        sites = self.sites(rng, 3, 10)
         # cycle 0 covers periods 0..5 and is released at 5 + 5 = 10
-        out = self.check(nodes, HYP, "estimated", cycle=6, lag=5)
+        out = self.check(sites, HYP, "estimated", cycle=6, lag=5)
         assert len(out) == 6 and all(r.shares == (1 / 3,) * 3 for r in out)
         # a series shorter than one cycle releases nothing at all
         self.check(self.sites(rng, 2, 5), HYP, "estimated", cycle=6, lag=0)
 
     def test_all_zero_site_and_all_zero_periods(self):
         values = [0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 7, 2, 0, 0, 0, 0, 0]
-        nodes = [node(values, "busy"), node([0] * len(values), "empty")]
+        sites = [series(values, "busy"), series([0] * len(values), "empty")]
         for source in ("known", "estimated", "none"):
-            self.check(nodes, HYP, source, cycle=2, lag=1)
-        known = fed.run_federation(nodes, fed.FederationConfig(HYP, "cstouffer", "known"))
+            self.check(sites, HYP, source, cycle=2, lag=1)
+        known = fed.run_federation(sites, fed.FederationConfig(HYP, "cstouffer", "known"))
         # empty pooled window: uniform shares, total 1
         assert known[0].shares == (0.5, 0.5)
         assert known[1].shares == (1.0, 0.0)
 
     def test_windows_above_the_exact_cap(self):
         rng = np.random.default_rng(11)
-        nodes = self.sites(rng, 3, 24, scale=20.0)
-        windows = [sum(n.private_series.counts[t - 4 : t + 1]) for n in nodes for t in range(4, 24)]
+        sites = self.sites(rng, 3, 24, scale=20.0)
+        windows = [sum(n.counts[t - 4 : t + 1]) for n in sites for t in range(4, 24)]
         assert max(windows) > numerics.EXACT_MAX_N  # some windows take the betainc path
         for source in ("known", "estimated", "none"):
-            self.check(nodes, HYP, source, cycle=3, lag=2)
+            self.check(sites, HYP, source, cycle=3, lag=2)
 
     def test_single_site(self):
         rng = np.random.default_rng(5)
-        nodes = self.sites(rng, 1, 25, scale=4.0)
+        sites = self.sites(rng, 1, 25, scale=4.0)
         for source in ("known", "estimated", "none"):
-            out = self.check(nodes, HYP, source, cycle=4, lag=1)
+            out = self.check(sites, HYP, source, cycle=4, lag=1)
             assert len(out) == 21
 
 
@@ -400,11 +394,11 @@ class TestEstimatedWeightsTable:
     def test_equals_per_report_totals(self, length, cycle, lag):
         rng = np.random.default_rng(length * 100 + cycle * 10 + lag)
         rows = rng.poisson(6.0, size=(3, length)).tolist() + [[0] * length]  # an all-zero site
-        nodes = [node(row, site_id=f"s{i}") for i, row in enumerate(rows)]
-        ids = [n.site_id for n in nodes]
+        sites = [series(row, site_id=f"s{i}") for i, row in enumerate(rows)]
+        ids = [n.site_id for n in sites]
         cfg = fed.FederationConfig(HYP, "wstouffer", "estimated", reporting_cycle=cycle, lag=lag)
-        coarse = [r for n in nodes for r in oracles.site_coarse_reports(n, cfg)]
-        assert len(coarse) == len(nodes) * (length // cycle)
+        coarse = [r for n in sites for r in oracles.site_coarse_reports(n, cfg)]
+        assert len(coarse) == len(sites) * (length // cycle)
         periods = np.arange(length)
         shares, totals = fed._estimated_weights(np.array(rows, dtype=np.int64), cfg, periods)
         for j, t in enumerate(periods.tolist()):
