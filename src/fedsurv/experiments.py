@@ -315,6 +315,11 @@ class SemisynthConfig:
         # compared as the setting string each sweep row carries
         _check_distinct([f"{v:g}" for v in mags.tolist()], "magnitude_sweep")
         _check_distinct([f"{v:g}" for v in doms.tolist()], "dominant_sweep")
+        if not (sites.size or mags.size or doms.size):
+            raise ConfigError(
+                "site_sweep, magnitude_sweep and dominant_sweep are all empty; "
+                "at least one sweep needs a point"
+            )
         _check_methods(self.methods)
         if not self.thresholds:
             raise ConfigError("thresholds must be nonempty")

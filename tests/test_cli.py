@@ -467,6 +467,13 @@ class TestCmdSemisynth:
         assert code == 2 and out == ""
         assert field in err
 
+    def test_no_sweep_point_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, **(self.TINY | {"site_sweep": [], "dominant_sweep": []}))
+        code, out, err = run(["semisynth", "--config", cfg, "--seed", 1], capsys)
+        assert code == 2 and out == ""
+        for field in ("site_sweep", "magnitude_sweep", "dominant_sweep"):
+            assert field in err
+
     @pytest.mark.parametrize(
         "field, value",
         [

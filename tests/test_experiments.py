@@ -261,6 +261,7 @@ class TestSemisynthConfig:
             # compared as the setting string each row carries, "0.5" for both
             {"magnitude_sweep": (0.5, 0.5000001)},
             {"dominant_sweep": (0.4, 0.6, 0.4)},
+            {"site_sweep": (), "magnitude_sweep": (), "dominant_sweep": ()},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):

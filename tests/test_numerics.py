@@ -4,6 +4,8 @@ import math
 import random
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import types
 from fractions import Fraction
@@ -528,12 +530,35 @@ class TestGamma:
                 assert got == want
 
 
-class TestGammaIsfMemo:
-    """``gamma_isf`` reads repeated pairs from a fixed-size memo and looks
-    cells up a fixed-size block at a time."""
+def _split_everything(monkeypatch):
+    """Every inversion of two cells or more split across three threads."""
+    monkeypatch.setattr(nm, "_SPLIT_MIN_CELLS", 1)
+    monkeypatch.setattr(nm, "_usable_cpus", lambda: 3)
 
-    @pytest.mark.parametrize("slots, block", [(1, 7), (2, 1 << 15), (1 << 15, 7), (1 << 15, 1 << 15)])
-    def test_every_memo_state_gives_the_ufunc_bits(self, monkeypatch, slots, block):
+
+def _special_with(monkeypatch, gammainccinv):
+    """`numerics.special` with its Gamma inverse replaced."""
+    ufuncs = {name: getattr(special, name) for name in NUMERICS_UFUNCS}
+    stand_in = types.SimpleNamespace(**dict(ufuncs, gammainccinv=gammainccinv))
+    monkeypatch.setattr(nm, "special", stand_in)
+
+
+class TestGammaIsfMemo:
+    """``gamma_isf`` reads repeated pairs from a fixed-size memo, looks
+    cells up a fixed-size block at a time and inverts a block's misses in
+    one call, split across threads."""
+
+    @pytest.mark.parametrize(
+        "slots, block, split",
+        [
+            pytest.param(slots, block, split, id=f"{slots}-{block}" + "-split" * split)
+            for split in (False, True)
+            for slots, block in [(1, 7), (2, 1 << 15), (1 << 15, 7), (1 << 15, 1 << 15)]
+        ],
+    )
+    def test_every_memo_state_gives_the_ufunc_bits(self, monkeypatch, slots, block, split):
+        if split:  # even a 7-cell block splits, into uneven chunks
+            _split_everything(monkeypatch)
         monkeypatch.setattr(nm, "_ISF_MEMO_SLOTS", slots)
         monkeypatch.setattr(nm, "_ISF_BLOCK", block)
         monkeypatch.setattr(nm, "_isf_memo", None)
@@ -560,8 +585,7 @@ class TestGammaIsfMemo:
                 raise FloatingPointError("stand-in failure")
             return special.gammainccinv(a, x)
 
-        ufuncs = {name: getattr(special, name) for name in NUMERICS_UFUNCS}
-        monkeypatch.setattr(nm, "special", types.SimpleNamespace(**dict(ufuncs, gammainccinv=flaky)))
+        _special_with(monkeypatch, flaky)
         rng = np.random.default_rng(64)
         held = (rng.uniform(0.5, 20.0, size=8192), rng.uniform(size=8192))
         fresh = (rng.uniform(0.5, 20.0, size=8192), rng.uniform(size=8192))
@@ -576,6 +600,93 @@ class TestGammaIsfMemo:
             got = nm.gamma_isf(float(a[k]), float(p[k]))
             assert isinstance(got, float)
             assert np.float64(got).tobytes() == special.gammainccinv(a[k], p[k]).tobytes()
+
+    def test_worker_failure_reaches_the_caller_and_leaves_the_memo_whole(self, monkeypatch):
+        armed = [True]
+
+        def fails_in_workers(a, x):
+            if armed[0] and threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("stand-in worker failure")
+            return special.gammainccinv(a, x)
+
+        _special_with(monkeypatch, fails_in_workers)
+        _split_everything(monkeypatch)
+        rng = np.random.default_rng(65)
+        held = (rng.uniform(0.5, 20.0, size=300), rng.uniform(size=300))
+        fresh = (rng.uniform(0.5, 20.0, size=300), rng.uniform(size=300))
+        armed[0] = False
+        nm.gamma_isf(*held)
+        armed[0] = True
+        running = threading.active_count()
+        with pytest.raises(FloatingPointError, match="worker"):
+            nm.gamma_isf(*fresh)
+        assert threading.active_count() == running
+        armed[0] = False
+        a, p = (np.concatenate(pair) for pair in zip(held, fresh))
+        for _ in range(2):
+            assert nm.gamma_isf(a, p).tobytes() == special.gammainccinv(a, p).tobytes()
+
+    def test_split_call_runs_in_threads_it_joins(self, monkeypatch):
+        threads = set()
+
+        def spy(a, x):
+            threads.add(threading.current_thread())
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)  # still running unless joined
+            return special.gammainccinv(a, x)
+
+        _special_with(monkeypatch, spy)
+        _split_everything(monkeypatch)
+        rng = np.random.default_rng(66)
+        a, p = rng.uniform(0.5, 20.0, size=100), rng.uniform(size=100)
+        running = threading.active_count()
+        assert nm.gamma_isf(a, p).tobytes() == special.gammainccinv(a, p).tobytes()
+        assert threading.active_count() == running
+        assert len(threads) == 3 and threading.current_thread() in threads
+
+    def test_import_starts_no_thread(self):
+        code = (
+            "import threading\n"
+            "from fedsurv import cli\n"
+            "assert threading.active_count() == 1, threading.enumerate()\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], env=package_env(), capture_output=True)
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("slots", [1 << 15, 1], ids=["cold", "one-slot"])
+    def test_one_inversion_per_block_of_its_distinct_misses(self, monkeypatch, slots):
+        """The inverse gets exactly the distinct pairs that a block misses,
+        each once, in one call per block that misses any."""
+        calls = []  # (block, cells inverted)
+        blocks = []  # (the block's pairs, the pairs the memo held before it)
+
+        def spy(a, x):
+            calls.append((len(blocks) - 1, list(zip(a.tolist(), x.tolist()))))
+            return special.gammainccinv(a, x)
+
+        def spy_block(inverse, a, p, out):
+            memo = nm._isf_memo
+            keys = memo[1][:2] if memo is not None and memo[0] is inverse else np.zeros((2, 0))
+            held = set(zip(keys[0].view(float).tolist(), keys[1].view(float).tolist()))
+            blocks.append((set(zip(a.tolist(), p.tolist())), held))
+            real_block(inverse, a, p, out)
+
+        real_block = nm._isf_block
+        _special_with(monkeypatch, spy)
+        monkeypatch.setattr(nm, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(nm, "_isf_block", spy_block)
+        monkeypatch.setattr(nm, "_ISF_MEMO_SLOTS", slots)
+        monkeypatch.setattr(nm, "_ISF_BLOCK", 64)
+        rng = np.random.default_rng(67)
+        a = rng.choice([0.5, 1.0, 2.5, 40.0], size=300)
+        p = rng.choice(np.linspace(0.05, 0.95, 19), size=300)
+        for _ in range(2):  # cold, then warm
+            assert nm.gamma_isf(a, p).tobytes() == special.gammainccinv(a, p).tobytes()
+        want = [(k, pairs - held) for k, (pairs, held) in enumerate(blocks) if pairs - held]
+        assert [k for k, _ in calls] == [k for k, _ in want]
+        for (_, cells), (_, missed) in zip(calls, want):
+            assert sorted(cells) == sorted(missed)
+        assert len(blocks) == 10 and calls
 
     def test_peak_memory_does_not_grow_with_cells(self):
         """2**20 fresh pairs against 2**16: beyond the returned array, the
