@@ -3,11 +3,14 @@ machine-readable outputs.
 
 Every subcommand reads an optional JSON config, an explicit integer seed
 where randomness is involved (there is no wall-clock seeding), and an
-output path. The config keys of `power-curve`, `semisynth` and
-`federation` are the fields of `PowerCurveConfig`, `SemisynthConfig` and
-`FederationConfig` (with the `SurgeHypothesis` fields at top level), read
-by `ExperimentConfig.take_fields`; each key's JSON type and default are
-those of its field.
+output path. Each command's config keys are the fields of one frozen
+dataclass, read by `read_config` through `take_fields`, with the fields of
+a nested dataclass (such as `SurgeHypothesis`) at top level: `test` reads
+`SurgeTestConfig`, `combine` `CombineConfig`, `power-curve`
+`PowerCurveConfig`, `semisynth` `SemisynthRunConfig` and `federation`
+`FederationRunConfig` (which nest `SemisynthConfig` and `FederationConfig`),
+and `evaluate` `EvaluateConfig`. A key's JSON type and default are those of
+its field; a command with `--seed` also reads the key "seed".
 
 Outputs are byte-deterministic for identical config and seed: floats are
 rendered with repr (shortest round-trip form), JSON keys are sorted, and
@@ -32,7 +35,14 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import combine
-from .errors import ConfigError, DomainError, FedsurvError, checked_float, checked_int
+from .errors import (
+    ConfigError,
+    DomainError,
+    FedsurvError,
+    check_int_fields,
+    checked_float,
+    checked_int,
+)
 from .evaluation import AlarmSeries, MatchWindow, f1, pr_curve
 from .experiments import (
     DEFAULT_THRESHOLDS,
@@ -160,22 +170,7 @@ def _pooled(series: Sequence[CountSeries]) -> CountSeries:
     return CountSeries("pooled", series[0].period, series[0].timestamps, counts)
 
 
-# ------------------------------------------------------------ config bag
-
-
-_REQUIRED = object()
-
-
-def _as_kind(value, kind, what: str):
-    """`value` as `kind`, or a ConfigError naming `what`: a JSON string for
-    str; a finite number by the package's real-number rule
-    (``errors.checked_float``, never bool) for float; an integer by its
-    integer rule (``errors.checked_int``) for int."""
-    if kind in (int, float):
-        return (checked_int if kind is int else checked_float)(value, what, error=ConfigError)
-    if isinstance(value, str):
-        return value
-    raise ConfigError(f"{what} must be a string, got {value!r}")
+# --------------------------------------------------------------- config
 
 
 class _JsonConstant:
@@ -190,107 +185,169 @@ class _JsonConstant:
         return self.name
 
 
-class ExperimentConfig:
-    """JSON-backed field bag. Commands take what they need; leftover keys
-    are treated as configuration errors so typos cannot pass silently."""
+def _field_value(raw, kind, what: str, base: Path):
+    """The JSON value `raw` as a field of type `kind`, or a ConfigError
+    naming `what`: a ``tuple[X, ...]`` is a list of X and a ``tuple[X, X]``
+    a list of two; an int is an integer by the package's integer rule
+    (``errors.checked_int``) and a float a finite number by its real-number
+    rule (``errors.checked_float``), never bool; a str is a JSON string, and
+    a `Path` one naming an existing file, relative to `base`."""
+    if typing.get_origin(kind) is tuple:
+        args = typing.get_args(kind)
+        length = None if args[-1] is Ellipsis else len(args)
+        if not isinstance(raw, list) or length not in (None, len(raw)):
+            size = "a list" if length is None else f"a list of {length}"
+            raise ConfigError(f"{what} must be {size}, got {raw!r}")
+        return tuple(_field_value(v, args[0], f"{what} entry", base) for v in raw)
+    if kind in (int, float):
+        return (checked_int if kind is int else checked_float)(raw, what, error=ConfigError)
+    if not isinstance(raw, str):
+        raise ConfigError(f"{what} must be a string, got {raw!r}")
+    if kind is Path:
+        path = base / raw  # an absolute path stays as it is
+        if not path.exists():
+            raise ConfigError(f"{what}: file {raw!r} does not exist")
+        return path
+    return raw
 
-    def __init__(self, data: dict, base_dir: Path):
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be a JSON object")
-        self._data = dict(data)
-        self._base = base_dir
 
-    @staticmethod
-    def load(path: Optional[str]) -> "ExperimentConfig":
-        if path is None:
-            return ExperimentConfig({}, Path.cwd())
-        p = Path(path)
+def take_fields(data: dict, cls, base: Path):
+    """An instance of the config dataclass `cls`, each field popped from
+    `data` by its name. A nested config dataclass is read from its own
+    fields, which stay top-level keys; an ``Optional`` one is read only when
+    one of its keys, or of the keys the field's ``given_by`` metadata
+    lists, is present, and is None otherwise. Any other field is read by
+    ``_field_value``, and JSON null in an ``Optional`` field reads as not
+    given. An absent key leaves the field's default; a field without one
+    is required."""
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for field in dataclasses.fields(cls):
+        kind = hints[field.name]
+        optional = type(None) in typing.get_args(kind)
+        kind = typing.get_args(kind)[0] if optional else kind  # Optional[X] is Union[X, None]
+        if dataclasses.is_dataclass(kind):
+            given = field.metadata.get("given_by", [f.name for f in dataclasses.fields(kind)])
+            if not optional or any(key in data for key in given):
+                values[field.name] = take_fields(data, kind, base)
+        elif field.name in data:
+            raw = data.pop(field.name)
+            if raw is not None or not optional:
+                values[field.name] = _field_value(raw, kind, f"config field {field.name!r}", base)
+        elif field.default is dataclasses.MISSING:
+            raise ConfigError(f"config field {field.name!r} is required")
+    return cls(**values)
+
+
+_NO_SEED = object()  # a seed that neither --seed nor the config's "seed" gives
+
+
+def read_config(args, cls):
+    """The config dataclass `cls` of a command, read by ``take_fields`` from
+    the JSON file `args.config` (without one, every field's default), and
+    the command's seed: ``--seed``, else the config's "seed" key as given,
+    where the command takes ``--seed``; else `_NO_SEED`. A key that is left
+    over, as a typo would be, raises ConfigError."""
+    data, base = {}, Path.cwd()
+    if args.config is not None:
+        path = Path(args.config)
         try:
-            text = p.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
             data = json.loads(text, parse_constant=_JsonConstant)
         except ValueError as exc:  # also an integer literal past Python's digit limit
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-        return ExperimentConfig(data, p.parent)
-
-    def __contains__(self, key: str) -> bool:  # set and not yet taken
-        return key in self._data
-
-    def take(self, key: str, default=_REQUIRED):
-        if key in self._data:
-            return self._data.pop(key)
-        if default is _REQUIRED:
-            raise ConfigError(f"config field {key!r} is required")
-        return default
-
-    def take_scalar(self, key: str, default=_REQUIRED, kind=float):
-        """A scalar field as `kind` (float, int or str). It must be a JSON
-        number, integral when `kind` is int, or a JSON string for str; a
-        default passes through unchecked."""
-        raw = self.take(key, default)
-        if raw is default:
-            return default
-        return _as_kind(raw, kind, f"config field {key!r}")
-
-    def take_list(self, key: str, default=_REQUIRED, kind=float, length: Optional[int] = None):
-        """A list-valued field as a tuple of `kind` (float, int or str), each
-        element checked as ``take_scalar`` checks a scalar; a default passes
-        through unchecked."""
-        raw = self.take(key, default)
-        if raw is default:
-            return default
-        if not isinstance(raw, list) or (length is not None and len(raw) != length):
-            size = "a list" if length is None else f"a list of {length}"
-            raise ConfigError(f"config field {key!r} must be {size}, got {raw!r}")
-        return tuple(_as_kind(v, kind, f"config field {key!r} entry") for v in raw)
-
-    def take_path(self, key: str, default=_REQUIRED) -> Optional[Path]:
-        """A path field: a JSON string naming an existing file, relative to
-        the config's directory. Only an optional field (default None) reads
-        null as not given."""
-        raw = self.take_scalar(key, default, str)
-        if raw is None:
-            return None
-        p = Path(raw)
-        if not p.is_absolute():
-            p = self._base / p
-        if not p.exists():
-            raise ConfigError(f"config field {key!r}: file {raw!r} does not exist")
-        return p
-
-    def take_fields(self, cls):
-        """An instance of the config dataclass `cls`, one key per field. A
-        nested config dataclass is read from its own fields, which stay
-        top-level keys; a ``tuple[X, ...]`` field is a list of X; any other
-        field is a scalar of its annotated type. The field's own default
-        applies when its key is absent."""
-        hints = typing.get_type_hints(cls)
-        values = {}
-        for field in dataclasses.fields(cls):
-            kind = hints[field.name]
-            default = _REQUIRED if field.default is dataclasses.MISSING else field.default
-            if dataclasses.is_dataclass(kind):
-                values[field.name] = self.take_fields(kind)
-            elif typing.get_origin(kind) is tuple:
-                values[field.name] = self.take_list(field.name, default, typing.get_args(kind)[0])
-            else:
-                values[field.name] = self.take_scalar(field.name, default, kind)
-        return cls(**values)
-
-    def finish(self) -> None:
-        if self._data:
-            raise ConfigError(
-                f"unknown config field {', '.join(repr(k) for k in sorted(self._data))}"
-            )
+        if not isinstance(data, dict):
+            raise ConfigError("config root must be a JSON object")
+        base = path.parent
+    seed = _NO_SEED
+    if "seed" in vars(args):
+        seed = data.pop("seed", _NO_SEED) if args.seed is None else args.seed
+    config = take_fields(data, cls, base)
+    if data:
+        raise ConfigError(f"unknown config field {', '.join(repr(k) for k in sorted(data))}")
+    return config, seed
 
 
-def _resolve_seed(args, cfg: ExperimentConfig) -> int:
-    seed = args.seed if args.seed is not None else cfg.take("seed", None)
-    if seed is None:
+def _required_seed(seed) -> int:
+    if seed is _NO_SEED or seed is None:
         raise ConfigError("a seed is required: pass --seed or set \"seed\" in the config")
     return _checked_seed(seed)
+
+
+@dataclasses.dataclass(frozen=True)
+class SurgeTestConfig:
+    """`test`: the surge test at period `at` of the counts in `csv`, pooled
+    across sites or of one `site`."""
+
+    csv: Path
+    at: int
+    hypothesis: SurgeHypothesis = SurgeHypothesis()
+    site: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        check_int_fields(self, ConfigError, at=0)
+
+
+@dataclasses.dataclass(frozen=True)
+class CombineConfig:
+    """`combine`: one method over `p_values`. `rho` is given, or comes from
+    the hypothesis when `theta` or `baseline_len` is (`alpha` is read only
+    beside them), never both."""
+
+    method: str
+    p_values: tuple[float, ...]
+    shares: Optional[tuple[float, ...]] = None
+    total_count: Optional[int] = None
+    rho: Optional[float] = None
+    hypothesis: Optional[SurgeHypothesis] = dataclasses.field(
+        default=None, metadata={"given_by": ("theta", "baseline_len")}
+    )
+
+    def __post_init__(self) -> None:
+        if self.rho is not None and self.hypothesis is not None:
+            raise ConfigError("rho and theta, baseline_len or alpha exclude each other")
+
+
+@dataclasses.dataclass(frozen=True)
+class SemisynthRunConfig:
+    """`semisynth`: the sweep over the pooled counts of `csv`, or without
+    one over the built-in fixture."""
+
+    csv: Optional[Path] = None
+    sweep: SemisynthConfig = SemisynthConfig()
+
+
+@dataclasses.dataclass(frozen=True)
+class FederationRunConfig:
+    """`federation`: the protocol over the sites of `csv`, or without one
+    over the built-in fixture split into `n_sites` sites (5 by default) by
+    `shares` (equal by default; given alone, they set `n_sites`)."""
+
+    csv: Optional[Path] = None
+    protocol: FederationConfig = FederationConfig()
+    n_sites: Optional[int] = None
+    shares: Optional[tuple[float, ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.csv is not None and (self.n_sites is not None or self.shares is not None):
+            raise ConfigError("n_sites and shares apply only when no csv is given")
+        if self.shares is not None and self.n_sites not in (None, len(self.shares)):
+            raise ConfigError("shares length must equal n_sites")
+
+
+@dataclasses.dataclass(frozen=True)
+class EvaluateConfig:
+    """`evaluate`: the p-values of `scores` against the truth alarms of
+    `truth`, matched within `match_window` (by default the `cadence`'s)."""
+
+    scores: Path
+    truth: Path
+    cadence: str = "weekly"
+    match_window: Optional[tuple[int, int]] = None
+    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
 
 
 # --------------------------------------------------------------- output
@@ -393,67 +450,42 @@ def _json_text(doc) -> str:
 
 
 def cmd_test(args) -> int:
-    cfg = ExperimentConfig.load(args.config)
-    csv_path = cfg.take_path("csv")
-    hyp = cfg.take_fields(SurgeHypothesis)
-    at = checked_int(cfg.take("at"), "config field 'at'", 0, error=ConfigError)
-    site = cfg.take_scalar("site", None, str)
-    cfg.finish()
-
-    series = read_counts_csv(csv_path)
-    if site is not None:
-        matches = [s for s in series if s.site_id == site]
-        if not matches:
-            raise ConfigError(
-                f"site {site!r} not found; available: {[s.site_id for s in series]}"
-            )
-        chosen = matches[0]
-    else:
+    cfg, _ = read_config(args, SurgeTestConfig)
+    series = read_counts_csv(cfg.csv)
+    if cfg.site is None:
         chosen = _pooled(series)
+    else:
+        chosen = next((s for s in series if s.site_id == cfg.site), None)
+        if chosen is None:
+            available = [s.site_id for s in series]
+            raise ConfigError(f"site {cfg.site!r} not found; available: {available}")
 
-    l = hyp.baseline_len
+    at, l = cfg.at, cfg.hypothesis.baseline_len
     if at < l or at >= len(chosen.counts):
         raise ConfigError(
             f"period {at} lacks {l} history periods inside a series of "
             f"length {len(chosen.counts)}"
         )
     window = SurgeWindow(chosen.counts[at - l : at], chosen.counts[at])
-    p = exact_p_value(window, hyp)
-    text = _csv_text(
-        ("period", "c", "n", "p"),
-        [(str(at), str(window.baseline_total), str(window.total), _fmt(p))],
-    )
-    _write_text(args.out, text)
+    p = exact_p_value(window, cfg.hypothesis)
+    row = (str(at), str(window.baseline_total), str(window.total), _fmt(p))
+    _write_text(args.out, _csv_text(("period", "c", "n", "p"), [row]))
     return 0
 
 
 def cmd_combine(args) -> int:
-    cfg = ExperimentConfig.load(args.config)
-    method = cfg.take_scalar("method", kind=str)
-    p_values = cfg.take_list("p_values")
-    shares = cfg.take_list("shares", None)
-    total = cfg.take_scalar("total_count", None, int)
-    rho = cfg.take_scalar("rho", None)
-    if rho is None and ("theta" in cfg or "baseline_len" in cfg):
-        rho = cfg.take_fields(SurgeHypothesis).rho
-    cfg.finish()
-
-    ev = combine.EvidenceSet(p_values, shares=shares, total_count=total, rho=rho)
-    result = combine.combine_by_id(method, ev)
-    text = _csv_text(
-        ("method", "statistic", "p"),
-        [(result.method, _fmt(result.statistic), _fmt(result.p))],
-    )
-    _write_text(args.out, text)
+    cfg, _ = read_config(args, CombineConfig)
+    rho = cfg.rho if cfg.hypothesis is None else cfg.hypothesis.rho
+    ev = combine.EvidenceSet(cfg.p_values, cfg.shares, cfg.total_count, rho)
+    result = combine.combine_by_id(cfg.method, ev)
+    row = (result.method, _fmt(result.statistic), _fmt(result.p))
+    _write_text(args.out, _csv_text(("method", "statistic", "p"), [row]))
     return 0
 
 
 def cmd_power_curve(args) -> int:
-    cfg = ExperimentConfig.load(args.config)
-    seed = _resolve_seed(args, cfg)
-    pc = cfg.take_fields(PowerCurveConfig)
-    cfg.finish()
-    result = run_power_curve(pc, seed)
+    pc, seed = read_config(args, PowerCurveConfig)
+    result = run_power_curve(pc, _required_seed(seed))
     rows = [(_fmt(pt.theta_alt), pt.method, _fmt(pt.power)) for pt in result.points]
     rows.sort(key=lambda r: (r[1], float(r[0])))
     _write_text(args.out, _csv_text(("theta_alt", "method", "power"), rows))
@@ -461,52 +493,31 @@ def cmd_power_curve(args) -> int:
 
 
 def cmd_semisynth(args) -> int:
-    cfg = ExperimentConfig.load(args.config)
-    seed = _resolve_seed(args, cfg)
-    csv_path = cfg.take_path("csv", None)
-    sweep_cfg = cfg.take_fields(SemisynthConfig)
-    cfg.finish()
-
-    counts = None
-    if csv_path is not None:
-        counts = _pooled(read_counts_csv(csv_path))
-    result = run_semisynth_sweep(sweep_cfg, seed, counts=counts)
+    cfg, seed = read_config(args, SemisynthRunConfig)
+    counts = None if cfg.csv is None else _pooled(read_counts_csv(cfg.csv))
+    result = run_semisynth_sweep(cfg.sweep, _required_seed(seed), counts=counts)
     rows = [
         (r.sweep, r.setting, _fmt(r.entropy), r.method, _fmt(r.recall_at_fdr), _fmt(r.f1))
         for r in result.rows
     ]
-    _write_text(
-        args.out,
-        _csv_text(("sweep", "setting", "entropy", "method", "recall_at_fdr", "f1"), rows),
-    )
+    header = ("sweep", "setting", "entropy", "method", "recall_at_fdr", "f1")
+    _write_text(args.out, _csv_text(header, rows))
     return 0
 
 
 def cmd_federation(args) -> int:
-    cfg = ExperimentConfig.load(args.config)
-    csv_path = cfg.take_path("csv", None)
-    fed_cfg = cfg.take_fields(FederationConfig)
-
-    if csv_path is not None:
-        if cfg.take("n_sites", None) is not None or cfg.take("shares", None) is not None:
-            raise ConfigError("n_sites and shares apply only when no csv is given")
-        cfg.finish()
-        sites = read_counts_csv(csv_path)
-        seed = None
-    else:
-        # no input data: split the built-in fixture into synthetic sites
-        seed = _resolve_seed(args, cfg)
-        n_sites = cfg.take_scalar("n_sites", None, int)
-        shares_raw = cfg.take_list("shares", None)
-        cfg.finish()
-        if shares_raw is None:  # 5 equal sites by default
-            shares = ShareVector.equal(5 if n_sites is None else n_sites)
-        else:
-            shares = ShareVector(shares_raw)
-            if n_sites not in (None, shares.n_sites):
-                raise ConfigError("shares length must equal n_sites")
+    cfg, seed = read_config(args, FederationRunConfig)
+    if cfg.csv is not None:
+        if seed is not _NO_SEED:
+            raise ConfigError("seed applies only when no csv is given")
+        sites, seed = read_counts_csv(cfg.csv), None
+    else:  # no input data: split the built-in fixture into synthetic sites
+        n_sites = 5 if cfg.n_sites is None else cfg.n_sites
+        shares = ShareVector.equal(n_sites) if cfg.shares is None else ShareVector(cfg.shares)
+        seed = _required_seed(seed)
         sites = split_multinomial(builtin_wave_counts(), shares, seed)
 
+    fed_cfg = cfg.protocol
     combined = run_federation(sites, fed_cfg)
     timeline = sites[0].timestamps
     alpha = fed_cfg.hypothesis.alpha
@@ -518,19 +529,14 @@ def cmd_federation(args) -> int:
         }
         for cp in combined
     ]
-    alarm_rows = [
-        (str(e["period"]), e["date"], _fmt(e["p"])) for e in periods if e["alarm"]
-    ]
+    alarm_rows = [(str(e["period"]), e["date"], _fmt(e["p"])) for e in periods if e["alarm"]]
     config = dataclasses.asdict(fed_cfg)
     config.update(config.pop("hypothesis"), seed=seed)
     doc = {
         "config": config,
         "sites": [s.site_id for s in sorted(sites, key=lambda s: s.site_id)],
         "periods": periods,
-        "summary": {
-            "n_periods": len(periods),
-            "n_alarms": len(alarm_rows),
-        },
+        "summary": {"n_periods": len(periods), "n_alarms": len(alarm_rows)},
     }
     _write_text(args.out, _json_text(doc))
     if args.out is not None:  # on stdout the report alone, whose periods carry `alarm`
@@ -540,26 +546,19 @@ def cmd_federation(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = ExperimentConfig.load(args.config)
-    scores_path = cfg.take_path("scores")
-    truth_path = cfg.take_path("truth")
-    cadence = cfg.take_scalar("cadence", "weekly", str)
-    window_raw = cfg.take_list("match_window", None, int, length=2)
-    thresholds = cfg.take_list("thresholds", DEFAULT_THRESHOLDS)
-    cfg.finish()
-
+    cfg, _ = read_config(args, EvaluateConfig)
     # the cadence is checked even where an explicit window overrides its default
-    default_window = MatchWindow.default_for(cadence)
-    window = MatchWindow(*window_raw) if window_raw is not None else default_window
+    window = MatchWindow.default_for(cfg.cadence)
+    window = window if cfg.match_window is None else MatchWindow(*cfg.match_window)
     # a probability, unnamed: the cell's error names its column
-    pvalues = _read_column(scores_path, "p", lambda text: checked_float(float(text), "", 0.0, 1.0))
+    pvalues = _read_column(cfg.scores, "p", lambda text: checked_float(float(text), "", 0.0, 1.0))
     if not pvalues:
-        raise ConfigError(f"{scores_path}: no data rows")
-    truth = AlarmSeries.of(_read_column(truth_path, "period", int))
-    precision, recall = pr_curve(pvalues, truth, window, thresholds)
+        raise ConfigError(f"{cfg.scores}: no data rows")
+    truth = AlarmSeries.of(_read_column(cfg.truth, "period", int))
+    precision, recall = pr_curve(pvalues, truth, window, cfg.thresholds)
     rows = [
         tuple(map(_fmt, row))
-        for row in zip(sorted(thresholds), precision, recall, f1(precision, recall))
+        for row in zip(sorted(cfg.thresholds), precision, recall, f1(precision, recall))
     ]
     _write_text(args.out, _csv_text(("threshold", "precision", "recall", "f1"), rows))
     return 0

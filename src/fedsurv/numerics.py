@@ -17,6 +17,12 @@ memo of the quantiles it has inverted, so a pair that batches repeat is
 inverted about once per process, with the same bits, and splits what it
 inverts across the usable CPUs in threads that each call starts and joins:
 no thread starts at import or outlives a call, and none changes a bit.
+
+Every public function may be called from any thread, and returns the bits
+it returns in a single thread. The state they share stays whole: the
+Gamma memo is read and written under its lock, and a table of exact tails
+grows under its own and is published in one assignment. A call that fails
+or is interrupted partway leaves that state as it was.
 """
 
 from __future__ import annotations
@@ -155,6 +161,11 @@ class _CdfTable:
     table stores G / 2**P where (G + n) / 2**P rounds to the same double,
     which F then rounds to as well, and the exact sum (`_exact_cdf`)
     elsewhere. Only the last row is kept, to grow the table on demand.
+
+    A growth builds a new row and a new values array under the table's
+    lock and publishes both in one assignment, so a reader in any thread
+    sees a whole table, and a growth that fails or is interrupted leaves
+    the old one.
     """
 
     def __init__(self, rho: float):
@@ -162,29 +173,40 @@ class _CdfTable:
         self._b = d - self._a
         self._e = d.bit_length() - 1
         self._p = _FRACTION_BITS
-        self._row = [1 << self._p]
-        self.values = np.ones(1)
+        self._lock = threading.Lock()
+        # the last fixed-point row, and the values of every row up to it
+        self._grown = ([1 << self._p], np.ones(1))
+
+    @property
+    def values(self) -> np.ndarray:
+        return self._grown[1]
 
     def lookup(self, c: np.ndarray, n: np.ndarray) -> np.ndarray:
         top = int(n.max(initial=0))
-        if top >= len(self._row):
-            self._grow(top)
-        return self.values[n * (n + 1) // 2 + c]
+        row, values = self._grown
+        if top >= len(row):
+            values = self._grow(top)
+        return values[n * (n + 1) // 2 + c]
 
-    def _grow(self, top: int) -> None:
-        a, b, e, p, row = self._a, self._b, self._e, self._p, self._row
-        values = np.empty((top + 1) * (top + 2) // 2)
-        values[: self.values.size] = self.values
-        for n in range(len(row), top + 1):
-            row.append(1 << p)
-            for c in range(n - 1, 0, -1):
-                row[c] = (b * row[c] + a * row[c - 1]) >> e
-            row[0] = (b * row[0]) >> e
-            start = n * (n + 1) // 2
-            for c, g in enumerate(row):
-                value = _fixed_to_float(g, n, p)
-                values[start + c] = _exact_cdf(c, n, a, b, e) if value is None else value
-        self.values = values
+    def _grow(self, top: int) -> np.ndarray:
+        with self._lock:
+            row, old = self._grown
+            if top < len(row):  # another thread grew it while this one waited
+                return old
+            a, b, e, p, row = self._a, self._b, self._e, self._p, list(row)
+            values = np.empty((top + 1) * (top + 2) // 2)
+            values[: old.size] = old
+            for n in range(len(row), top + 1):
+                row.append(1 << p)
+                for c in range(n - 1, 0, -1):
+                    row[c] = (b * row[c] + a * row[c - 1]) >> e
+                row[0] = (b * row[0]) >> e
+                start = n * (n + 1) // 2
+                for c, g in enumerate(row):
+                    value = _fixed_to_float(g, n, p)
+                    values[start + c] = _exact_cdf(c, n, a, b, e) if value is None else value
+            self._grown = (row, values)
+            return values
 
 
 # Complete tables shipped with the package, one .npy file of little-endian

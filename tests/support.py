@@ -1,14 +1,19 @@
 """Helpers shared by the test modules: a child interpreter's environment,
-and a stand-in for the scipy functions behind ``fedsurv.numerics``."""
+a stand-in for the scipy functions behind ``fedsurv.numerics``, and each
+command's config keys, read from its config dataclass."""
 
+import dataclasses
 import os
 import types
+import typing
 from pathlib import Path
 
 import numpy as np
 from scipy import special
 
 import fedsurv
+from fedsurv import cli
+from fedsurv.experiments import PowerCurveConfig
 
 # every scipy.special ufunc that fedsurv.numerics calls
 NUMERICS_UFUNCS = ("betainc", "gammainc", "gammaincc", "gammainccinv", "ndtr", "ndtri")
@@ -31,3 +36,43 @@ def nudged_special(direction: float):
         return lambda *args: np.nextafter(ufunc(*args), direction)
 
     return types.SimpleNamespace(**{name: nudge(getattr(special, name)) for name in NUMERICS_UFUNCS})
+
+
+# the config dataclass each command reads
+COMMAND_CONFIGS = {
+    "test": cli.SurgeTestConfig,
+    "combine": cli.CombineConfig,
+    "power-curve": PowerCurveConfig,
+    "semisynth": cli.SemisynthRunConfig,
+    "federation": cli.FederationRunConfig,
+    "evaluate": cli.EvaluateConfig,
+}
+
+
+def config_schema(cls) -> dict:
+    """Every key of the config dataclass ``cls`` as ``cli.take_fields``
+    reads it, mapped to its field's type and default: nested config
+    dataclasses flattened, ``Optional[X]`` as X, and a required field's
+    default ``dataclasses.MISSING``."""
+    hints = typing.get_type_hints(cls)
+    schema = {}
+    for field in dataclasses.fields(cls):
+        kind = hints[field.name]
+        if type(None) in typing.get_args(kind):  # Optional[X] is Union[X, None]
+            kind = typing.get_args(kind)[0]
+        if dataclasses.is_dataclass(kind):
+            schema.update(config_schema(kind))
+        else:
+            schema[field.name] = (kind, field.default)
+    return schema
+
+
+def takes_seed(command: str) -> bool:
+    """Whether ``command`` has ``--seed``, and so reads a "seed" key."""
+    return "seed" in vars(cli._build_parser().parse_args([command]))
+
+
+def command_keys(command: str) -> list[str]:
+    """Every config key that ``command`` reads."""
+    seed = ["seed"] if takes_seed(command) else []
+    return sorted(config_schema(COMMAND_CONFIGS[command])) + seed

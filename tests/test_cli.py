@@ -15,7 +15,15 @@ import numpy as np
 import pytest
 
 from fedsurv import numerics
-from fedsurv.cli import ExperimentConfig, _json_text, _pooled, main, read_counts_csv
+from fedsurv.cli import (
+    FederationRunConfig,
+    SemisynthRunConfig,
+    _json_text,
+    _pooled,
+    main,
+    read_counts_csv,
+    take_fields,
+)
 from fedsurv.combine import EvidenceSet, combine_by_id
 from fedsurv.errors import ConfigError
 from fedsurv.experiments import (
@@ -28,7 +36,14 @@ from fedsurv.federation import FederationConfig, run_federation
 from fedsurv.semisynth import CountSeries
 from fedsurv.surge import SurgeHypothesis, SurgeWindow, exact_p_value
 
-from support import nudged_special, package_env
+from support import (
+    COMMAND_CONFIGS,
+    command_keys,
+    config_schema,
+    nudged_special,
+    package_env,
+    takes_seed,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -644,6 +659,25 @@ class TestCmdFederation:
         assert code == 2
         assert "n_sites" in err
 
+    @pytest.mark.parametrize("fields", [{"n_sites": 2}, {"shares": [0.5, 0.5]}, {"n_sites": 0}])
+    def test_fixture_fields_with_csv_exit_2_by_their_rule(self, tmp_path, counts_csv, capsys, fields):
+        cfg = write_config(tmp_path, csv=str(counts_csv), **fields)
+        code, out, err = run(["federation", "--config", cfg], capsys)
+        assert code == 2 and out == ""
+        assert err == "fedsurv: error: n_sites and shares apply only when no csv is given\n"
+
+    @pytest.mark.parametrize("seed", [["--seed", 5], {"seed": 5}, {"seed": None}])
+    def test_seed_with_csv_exits_2_however_given(self, tmp_path, counts_csv, capsys, seed):
+        """A csv's sites need no seed; a seed given beside one, on the
+        command line or in the config, is rejected rather than dropped."""
+        fields = {"csv": str(counts_csv)} | (seed if isinstance(seed, dict) else {})
+        argv = ["federation", "--config", write_config(tmp_path, **fields)]
+        code, out, err = run(argv + ([] if isinstance(seed, dict) else seed), capsys)
+        assert code == 2 and out == ""
+        assert err == "fedsurv: error: seed applies only when no csv is given\n"
+        code, out, _ = run(argv[:2] + [write_config(tmp_path, csv=str(counts_csv))], capsys)
+        assert code == 0 and json.loads(out)["config"]["seed"] is None
+
     def test_committed_golden_report(self, tmp_path, capsys):
         # 7 unequal shares, estimated with a lagged 3-period cycle: pins the
         # report's and the alarms' bytes
@@ -777,21 +811,6 @@ class TestCountsPastInt64:
         assert err.startswith(f"fedsurv: error: config field {field!r}")
 
 
-def _float_keys(cls) -> list[str]:
-    """The keys of the config dataclass ``cls`` that hold a float or a list
-    of floats, read from its type hints as ``ExperimentConfig.take_fields``
-    reads them, nested config dataclasses included."""
-    hints = typing.get_type_hints(cls)
-    keys = []
-    for field in dataclasses.fields(cls):
-        kind = hints[field.name]
-        if dataclasses.is_dataclass(kind):
-            keys += _float_keys(kind)
-        elif kind is float or typing.get_args(kind) == (float, ...):
-            keys.append(field.name)
-    return keys
-
-
 class TestFloatFieldTable:
     """Every float-typed key of every command, set one at a time on a tiny
     valid config to each value of a fixed table, exits 0 or 2 without a
@@ -805,48 +824,49 @@ class TestFloatFieldTable:
 
     @staticmethod
     def bases(tmp_path, counts_csv) -> dict:
+        """A tiny valid config of each command, its seed included."""
         scores = tmp_path / "scores.csv"
         scores.write_text("period,p\n0,1.0\n1,0.04\n2,0.2\n3,0.01\n", encoding="utf-8")
         truth = tmp_path / "truth.csv"
         truth.write_text("period\n1\n", encoding="utf-8")
-        tiny_power = dict(calibration_reps=1000, power_reps=1000, theta_grid=[0.5], n_total=50)
-        tiny_sweep = dict(
-            n_replicates=1,
-            site_sweep=[2],
-            magnitude_sweep=[1.0],
-            dominant_sweep=[0.6],
-            thresholds=[0.01, 0.1],
-        )
         methods = ["centralized", "fisher"]
-        return {
-            "test": (dict(csv=str(counts_csv), at=5), SurgeHypothesis, ()),
-            "combine": (
-                dict(
-                    method="cstouffer", p_values=[0.01, 0.3], shares=[0.5, 0.5], total_count=9, rho=0.5
-                ),
-                None,
-                ("rho", "p_values", "shares"),
+        bases = {
+            "test": dict(csv=str(counts_csv), at=5),
+            "combine": dict(
+                method="cstouffer", p_values=[0.01, 0.3], shares=[0.5, 0.5], total_count=9, rho=0.5
             ),
-            "power-curve": (tiny_power | {"methods": methods}, PowerCurveConfig, ()),
-            "semisynth": (tiny_sweep | {"methods": methods}, SemisynthConfig, ()),
-            "federation": ({}, FederationConfig, ("shares",)),
-            "evaluate": (dict(scores=str(scores), truth=str(truth)), None, ("thresholds",)),
+            "power-curve": dict(
+                calibration_reps=1000, power_reps=1000, theta_grid=[0.5], n_total=50, methods=methods
+            ),
+            "semisynth": dict(
+                n_replicates=1,
+                site_sweep=[2],
+                magnitude_sweep=[1.0],
+                dominant_sweep=[0.6],
+                thresholds=[0.01, 0.1],
+                methods=methods,
+            ),
+            "federation": dict(n_sites=2),
+            "evaluate": dict(scores=str(scores), truth=str(truth)),
         }
+        seed = {"seed": 1}
+        return {command: base | (seed if takes_seed(command) else {}) for command, base in bases.items()}
 
-    @pytest.mark.parametrize(
-        "command", ["test", "combine", "power-curve", "semisynth", "federation", "evaluate"]
-    )
+    @pytest.mark.parametrize("command", list(COMMAND_CONFIGS))
     def test_every_float_key_exits_0_or_2_naming_it(self, tmp_path, counts_csv, capsys, command):
-        base, cls, extra = self.bases(tmp_path, counts_csv)[command]
-        keys = (_float_keys(cls) if cls else []) + list(extra)
-        defaults = {f.name: f.default for f in dataclasses.fields(cls)} if cls else {}
+        base = self.bases(tmp_path, counts_csv)[command]
+        schema = config_schema(COMMAND_CONFIGS[command])
+        # every key that holds a float or a list of floats
+        keys = [key for key, (kind, _) in schema.items() if float in (kind, *typing.get_args(kind))]
         assert keys
         faults = []
-        seeded = ["--seed", 1] if command in ("power-curve", "semisynth", "federation") else []
         for key in keys:
-            current = base.get(key, defaults.get(key, [0.5, 0.5]))
+            kind, default = schema[key]
+            listed = typing.get_origin(kind) is tuple
+            current = base.get(key, default)
+            current = current if isinstance(current, (list, tuple)) else [0.5, 0.5]
             # "@" marks where the raw value goes: the key, or its first entry
-            slots = ["@"] + ([["@", *current[1:]]] if isinstance(current, (list, tuple)) else [])
+            slots = ["@"] + ([["@", *current[1:]]] if listed else [])
             for slot in slots:
                 for value in self.VALUES:
                     path = tmp_path / "config.json"
@@ -854,7 +874,7 @@ class TestFloatFieldTable:
                     path.write_text(text, encoding="utf-8")
                     case = (key, "entry" if slot != "@" else "key", value[:8])
                     try:
-                        code, _, err = run([command, "--config", path, *seeded], capsys)
+                        code, _, err = run([command, "--config", path], capsys)
                     except Exception as exc:  # noqa: BLE001 - any escape is a fault
                         faults.append((*case, repr(exc)[:80]))
                         continue
@@ -870,61 +890,52 @@ class TestFloatFieldTable:
         assert err.startswith(f"fedsurv: error: {cfg}: invalid JSON")
 
 
-def _field_keys(cls) -> list[str]:
-    """Every key of the config dataclass ``cls``, nested config dataclasses
-    included, as ``ExperimentConfig.take_fields`` reads them."""
-    keys = []
-    for field in dataclasses.fields(cls):
-        kind = typing.get_type_hints(cls)[field.name]
-        keys += _field_keys(kind) if dataclasses.is_dataclass(kind) else [field.name]
-    return keys
+def _json_value(value) -> str:
+    return json.dumps(list(value) if isinstance(value, tuple) else value)
 
 
 class TestSeededFieldPairs:
     """Seeded pairs of the keys a command reads, each set to a value of
-    ``TestFloatFieldTable.VALUES`` or left at the tiny base of that table,
-    exit 0, 1 or 2 without a traceback, and an exit 2 names one of the
-    two keys. Values that ask for large arrays are left out: the table
-    holds no valid large size (a ``calibration_reps`` of 2**40 would
-    allocate terabytes), so every value drawn is rejected or, as an empty
-    sweep or an optional key's null, shrinks the run or leaves its
-    default."""
+    ``TestFloatFieldTable.VALUES``, to its dataclass default, to its value
+    in any command's tiny base of that table, dropped, or left at the
+    command's base, exit 0, 1 or 2 without a traceback, and an exit 2
+    names one of the two keys. The valid values let pairs reach the
+    cross-field rules, not just the first bad key. Values that ask for
+    large arrays are left out: the table holds no valid large size (a
+    ``calibration_reps`` of 2**40 would allocate terabytes), and a default
+    size is at most a default run's."""
 
     PAIRS = 100
-    KEEP = None  # the key keeps its base value, or stays absent
-    # the keys each command reads besides its config dataclass's fields
-    KEYS = {
-        "test": ("csv", "at", "site"),
-        "combine": ("method", "p_values", "shares", "total_count", "rho"),
-        "power-curve": ("seed",),
-        "semisynth": ("csv", "seed"),
-        "federation": ("csv", "n_sites", "shares", "seed"),
-        "evaluate": ("scores", "truth", "cadence", "match_window", "thresholds"),
-    }
-    # combine reads the hypothesis's keys for rho when no rho is given
-    CLASSES = {"combine": SurgeHypothesis}
+    KEEP, DROP = "keep", "drop"  # the key keeps its base value (or stays absent), or is removed
 
-    @pytest.mark.parametrize("command", list(KEYS))
+    @pytest.mark.parametrize("command", list(COMMAND_CONFIGS))
     def test_pairs_exit_0_1_or_2_naming_a_key(self, tmp_path, counts_csv, capsys, command):
-        base, cls, _ = TestFloatFieldTable.bases(tmp_path, counts_csv)[command]
-        cls = self.CLASSES.get(command, cls)
-        keys = sorted({*self.KEYS[command], *(_field_keys(cls) if cls else ())})
-        seeded = ["--seed", 1] if "seed" in keys else []
+        bases = TestFloatFieldTable.bases(tmp_path, counts_csv)
+        base = bases[command]
+        schema = config_schema(COMMAND_CONFIGS[command])
+        tiny = {key: value for other in bases.values() for key, value in other.items()}
+        keys = command_keys(command)
         rnd = random.Random(f"field pairs of {command}")
-        values = (self.KEEP, *TestFloatFieldTable.VALUES)
         faults = []
         for _ in range(self.PAIRS):
             pair = rnd.sample(keys, 2)
-            drawn = {key: rnd.choice(values) for key in pair}
-            drawn = {key: value for key, value in drawn.items() if value is not self.KEEP}
+            drawn = {}
+            for key in pair:
+                valid = [schema.get(key, (None, dataclasses.MISSING))[1], tiny.get(key)]
+                valid = [_json_value(v) for v in valid if v not in (dataclasses.MISSING, None)]
+                # half the draws valid, so that both keys of a pair often are
+                pool = rnd.choice(((self.KEEP, self.DROP, *valid), TestFloatFieldTable.VALUES))
+                drawn[key] = rnd.choice(pool)
+            config = {k: v for k, v in base.items() if drawn.get(k) != self.DROP}
+            raw = {k: v for k, v in drawn.items() if v not in (self.KEEP, self.DROP)}
             # "@key" marks where the key's raw value goes
-            text = json.dumps(base | {key: f"@{key}" for key in drawn})
-            for key, value in drawn.items():
+            text = json.dumps(config | {key: f"@{key}" for key in raw})
+            for key, value in raw.items():
                 text = text.replace(f'"@{key}"', value)
             path = tmp_path / "config.json"
             path.write_text(text, encoding="utf-8")
             try:
-                code, _, err = run([command, "--config", path, *seeded], capsys)
+                code, _, err = run([command, "--config", path], capsys)
             except Exception as exc:  # noqa: BLE001 - any escape is a fault
                 faults.append((pair, drawn, repr(exc)[:80]))
                 continue
@@ -932,6 +943,24 @@ class TestSeededFieldPairs:
             if code not in (0, 1, 2) or "Traceback" in err or (code == 2 and not named):
                 faults.append((pair, drawn, code, err[:120]))
         assert not faults, faults
+
+
+@pytest.mark.parametrize("command", list(COMMAND_CONFIGS))
+def test_null_reads_as_absent_in_every_optional_field(tmp_path, counts_csv, capsys, command):
+    """A JSON null in an ``Optional`` field of a command's config dataclass
+    gives what leaving the key out gives, exit code and bytes alike."""
+    base = TestFloatFieldTable.bases(tmp_path, counts_csv)[command]
+    cls = COMMAND_CONFIGS[command]
+    hints = typing.get_type_hints(cls)
+    keys = [f.name for f in dataclasses.fields(cls) if type(None) in typing.get_args(hints[f.name])]
+    keys = [key for key in keys if not dataclasses.is_dataclass(typing.get_args(hints[key])[0])]
+    for key in keys:
+        runs = [
+            run([command, "--config", write_config(tmp_path, **config)], capsys)
+            for config in ({k: v for k, v in base.items() if k != key}, base | {key: None})
+        ]
+        assert runs[0] == runs[1], key
+    assert keys or command == "power-curve"
 
 
 class TestOneSiteAlignmentRule:
@@ -1118,21 +1147,28 @@ class TestCmdEvaluate:
 
 
 @pytest.mark.parametrize(
-    "cls", [SurgeHypothesis, PowerCurveConfig, SemisynthConfig, FederationConfig]
+    "cls",
+    [
+        SurgeHypothesis,
+        PowerCurveConfig,
+        SemisynthConfig,
+        FederationConfig,
+        SemisynthRunConfig,
+        FederationRunConfig,
+    ],
 )
 def test_config_schema_round_trips(cls):
     """Every dataclass field is a config key, and the CLI's default for it
     is the class's own: an empty config and the class's defaults written
-    out as JSON (nested hypothesis fields at top level) both read back as
-    cls()."""
-    assert ExperimentConfig({}, Path.cwd()).take_fields(cls) == cls()
+    out as JSON (nested fields at top level) both read back as cls()."""
+    assert take_fields({}, cls, Path.cwd()) == cls()
     data = json.loads(json.dumps(dataclasses.asdict(cls())))
-    for key, value in list(data.items()):
-        if isinstance(value, dict):
-            data.update(data.pop(key))
-    cfg = ExperimentConfig(data, Path.cwd())
-    assert cfg.take_fields(cls) == cls()
-    cfg.finish()
+    while any(isinstance(value, dict) for value in data.values()):
+        for key, value in list(data.items()):
+            if isinstance(value, dict):
+                data.update(data.pop(key))
+    assert take_fields(data, cls, Path.cwd()) == cls()
+    assert data == {}
 
 
 # Each input file is valid as written. A row fault goes on its third line,

@@ -242,7 +242,7 @@ class TestCdfTable:
             a, d = rho.as_integer_ratio()
             for n in range(1, 61):
                 table.lookup(np.array([0]), np.array([n]))
-                for c, g in enumerate(table._row):
+                for c, g in enumerate(table._grown[0]):
                     exact = Fraction(
                         sum(math.comb(n, j) * a**j * (d - a) ** (n - j) for j in range(c + 1)),
                         d**n,
@@ -288,6 +288,66 @@ class TestCdfTable:
         assert grown.values.size == at_once.values.size
         assert grown.values.tolist() == at_once.values.tolist()
 
+    # a rho with no shipped table, which the tests below grow
+    FRESH_RHO = 0.6180339887498949
+
+    def test_interrupted_growth_leaves_the_table_whole(self, monkeypatch):
+        """An interrupt partway through a growth, inside row 80 of a table
+        that had 20 rows, leaves the table as it was: the lookups after it,
+        inside and past the rows it had and past where it stopped, equal a
+        fresh builder's bits."""
+        table = nm._CdfTable(self.FRESH_RHO)
+        table.lookup(np.array([0]), np.array([20]))
+        real, calls = nm._fixed_to_float, []
+
+        def interrupting(g, n, p):
+            calls.append(n)
+            if len(calls) == 3000:
+                raise KeyboardInterrupt
+            return real(g, n, p)
+
+        monkeypatch.setattr(nm, "_fixed_to_float", interrupting)
+        with pytest.raises(KeyboardInterrupt):
+            table.lookup(np.array([0]), np.array([120]))
+        monkeypatch.setattr(nm, "_fixed_to_float", real)
+        assert 70 < calls[-1] < 90
+        fresh = nm._CdfTable(self.FRESH_RHO)
+        for top in (5, 50, 120):
+            c, n = _every_entry(top)
+            assert table.lookup(c, n).tobytes() == fresh.lookup(c, n).tobytes(), top
+
+    def test_threads_growing_one_table_get_the_builders_bits(self):
+        """Threads that grow one fresh table to different sizes at once,
+        switching as often as the interpreter allows, each get the bits a
+        table grown in one thread holds."""
+        tops = (40, 150, 90, 150, 10, 120)
+        table = nm._CdfTable(self.FRESH_RHO)
+        start = threading.Barrier(len(tops), timeout=30)
+        got, errors = {}, []
+
+        def grow(top):
+            start.wait()
+            try:
+                got[top] = table.lookup(*_every_entry(top))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=grow, args=(top,)) for top in tops]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        fresh = nm._CdfTable(self.FRESH_RHO)
+        for top in sorted(set(tops)):
+            assert got[top].tobytes() == fresh.lookup(*_every_entry(top)).tobytes(), top
+
     def test_batch_equals_scalar_calls(self):
         rng = np.random.default_rng(5)
         n = rng.integers(0, 120, size=(4, 30))
@@ -304,6 +364,12 @@ class TestCdfTable:
             nm.binomial_cdf_exact(0, nm.EXACT_MAX_N + 1, 0.5)
         with pytest.raises(DomainError):
             nm.binomial_cdf_exact(np.array([0, 1]), np.array([2, nm.EXACT_MAX_N + 1]), 0.5)
+
+
+def _every_entry(top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, n) of every table entry of rows 0..top, in table order."""
+    n = np.repeat(np.arange(top + 1), np.arange(1, top + 2))
+    return np.arange(n.size) - n * (n + 1) // 2, n
 
 
 def _built(rho: float) -> nm._CdfTable:
