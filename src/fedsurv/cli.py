@@ -42,6 +42,7 @@ from .errors import (
     check_int_fields,
     checked_float,
     checked_int,
+    checked_ints,
 )
 from .evaluation import AlarmSeries, MatchWindow, f1, pr_curve
 from .experiments import (
@@ -349,6 +350,10 @@ class EvaluateConfig:
     match_window: Optional[tuple[int, int]] = None
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
 
+    def __post_init__(self) -> None:
+        if self.match_window is not None:
+            checked_ints(self.match_window, "match_window", 0, error=ConfigError)
+
 
 # --------------------------------------------------------------- output
 
@@ -380,8 +385,9 @@ def _json_text(doc) -> str:
     byte for byte, without the pure-Python encoder that any ``indent``
     selects. Each distinct float is rendered once; zeros are not memoized,
     since 0.0 and -0.0 are one dict key. NaN and infinities raise
-    ValueError and other types TypeError, as ``json.dumps`` does; the
-    document must be a tree (there is no cycle check)."""
+    ValueError and other types TypeError, as ``json.dumps`` does; a dict
+    key that is not a str, which ``json.dumps`` would convert, raises
+    TypeError. The document must be a tree (there is no cycle check)."""
     floats: dict = {}
     out: list[str] = []
 
@@ -394,17 +400,6 @@ def _json_text(doc) -> str:
             if x:
                 floats[x] = text
         return text
-
-    def key_text(key) -> str:
-        if isinstance(key, str):
-            return key
-        if isinstance(key, float):
-            return number(key)
-        if key is True or key is False or key is None:
-            return _JSON_LITERALS[key]
-        if isinstance(key, int):
-            return int.__repr__(key)
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
     def write(value, indent: str) -> None:
         if isinstance(value, float):
@@ -425,8 +420,10 @@ def _json_text(doc) -> str:
             if isinstance(value, dict):
                 out.append("{")
                 for key, item in sorted(value.items()):
+                    if not isinstance(key, str):
+                        raise TypeError(f"keys must be str, not {type(key).__name__}")
                     out.append(sep)
-                    out.append(encode_basestring_ascii(key_text(key)))
+                    out.append(encode_basestring_ascii(key))
                     out.append(": ")
                     write(item, inner)
                     sep = comma
@@ -487,7 +484,6 @@ def cmd_power_curve(args) -> int:
     pc, seed = read_config(args, PowerCurveConfig)
     result = run_power_curve(pc, _required_seed(seed))
     rows = [(_fmt(pt.theta_alt), pt.method, _fmt(pt.power)) for pt in result.points]
-    rows.sort(key=lambda r: (r[1], float(r[0])))
     _write_text(args.out, _csv_text(("theta_alt", "method", "power"), rows))
     return 0
 

@@ -40,6 +40,7 @@ __all__ = [
     "METHOD_IDS",
     "SHARE_METHODS",
     "EvidenceSet",
+    "check_method",
     "CombinedResult",
     "combine_by_id",
     "combine_matrix",
@@ -305,6 +306,13 @@ METHOD_IDS = tuple(_METHODS)
 SHARE_METHODS = frozenset(m for m, entry in _METHODS.items() if entry[1])
 
 
+def check_method(method, allowed: tuple) -> None:
+    """The package's one rule for a method name: ConfigError unless
+    ``method`` is one of ``allowed``, the caller's vocabulary."""
+    if not isinstance(method, str) or method not in allowed:
+        raise ConfigError(f"unknown method {method!r}; expected one of {allowed}")
+
+
 def combine_methods(methods, p_matrix, shares=None, total_count=None, rho=None):
     """Combine each column of an (N, M) p-value matrix by every method in
     ``methods``; returns an iterator of one (combined_p, statistic) pair of
@@ -318,8 +326,7 @@ def combine_methods(methods, p_matrix, shares=None, total_count=None, rho=None):
     """
     methods = tuple(methods)
     for method in methods:
-        if not isinstance(method, str) or method not in _METHODS:
-            raise ConfigError(f"unknown method {method!r}; expected one of {METHOD_IDS}")
+        check_method(method, METHOD_IDS)
     p_matrix = _checked_p_values(p_matrix)
 
     def needed(flag: int, value, what: str) -> bool:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, check_int_fields, checked_float, checked_floats, checked_int
 from .errors import checked_ints
-from .semisynth import PrevalenceSeries
+from .semisynth import PrevalenceSeries, period_step
 
 __all__ = [
     "AlarmSeries",
@@ -65,12 +65,9 @@ class MatchWindow:
 
     @staticmethod
     def default_for(period: str) -> "MatchWindow":
-        # one week back, two weeks forward, expressed in the cadence's periods
-        if period == "weekly":
-            return MatchWindow(1, 2)
-        if period == "daily":
-            return MatchWindow(7, 14)
-        raise DomainError(f"no default window for cadence {period!r}")
+        """One week back and two weeks forward, in the cadence's periods."""
+        days = period_step(period).days
+        return MatchWindow(7 // days, 14 // days)
 
 
 class MatchCounts(NamedTuple):
@@ -144,8 +141,8 @@ def pr_curves(
     thresholds: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Precision and recall of each row of an (S, T) p-value matrix at each
-    sorted threshold, as two (S, K) arrays. ``truth`` is one AlarmSeries
-    that every row is scored against, or a sequence of S, one per row. Each
+    sorted threshold, as two (S, K) arrays. ``truth`` is a sequence of S
+    AlarmSeries, one per row, or one AlarmSeries, which is S equal ones. Each
     cell scores `match_alarms(row_truth, alarms_from_pvalues(row, th),
     window)`; raising no alarms gives precision 1, and an empty truth set
     gives recall 1.
@@ -166,18 +163,15 @@ def pr_curves(
     n_series, length = p.shape
     n_ths = th_values.size
     # the distinct truths, and each row's index into them
-    if isinstance(truth, AlarmSeries):
-        truths, truth_of = [truth], np.zeros(n_series, dtype=np.intp)
-    else:
-        per_row = list(truth)
-        if len(per_row) != n_series:
-            raise DomainError(f"{len(per_row)} truth series given for {n_series} rows")
-        for one in per_row:
-            if not isinstance(one, AlarmSeries):
-                raise DomainError(f"truth must be an AlarmSeries or one per row, got {one!r}")
-        index: dict = {}
-        truth_of = np.array([index.setdefault(t, len(index)) for t in per_row], dtype=np.intp)
-        truths = list(index)
+    per_row = [truth] * n_series if isinstance(truth, AlarmSeries) else list(truth)
+    if len(per_row) != n_series:
+        raise DomainError(f"{len(per_row)} truth series given for {n_series} rows")
+    for one in per_row:
+        if not isinstance(one, AlarmSeries):
+            raise DomainError(f"truth must be an AlarmSeries or one per row, got {one!r}")
+    index: dict = {}
+    truth_of = np.array([index.setdefault(t, len(index)) for t in per_row], dtype=np.intp)
+    truths = list(index)
     covered = np.zeros(length, dtype=bool)
     for one in truths:
         for lo, hi in _spans(one, window, length):
@@ -188,8 +182,6 @@ def pr_curves(
     row_of = np.zeros(length + 1, dtype=np.intp)
     np.cumsum(covered, out=row_of[1:])
     n_truth = np.array([len(one) for one in truths], dtype=np.int64)
-    if len(truths) == 1:  # one set of bounds, shared by every row
-        shared = tuple(bounds[0] for bounds in _span_bounds(truths, window, length))
 
     precision = np.ones((n_series, n_ths))
     recall = np.ones((n_series, n_ths))
@@ -197,12 +189,10 @@ def pr_curves(
     for first in range(0, n_series, block):
         rows = slice(first, first + block)
         p_block = p[rows]
-        if len(truths) == 1:
-            lo, hi = shared
-        else:  # the block's rows' bounds, from its distinct truths
-            present, local = np.unique(truth_of[rows], return_inverse=True)
-            bounds = _span_bounds([truths[d] for d in present], window, length)
-            lo, hi = (b[local] for b in bounds)
+        # the block's rows' bounds, from its distinct truths
+        present, local = np.unique(truth_of[rows], return_inverse=True)
+        bounds = _span_bounds([truths[d] for d in present], window, length)
+        lo, hi = (b[local] for b in bounds)
         tp = _true_positives(p_block, lo, hi, periods, row_of, th_values)
         # alarms per pair: a p-value alarms at every threshold from the
         # first one above it on, so count first thresholds per series and
@@ -247,10 +237,9 @@ def _true_positives(p, lo, hi, periods, row_of, th_values) -> np.ndarray:
     block, as a (B, K) int64 array.
 
     Every pair claims its earliest alarm inside each truth alarm's window
-    (span j runs from lo[..., j] to hi[..., j], clipped to the series) past
-    the first period the pair has not yet claimed or passed. The bounds
-    are (J,) when every series has the same truth, or (B, J), one row per
-    series. Only covered periods can ever be claimed, so the table of the
+    (span j of series b runs from lo[b, j] to hi[b, j], clipped to the
+    series) past the first period the pair has not yet claimed or passed.
+    Only covered periods can ever be claimed, so the table of the
     next alarm at or after a period holds just those periods plus a
     sentinel row, in the smallest unsigned dtype that holds T, and
     `row_of` maps any period to the first covered row at or after it. A
@@ -276,9 +265,8 @@ def _true_positives(p, lo, hi, periods, row_of, th_values) -> np.ndarray:
     flat = next_alarm.ravel()
     first_free = np.zeros(shape, dtype=np.int64)
     tp = np.zeros(shape, dtype=np.int64)
-    if lo.ndim == 2:  # per series: each span's bounds as a (B, 1) column
-        lo, hi = lo.T[:, :, None], hi.T[:, :, None]
-    for lo_j, hi_j in zip(lo, hi):
+    # each span's bounds as a (B, 1) column
+    for lo_j, hi_j in zip(lo.T[:, :, None], hi.T[:, :, None]):
         # next_alarm[row_of[max(first_free, lo_j)], columns], gathered flat
         claimed = flat[row_of[np.maximum(first_free, lo_j)] * n_rows + columns]
         hit = claimed <= hi_j

@@ -94,8 +94,7 @@ def _check_methods(methods: Sequence[str]) -> None:
     if not methods:
         raise ConfigError("methods must be nonempty")
     for m in methods:
-        if m not in POWER_METHODS:
-            raise ConfigError(f"unknown method {m!r}; expected one of {POWER_METHODS}")
+        combine.check_method(m, POWER_METHODS)
     _check_distinct(methods, "methods")
 
 
@@ -198,14 +197,17 @@ def _simulate_method_pvalues(
     return dict(zip(cfg.methods, rows))
 
 
-def calibrate_threshold(
-    null_pvalues, alpha: float, tol: float = 0.002, max_iter: int = 200
-) -> tuple[float, float]:
+# calibrate_threshold's band around alpha, and its number of bisection steps
+_CALIBRATION_TOL = 0.002
+_CALIBRATION_STEPS = 200
+
+
+def calibrate_threshold(null_pvalues, alpha: float) -> tuple[float, float]:
     """Bisect the rejection threshold against the empirical null sample and
-    return the achievable rejection rate nearest alpha within tol. If every
-    rate the bisection visits misses the band (an atom of the discrete
-    p-value distribution straddles it), settle on the conservative side.
-    Returns (threshold, achieved rate)."""
+    return the achievable rejection rate nearest alpha within
+    ``_CALIBRATION_TOL``. If every rate the bisection visits misses the band
+    (an atom of the discrete p-value distribution straddles it), settle on
+    the conservative side. Returns (threshold, achieved rate)."""
     srt = np.sort(np.asarray(null_pvalues, dtype=float))
     m = srt.size
     if m == 0 or np.isnan(srt[-1]):
@@ -216,11 +218,11 @@ def calibrate_threshold(
 
     lo, hi = 0.0, 1.0
     best = None
-    for _ in range(max_iter):
+    for _ in range(_CALIBRATION_STEPS):
         mid = 0.5 * (lo + hi)
         r = rate(mid)
         gap = abs(r - alpha)
-        if gap <= tol and (best is None or gap < best[0]):
+        if gap <= _CALIBRATION_TOL and (best is None or gap < best[0]):
             best = (gap, mid, r)
         if r > alpha:
             hi = mid

@@ -95,10 +95,7 @@ class FederationConfig:
     lag: int = 0
 
     def __post_init__(self) -> None:
-        if self.method not in combine.METHOD_IDS:
-            raise ConfigError(
-                f"unknown method {self.method!r}; expected one of {combine.METHOD_IDS}"
-            )
+        combine.check_method(self.method, combine.METHOD_IDS)
         if self.share_source not in SHARE_SOURCES:
             raise ConfigError(
                 f"share_source must be one of {SHARE_SOURCES}, got {self.share_source!r}"

@@ -185,10 +185,7 @@ def _poisson(rng: np.random.Generator, rates, size=None) -> np.ndarray:
 def _poisson_counts(prev: PrevalenceSeries, seed: int) -> np.ndarray:
     """The (T,) draw behind ``poisson_sample``; engines that need only the
     counts call it directly."""
-    rng = _generator(seed)
-    if prev.length:
-        return _poisson(rng, prev.rates)
-    return np.zeros(0, dtype=np.int64)
+    return _poisson(_generator(seed), prev.rates)
 
 
 def poisson_sample(
@@ -221,10 +218,7 @@ def _multinomial_table(counts: Sequence[int], shares: ShareVector, seed: int) ->
     counts[t]; engines that need only the count matrix call it directly."""
     probs = np.asarray(shares.shares, dtype=float)
     probs = probs / probs.sum()  # guard the 1e-9 slack before the draw
-    rng = _generator(seed)
-    if len(counts):
-        return rng.multinomial(np.asarray(counts, dtype=np.int64), probs)
-    return np.zeros((0, shares.n_sites), dtype=np.int64)
+    return _generator(seed).multinomial(np.asarray(counts, dtype=np.int64), probs)
 
 
 def scale_magnitude(prev: PrevalenceSeries, multiplier: float) -> PrevalenceSeries:

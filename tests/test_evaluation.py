@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from fedsurv import evaluation as ev
-from fedsurv.errors import DomainError
-from fedsurv.semisynth import PrevalenceSeries, date_range
+from fedsurv.errors import ConfigError, DomainError
+from fedsurv.semisynth import PrevalenceSeries, date_range, period_step
 
 import oracles
 
@@ -66,6 +66,13 @@ class TestTypes:
         assert window == ev.MatchWindow(1, 2) and type(window.before) is int
         assert ev.MatchWindow.default_for("weekly") == ev.MatchWindow(1, 2)
         assert ev.MatchWindow.default_for("daily") == ev.MatchWindow(7, 14)
+
+    def test_default_window_of_an_unknown_cadence_is_the_period_step_error(self):
+        with pytest.raises(ConfigError) as want:
+            period_step("monthly")
+        with pytest.raises(ConfigError) as got:
+            ev.MatchWindow.default_for("monthly")
+        assert str(got.value) == str(want.value) and "cadence" in str(got.value)
 
 
 class TestAlarmsFromPValues:

@@ -129,9 +129,31 @@ class TestCalibrateThreshold:
 
     def test_rate_definition_is_strict_below(self):
         sample = np.array([0.01, 0.02, 0.03, 0.04, 1.0])
-        th, rate = calibrate_threshold(sample, 0.4, tol=0.05)
+        th, rate = calibrate_threshold(sample, 0.4)
         assert rate == pytest.approx(0.4)
         assert 0.02 < th <= 0.03
+
+
+class TestOneMethodRule:
+    """`combine.check_method` is the one rule for a method name: each entry
+    point that takes one rejects an unknown name with its message, listing
+    the entry point's own vocabulary."""
+
+    @pytest.mark.parametrize(
+        "make, allowed",
+        [
+            (lambda m: combine.combine_methods([m], [[0.5]]), METHOD_IDS),
+            (lambda m: FederationConfig(method=m), METHOD_IDS),
+            (lambda m: PowerCurveConfig(methods=(m,)), POWER_METHODS),
+            (lambda m: SemisynthConfig(methods=(m,)), POWER_METHODS),
+        ],
+        ids=["combine_methods", "FederationConfig", "PowerCurveConfig", "SemisynthConfig"],
+    )
+    @pytest.mark.parametrize("method", ["nope", 3])
+    def test_unknown_method_is_rejected_with_one_message(self, make, allowed, method):
+        with pytest.raises(ConfigError) as err:
+            make(method)
+        assert str(err.value) == f"unknown method {method!r}; expected one of {allowed}"
 
 
 @pytest.fixture(scope="module")

@@ -195,6 +195,26 @@ class TestSplitMultinomial:
         assert [p.counts for p in a] == [p.counts for p in b]
 
 
+class TestEmptyDraws:
+    """numpy's samplers take an empty input as it is: the draw has the
+    dtype and shape of any other, and the stream does not advance."""
+
+    def test_empty_poisson_and_multinomial_draws(self, monkeypatch):
+        generator, generators = ss._generator, []
+
+        def recorded(seed):
+            generators.append(generator(seed))
+            return generators[-1]
+
+        monkeypatch.setattr(ss, "_generator", recorded)
+        pooled = ss._poisson_counts(prevalence([]), seed=5)
+        table = ss._multinomial_table((), ss.ShareVector((0.5, 0.3, 0.2)), seed=5)
+        assert (pooled.dtype, pooled.shape) == (np.int64, (0,))
+        assert (table.dtype, table.shape) == (np.int64, (0, 3))
+        first = generator(5).random()
+        assert [g.random() for g in generators] == [first, first]
+
+
 class TestScaleMagnitude:
     def test_identity_and_arithmetic(self):
         prev = prevalence([1.0, 2.0, 3.0])
