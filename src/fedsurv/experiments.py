@@ -28,6 +28,7 @@ from .evaluation import (
     recall_at_fdr,
 )
 from .semisynth import (
+    _generator,
     _multinomial_table,
     _poisson,
     _poisson_counts,
@@ -69,10 +70,6 @@ DEFAULT_THRESHOLDS = tuple(float(t) for t in np.geomspace(1e-8, 0.5, 40)) + (
     0.8,
     0.9,
 )
-
-
-def _rng(seed_seq: np.random.SeedSequence) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed_seq))
 
 
 def _child_seed(seed_seq: np.random.SeedSequence) -> int:
@@ -207,11 +204,15 @@ def calibrate_threshold(null_pvalues, alpha: float) -> tuple[float, float]:
     return the achievable rejection rate nearest alpha within
     ``_CALIBRATION_TOL``. If every rate the bisection visits misses the band
     (an atom of the discrete p-value distribution straddles it), settle on
-    the conservative side. Returns (threshold, achieved rate)."""
-    srt = np.sort(np.asarray(null_pvalues, dtype=float))
+    the conservative side. Returns (threshold, achieved rate).
+
+    Raises DomainError unless ``null_pvalues`` is a nonempty 1-d sample in
+    [0, 1] and ``alpha`` lies in (0, 1)."""
+    srt = np.sort(checked_floats(null_pvalues, "null_pvalues", 0.0, 1.0, ndim=1))
+    alpha = checked_float(alpha, "alpha", 0.0, 1.0, strict=True)
     m = srt.size
-    if m == 0 or np.isnan(srt[-1]):
-        raise DomainError("the null sample must be a nonempty set of p-values without NaN")
+    if m == 0:
+        raise DomainError("null_pvalues must be nonempty")
 
     def rate(th: float) -> float:
         return float(np.searchsorted(srt, th, side="left")) / m
@@ -241,7 +242,7 @@ def run_power_curve(cfg: PowerCurveConfig, seed: int) -> PowerCurveResult:
 
     hyp = cfg.hypothesis
     null_samples = _simulate_method_pvalues(
-        _rng(calib_seq), cfg, hyp.theta, cfg.calibration_reps
+        _generator(calib_seq), cfg, hyp.theta, cfg.calibration_reps
     )
     thresholds = {}
     rates = {}
@@ -252,7 +253,7 @@ def run_power_curve(cfg: PowerCurveConfig, seed: int) -> PowerCurveResult:
 
     points = []
     for theta_alt, seq in zip(cfg.theta_grid, eval_seqs):
-        samples = _simulate_method_pvalues(_rng(seq), cfg, theta_alt, cfg.power_reps)
+        samples = _simulate_method_pvalues(_generator(seq), cfg, theta_alt, cfg.power_reps)
         for method in cfg.methods:
             power = float(np.mean(samples[method] < thresholds[method]))
             points.append(PowerPoint(method, float(theta_alt), power))
@@ -274,7 +275,7 @@ def builtin_wave_counts() -> CountSeries:
     profile = np.array([1.7, 2.6, 3.4, 2.9, 2.1, 1.5, 1.2])
     for start in range(20, length - len(profile), 36):
         burst[start : start + len(profile)] *= profile
-    rng = _rng(np.random.SeedSequence(780331))
+    rng = _generator(np.random.SeedSequence(780331))
     noisy = _poisson(rng, seasonal * burst * rng.lognormal(0.0, 0.06, size=length))
     return CountSeries(
         "builtin",
@@ -436,39 +437,44 @@ def run_semisynth_sweep(
     Ground truth for recall@FDR0.1 is the growth-alarm set of the latent
     prevalence; F1 compares each method's alarms at alpha against the
     centralized exact test's alarms, so centralized scores 1 by definition.
+
+    Each sweep point is (sweep, setting, magnitude, shares), and one rule
+    reads them all: the prevalence is scaled by the magnitude (1.0 on the
+    entropy sweep, which keeps every bit), and the entropy column is the
+    shares' ``normalized_entropy`` (exactly 1.0 at equal shares), NaN below
+    two sites.
     """
     base = counts if counts is not None else builtin_wave_counts()
     prev = moving_average(base, cfg.smoothing_window)
     window = MatchWindow.default_for(base.period)
     hyp = cfg.hypothesis
 
-    sweep_points = []
-    for n in cfg.site_sweep:
-        sweep_points.append(("sites", str(n), cfg.site_sweep_magnitude, ShareVector.equal(n), 1.0))
-    for mag in cfg.magnitude_sweep:
-        sweep_points.append(
-            ("magnitude", f"{float(mag):g}", float(mag), ShareVector.equal(cfg.entropy_sites), 1.0)
-        )
-    for dom in cfg.dominant_sweep:
-        shares = dominant_profile(float(dom), cfg.entropy_sites)
-        sweep_points.append(
-            ("entropy", f"{float(dom):g}", 1.0, shares, normalized_entropy(shares))
-        )
+    sweep_points = [
+        ("sites", str(n), cfg.site_sweep_magnitude, ShareVector.equal(n)) for n in cfg.site_sweep
+    ]
+    sweep_points += [
+        ("magnitude", f"{float(mag):g}", float(mag), ShareVector.equal(cfg.entropy_sites))
+        for mag in cfg.magnitude_sweep
+    ]
+    sweep_points += [
+        ("entropy", f"{float(dom):g}", 1.0, dominant_profile(float(dom), cfg.entropy_sites))
+        for dom in cfg.dominant_sweep
+    ]
 
     root = _seed_sequence(seed)
     point_seqs = root.spawn(len(sweep_points))
 
     rows = []
     truth_counts = {}
-    for (sweep, setting, mag, shares, entropy), seq in zip(sweep_points, point_seqs):
-        scaled = prev if mag == 1.0 else scale_magnitude(prev, mag)
+    for (sweep, setting, mag, shares), seq in zip(sweep_points, point_seqs):
+        scaled = scale_magnitude(prev, mag)
         truth = alarms_from_growth(scaled, hyp.theta, hyp.baseline_len)
         truth_counts[(sweep, setting)] = len(truth)
         per_method = _sweep_point(
             cfg, scaled, shares, truth, window, seq.spawn(cfg.n_replicates)
         )
-        ent = entropy if shares.n_sites >= 2 else float("nan")
+        entropy = normalized_entropy(shares) if shares.n_sites >= 2 else float("nan")
         for method in cfg.methods:
             recall_fdr, f1_score = per_method[method]
-            rows.append(SweepRow(sweep, setting, ent, method, recall_fdr, f1_score))
+            rows.append(SweepRow(sweep, setting, entropy, method, recall_fdr, f1_score))
     return SweepResult(tuple(rows), truth_counts)

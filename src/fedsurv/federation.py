@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import combine
-from .errors import ConfigError, DomainError, check_int_fields, checked_float
+from .errors import ConfigError, DomainError, check_int_fields, checked_float, checked_int
 from .semisynth import CountSeries, ShareVector, _check_aligned
 from .surge import SurgeHypothesis, SurgeWindow, exact_p_value, window_p_values, window_totals
 
@@ -134,7 +134,9 @@ def site_compute_report(
 
 
 def release_period(cycle_index: int, cfg: FederationConfig) -> int:
-    """First period at which a cycle's coarse report is usable."""
+    """First period at which a cycle's coarse report is usable; a
+    ``cycle_index`` that is not an integer >= 0 raises DomainError."""
+    cycle_index = checked_int(cycle_index, "cycle_index", 0)
     return (cycle_index + 1) * cfg.reporting_cycle - 1 + cfg.lag
 
 

@@ -15,8 +15,9 @@ imports scipy. All validate their domain up front, clamp probabilities to
 [0, 1] and take scalars or numpy arrays. ``gamma_isf`` keeps a bounded
 memo of the quantiles it has inverted, so a pair that batches repeat is
 inverted about once per process, with the same bits, and splits what it
-inverts across the usable CPUs in threads that each call starts and joins:
-no thread starts at import or outlives a call, and none changes a bit.
+inverts across the usable CPUs in a thread pool made for the call and shut
+down before it returns: no thread starts at import or outlives a call, and
+none changes a bit.
 
 Every public function may be called from any thread, and returns the bits
 it returns in a single thread. The state they share stays whole: the
@@ -31,6 +32,7 @@ import functools
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -355,32 +357,16 @@ _SPLIT_MIN_CELLS = 1024
 def _split_inverse(inverse, a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """inverse(a, p) over 1-d arrays, in contiguous chunks of at least
     `_SPLIT_MIN_CELLS` cells, one per usable CPU: the first in the calling
-    thread, each other in a thread of its own that is joined before this
-    returns. The inverse works cell by cell, so the split changes no bit;
-    the exception of any chunk is raised here."""
-    chunks = min(_usable_cpus(), a.size // _SPLIT_MIN_CELLS)
-    if chunks <= 1:
-        return inverse(a, p)
-    bounds = [a.size * k // chunks for k in range(chunks + 1)]
-    result = np.empty(a.size)
-    failed = []
-
-    def run(k: int) -> None:
-        cells = slice(bounds[k], bounds[k + 1])
-        try:
-            result[cells] = inverse(a[cells], p[cells])
-        except BaseException as exc:
-            failed.append(exc)
-
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, chunks)]
-    for thread in threads:
-        thread.start()
-    run(0)
-    for thread in threads:
-        thread.join()
-    if failed:
-        raise failed[0]
-    return result
+    thread, each other in a thread pool made for the call and shut down
+    before it returns. The inverse works cell by cell, so the split changes
+    no bit; the exception of any chunk is raised here, once every worker
+    has finished."""
+    chunks = max(1, min(_usable_cpus(), a.size // _SPLIT_MIN_CELLS))
+    cells = [slice(a.size * k // chunks, a.size * (k + 1) // chunks) for k in range(chunks)]
+    with ThreadPoolExecutor(max_workers=chunks) as pool:
+        rest = [pool.submit(inverse, a[c], p[c]) for c in cells[1:]]
+        first = inverse(a[cells[0]], p[cells[0]])
+    return np.concatenate([first] + [future.result() for future in rest])
 
 
 def _isf_block(inverse, a: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
@@ -438,10 +424,11 @@ def gamma_isf(a, p):
     Batches repeat (a, p) pairs heavily, within a call and across calls, so
     each cell is looked up in a fixed-size memo keyed by the pair's bits
     and only what the memo misses is inverted, once per distinct pair of a
-    block, in one call per block that is split across the usable CPUs. A
-    value read from the memo is the bits that inverting the cell gives, and
-    the inverse works cell by cell, so neither the memo's state nor the
-    threads ever change a result.
+    block, in one call per block that is split across the usable CPUs in a
+    thread pool made for the call and shut down before it returns. A value
+    read from the memo is the bits that inverting the cell gives, and the
+    inverse works cell by cell, so neither the memo's state nor the threads
+    ever change a result.
     """
     scalar = np.isscalar(a) and np.isscalar(p)
     a_arr = checked_floats(a, "a", 0.0, strict=True)

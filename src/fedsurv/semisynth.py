@@ -138,8 +138,9 @@ def _seed_sequence(seed: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(_checked_seed(seed))
 
 
-def _generator(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(_seed_sequence(seed)))
+def _generator(seed_seq: np.random.SeedSequence) -> np.random.Generator:
+    """The Philox stream of every seeded draw."""
+    return np.random.Generator(np.random.Philox(seed_seq))
 
 
 def moving_average(series: CountSeries, window: int) -> PrevalenceSeries:
@@ -185,7 +186,7 @@ def _poisson(rng: np.random.Generator, rates, size=None) -> np.ndarray:
 def _poisson_counts(prev: PrevalenceSeries, seed: int) -> np.ndarray:
     """The (T,) draw behind ``poisson_sample``; engines that need only the
     counts call it directly."""
-    return _poisson(_generator(seed), prev.rates)
+    return _poisson(_generator(_seed_sequence(seed)), prev.rates)
 
 
 def poisson_sample(
@@ -218,7 +219,7 @@ def _multinomial_table(counts: Sequence[int], shares: ShareVector, seed: int) ->
     counts[t]; engines that need only the count matrix call it directly."""
     probs = np.asarray(shares.shares, dtype=float)
     probs = probs / probs.sum()  # guard the 1e-9 slack before the draw
-    return _generator(seed).multinomial(np.asarray(counts, dtype=np.int64), probs)
+    return _generator(_seed_sequence(seed)).multinomial(np.asarray(counts, dtype=np.int64), probs)
 
 
 def scale_magnitude(prev: PrevalenceSeries, multiplier: float) -> PrevalenceSeries:

@@ -3,6 +3,7 @@ fidelity against library calls, golden outputs, and exit codes."""
 
 import dataclasses
 import datetime
+import gzip
 import json
 import random
 import subprocess
@@ -46,6 +47,7 @@ from support import (
 )
 
 DATA_DIR = Path(__file__).parent / "data"
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 COUNTS_CSV = """site_id,date,count
 east,2024-01-01,10
@@ -780,6 +782,23 @@ class TestScipyLastDigits:
         assert [e["alarm"] for e in doc["periods"]] == [e["alarm"] for e in golden["periods"]]
         assert any(e["p"] != g["p"] for e, g in zip(doc["periods"], golden["periods"]))
 
+
+
+class TestBenchReferenceBytes:
+    """The default ``semisynth`` and ``power-curve`` runs at seed 42 write
+    the benchmark's reference outputs byte for byte; the benchmark itself
+    compares them only to within 1e-9 relative. The bench files are read,
+    never written. Federation keeps to the golden in ``tests/data``."""
+
+    @pytest.mark.parametrize(
+        "command, reference", [("semisynth", "semisynth_sweep"), ("power-curve", "power_mc")]
+    )
+    def test_default_run_equals_the_reference(self, tmp_path, capsys, command, reference):
+        out = tmp_path / "out.csv"
+        code, _, _ = run([command, "--seed", 42, "--out", out], capsys)
+        assert code == 0
+        want = gzip.decompress((BENCH_REFERENCE / f"{reference}.csv.gz").read_bytes())
+        assert out.read_bytes() == want
 
 
 class TestCountsPastInt64:

@@ -133,6 +133,24 @@ class TestCalibrateThreshold:
         assert rate == pytest.approx(0.4)
         assert 0.02 < th <= 0.03
 
+    @pytest.mark.parametrize(
+        "sample, alpha, name",
+        [
+            ([0.1, 0.2], 2.0, "alpha"),
+            ([0.1, 0.2], float("nan"), "alpha"),
+            ([0.1, 0.2], 0.0, "alpha"),
+            ([0.1, 0.2], 1.0, "alpha"),
+            ([0.1, float("inf")], 0.05, "null_pvalues"),
+            ([-5.0, 0.2], 0.05, "null_pvalues"),
+            ([0.2, 1.5], 0.05, "null_pvalues"),
+            (["a"], 0.05, "null_pvalues"),
+            ([[0.1, 0.2]], 0.05, "null_pvalues"),
+        ],
+    )
+    def test_rejects_what_is_not_a_p_value_sample_or_level(self, sample, alpha, name):
+        with pytest.raises(DomainError, match=name):
+            calibrate_threshold(sample, alpha)
+
 
 class TestOneMethodRule:
     """`combine.check_method` is the one rule for a method name: each entry

@@ -107,6 +107,11 @@ class TestShareEstimation:
         got = fed.estimate_shares(coarse, 8, self.CFG, ["a", "b"])
         assert got.shares == (26 / 30, 4 / 30)
 
+
+    @pytest.mark.parametrize("cycle_index", [-1, 1.5, float("nan"), True, "3"])
+    def test_release_period_rejects_a_cycle_that_is_not_an_integer_from_0(self, cycle_index):
+        with pytest.raises(DomainError, match="cycle_index"):
+            fed.release_period(cycle_index, self.CFG)
     def test_uniform_before_first_release(self):
         got = fed.estimate_shares(self.coarse(), 4, self.CFG, ["a", "b"])
         assert got.shares == (0.5, 0.5)

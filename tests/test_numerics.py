@@ -710,6 +710,43 @@ class TestGammaIsfMemo:
         assert threading.active_count() == running
         assert len(threads) == 3 and threading.current_thread() in threads
 
+    def test_failure_in_the_callers_chunk_waits_for_every_worker(self, monkeypatch):
+        caller, finished = threading.current_thread(), []
+
+        def fails_in_the_caller(a, x):
+            if threading.current_thread() is caller:
+                raise FloatingPointError("stand-in caller failure")
+            time.sleep(0.05)  # still running unless waited for
+            finished.append(threading.current_thread())
+            return special.gammainccinv(a, x)
+
+        _split_everything(monkeypatch)
+        running = threading.active_count()
+        with pytest.raises(FloatingPointError, match="caller"):
+            nm._split_inverse(fails_in_the_caller, np.full(9, 2.5), np.full(9, 0.3))
+        assert len(finished) == 2
+        assert threading.active_count() == running
+
+    @pytest.mark.parametrize("split", [True, False], ids=["split-everything", "default-size"])
+    def test_a_call_below_two_chunks_runs_in_the_calling_thread(self, monkeypatch, split):
+        threads = set()
+
+        def spy(a, x):
+            threads.add(threading.current_thread())
+            return special.gammainccinv(a, x)
+
+        if split:
+            _split_everything(monkeypatch)
+        else:
+            monkeypatch.setattr(nm, "_usable_cpus", lambda: 3)
+        rng = np.random.default_rng(68)
+        size = 2 * nm._SPLIT_MIN_CELLS - 1
+        a, p = rng.uniform(0.5, 20.0, size=size), rng.uniform(size=size)
+        running = threading.active_count()
+        assert nm._split_inverse(spy, a, p).tobytes() == special.gammainccinv(a, p).tobytes()
+        assert threads == {threading.current_thread()}
+        assert threading.active_count() == running
+
     def test_import_starts_no_thread(self):
         code = (
             "import threading\n"
