@@ -143,8 +143,13 @@ def release_period(cycle_index: int, cfg: FederationConfig) -> int:
 def _latest_released(
     coarse: Sequence[CoarseReport], t: int, cfg: FederationConfig, ids: Sequence[str]
 ) -> dict[str, CoarseReport]:
-    """Each listed site's latest cycle report released by period t."""
+    """Each listed site's latest cycle report released by period t. A ``t``
+    that is not an integer >= 0 raises DomainError, a repeated id
+    ConfigError."""
+    t = checked_int(t, "t", 0)
     members = set(ids)
+    if len(members) != len(ids):
+        raise ConfigError("site_ids must be unique")
     latest: dict[str, CoarseReport] = {}
     for report in coarse:
         if report.site_id in members and release_period(report.cycle_index, cfg) <= t:

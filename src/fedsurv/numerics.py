@@ -5,19 +5,24 @@ to ``EXACT_MAX_N``, read from a per-rho table of fixed-point tails whose
 rounding is certified entry by entry, with the exact big-integer sum as the
 fallback: the same under any scipy build. The default hypothesis's table
 ships with the package and is mapped read-only instead of rebuilt. Every
-other function wraps one ``scipy.special`` ufunc, with last digits that
-depend on the scipy build: ``binomial_cdf`` (the regularized incomplete
-beta function, accurate for totals in the thousands), ``normal_cdf`` and
+other function wraps one scipy ufunc, with last digits that depend on the
+scipy build: ``binomial_cdf`` (the regularized incomplete beta function,
+accurate for totals in the thousands), ``normal_cdf`` and
 ``normal_quantile``, and the regularized incomplete gamma functions
 ``gamma_cdf`` (lower), ``gamma_sf`` (upper) and ``gamma_isf`` (the inverse
 of the upper one) behind the combiners. This is the only module that
-imports scipy. All validate their domain up front, clamp probabilities to
-[0, 1] and take scalars or numpy arrays. ``gamma_isf`` keeps a bounded
-memo of the quantiles it has inverted, so a pair that batches repeat is
-inverted about once per process, with the same bits, and splits what it
-inverts across the usable CPUs in a thread pool made for the call and shut
-down before it returns: no thread starts at import or outlives a call, and
-none changes a bit.
+imports scipy. ``special`` is the compiled ``scipy.special._ufuncs``,
+loaded without running the ``scipy.special`` package, whose array-API
+layer fedsurv never uses; the package serves when it is already imported
+or the private module fails to load. All validate their
+domain up front, clamp probabilities to [0, 1] and take scalars or numpy
+arrays. ``gamma_isf`` keeps a bounded memo of the quantiles it has
+inverted, so a pair that batches repeat is inverted about once per
+process, with the same bits, and splits what it inverts across the usable
+CPUs in a thread pool made for the call and shut down before it returns:
+none of fedsurv's threads starts at import or outlives a call, and none
+changes a bit. (Loading the ufuncs links scipy's OpenBLAS, whose own pool
+starts its threads at load, as importing ``scipy.special`` always did.)
 
 Every public function may be called from any thread, and returns the bits
 it returns in a single thread. The state they share stays whole: the
@@ -29,14 +34,16 @@ or is interrupted partway leaves that state as it was.
 from __future__ import annotations
 
 import functools
+import importlib
 import math
 import os
+import sys
 import threading
+import types
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     INT64_MAX,
@@ -59,6 +66,42 @@ __all__ = [
     "normal_pdf",
     "normal_quantile",
 ]
+
+
+# the scipy ufuncs this module calls, all in the compiled scipy.special._ufuncs
+_UFUNCS = ("betainc", "gammainc", "gammaincc", "gammainccinv", "ndtr", "ndtri")
+
+
+def _special_ufuncs() -> types.ModuleType:
+    """The module that holds ``_UFUNCS``: ``scipy.special._ufuncs``, loaded
+    without running ``scipy/special/__init__.py``, whose array-API layer
+    none of them needs. A ``scipy.special`` already imported is used as it
+    is, and the package is the fallback when the private module fails to
+    load or lacks one of the names."""
+    loaded = sys.modules.get("scipy.special")
+    if loaded is not None:
+        return loaded
+    import scipy
+
+    # a bare package over scipy's special/ directory lets its submodule
+    # load; the real package later reuses that submodule from sys.modules
+    stub = types.ModuleType("scipy.special")
+    stub.__path__ = [os.path.join(os.path.dirname(scipy.__file__), "special")]
+    sys.modules["scipy.special"] = stub
+    try:
+        ufuncs = importlib.import_module("scipy.special._ufuncs")
+    except Exception:  # a compiled module's init can raise more than ImportError
+        ufuncs = None
+    finally:
+        del sys.modules["scipy.special"]
+    if ufuncs is not None and all(hasattr(ufuncs, name) for name in _UFUNCS):
+        return ufuncs
+    from scipy import special
+
+    return special
+
+
+special = _special_ufuncs()
 
 
 def _ret(value: np.ndarray, scalar: bool):

@@ -14,6 +14,7 @@ import math
 from typing import Iterable, Sequence
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy 2 would load it lazily, inside a seeded run
 
 from .errors import ConfigError, DomainError, checked_float, checked_floats, checked_int
 from .errors import checked_ints, checked_shares

@@ -9,14 +9,15 @@ import typing
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 import fedsurv
-from fedsurv import cli
+from fedsurv import cli, numerics
 from fedsurv.experiments import PowerCurveConfig
 
-# every scipy.special ufunc that fedsurv.numerics calls
-NUMERICS_UFUNCS = ("betainc", "gammainc", "gammaincc", "gammainccinv", "ndtr", "ndtri")
+# every scipy.special ufunc that fedsurv.numerics calls, and the module of
+# them that it bound at import
+NUMERICS_UFUNCS = numerics._UFUNCS
+SPECIAL = numerics.special
 
 
 def package_env():
@@ -35,7 +36,7 @@ def nudged_special(direction: float):
     def nudge(ufunc):
         return lambda *args: np.nextafter(ufunc(*args), direction)
 
-    return types.SimpleNamespace(**{name: nudge(getattr(special, name)) for name in NUMERICS_UFUNCS})
+    return types.SimpleNamespace(**{name: nudge(getattr(SPECIAL, name)) for name in NUMERICS_UFUNCS})
 
 
 # the config dataclass each command reads

@@ -146,6 +146,22 @@ class TestShareEstimation:
         # nothing released yet: floor at 1
         assert fed.estimated_window_total(self.coarse(), 0, self.CFG, ["a", "b"]) == 1
 
+    @pytest.mark.parametrize("t", [-5, 2.5, float("nan"), float("inf"), True, "x", None])
+    def test_a_period_that_is_not_an_integer_from_0_raises_naming_t(self, t):
+        for func in (fed.estimate_shares, fed.estimated_window_total):
+            with pytest.raises(DomainError, match="t must be an integer"):
+                func(self.coarse(), t, self.CFG, ["a", "b"])
+
+    @pytest.mark.parametrize("t", [9.0, np.int64(9)])
+    def test_an_integral_period_of_another_type_reads_as_its_int(self, t):
+        assert fed.estimate_shares(self.coarse(), t, self.CFG, ["a", "b"]).shares == (42 / 50, 8 / 50)
+        assert fed.estimated_window_total(self.coarse(), t, self.CFG, ["a", "b"]) == round(50 * 5 / 4)
+
+    def test_a_repeated_site_id_raises(self):
+        for func in (fed.estimate_shares, fed.estimated_window_total):
+            with pytest.raises(ConfigError, match="site_ids must be unique"):
+                func(self.coarse(), 9, self.CFG, ["a", "a"])
+
 
 class TestInformationBoundary:
     def test_report_types_carry_no_counts(self):

@@ -825,13 +825,22 @@ class TestGammaIsfMemo:
 
 
 def _scipy_imports(path: Path) -> list[str]:
-    """The import statements of a module that bring in scipy, as written."""
+    """The import statements, and the ``importlib.import_module`` and
+    ``__import__`` calls on a literal name, of a module that bring in scipy,
+    as written."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             names = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             names = [node.module or ""]
+        elif (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) in ("importlib.import_module", "import_module", "__import__")
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+        ):
+            names = [str(node.args[0].value)]
         else:
             continue
         if any(n == "scipy" or n.startswith("scipy.") for n in names):
@@ -849,7 +858,21 @@ class TestSingleSpecialFunctionLayer:
             if p.name != "numerics.py" and (found := _scipy_imports(p))
         }
         assert offenders == {}
-        assert _scipy_imports(SRC / "numerics.py") == ["from scipy import special"]
+        assert _scipy_imports(SRC / "numerics.py")
+
+    def test_every_form_of_scipy_import_is_found(self, tmp_path):
+        forms = [
+            "import scipy",
+            "import numpy, scipy.special as sp",
+            "from scipy import special",
+            "from scipy.special._ufuncs import ndtr",
+            "importlib.import_module('scipy.special._ufuncs')",
+            "import_module('scipy')",
+            "__import__('scipy.special')",
+        ]
+        module = tmp_path / "m.py"
+        module.write_text("\n".join(forms + ["import scipyx", "from . import scipy"]), encoding="utf-8")
+        assert _scipy_imports(module) == forms
 
     def test_nudged_namespace_covers_every_ufunc_numerics_calls(self):
         tree = ast.parse((SRC / "numerics.py").read_text(encoding="utf-8"))
@@ -861,3 +884,99 @@ class TestSingleSpecialFunctionLayer:
             and node.value.id == "special"
         }
         assert called == set(NUMERICS_UFUNCS)
+
+
+def _in_child(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh interpreter, which sees no module this one
+    imported; fails the test unless it exits 0."""
+    proc = subprocess.run([sys.executable, "-c", code], env=package_env(), capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc
+
+
+# a sys.meta_path finder that fails scipy.special._ufuncs while the
+# scipy.special in sys.modules is not the package, which has a __file__
+_BLOCK_PRIVATE_UFUNCS = """
+import importlib.abc, sys
+class Block(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name == "scipy.special._ufuncs" and not hasattr(sys.modules.get("scipy.special"), "__file__"):
+            raise ImportError("blocked")
+sys.meta_path.insert(0, Block())
+"""
+
+
+class TestUfuncImport:
+    """``numerics`` loads scipy's compiled ufuncs without the
+    ``scipy.special`` package. What this interpreter holds depends on which
+    test modules ran first, so each import test runs in a child."""
+
+    def test_cli_loads_no_special_package(self):
+        _in_child(
+            "import sys\n"
+            "import fedsurv.cli\n"
+            "from fedsurv import numerics\n"
+            "assert numerics.special.__name__ == 'scipy.special._ufuncs'\n"
+            "skipped = ('scipy.special', 'scipy._lib.array_api_compat', 'numpy.f2py', 'numpy.testing')\n"
+            "assert not [m for m in skipped if m in sys.modules], sys.modules\n"
+            "assert 'numpy.random' in sys.modules\n"
+        )
+
+    def test_a_later_import_gets_the_package_with_the_same_ufuncs(self):
+        _in_child(
+            "from fedsurv import cli, numerics\n"
+            "import scipy.special\n"
+            "assert scipy.special is not numerics.special\n"
+            "assert scipy.special.__file__.endswith('__init__.py')\n"
+            "assert scipy.special._ufuncs is numerics.special\n"
+            f"for name in {NUMERICS_UFUNCS!r}:\n"
+            "    assert getattr(scipy.special, name) is getattr(numerics.special, name), name\n"
+        )
+
+    def test_a_package_imported_first_is_used_as_it_is(self):
+        _in_child(
+            "import scipy.special\n"
+            "from fedsurv import numerics\n"
+            "assert numerics.special is scipy.special\n"
+        )
+
+    def test_falls_back_to_the_package_with_the_golden_bytes(self, tmp_path):
+        data = Path(__file__).parent / "data"
+        out = tmp_path / "report.json"
+        proc = _in_child(
+            _BLOCK_PRIVATE_UFUNCS
+            + "from fedsurv import cli, numerics\n"
+            + "assert numerics.special is sys.modules['scipy.special']\n"
+            + "assert numerics.special.__file__.endswith('__init__.py')\n"
+            + f"assert cli.main(['test', '--config', {str(data / 'golden_config.json')!r}]) == 0\n"
+            + f"argv = ['--config', {str(data / 'golden_federation_config.json')!r}, '--out', {str(out)!r}]\n"
+            + "assert cli.main(['federation', '--seed', '2024'] + argv) == 0\n"
+        )
+        assert proc.stdout == (data / "golden_test.csv").read_bytes()
+        assert out.read_bytes() == (data / "golden_federation.json").read_bytes()
+        alarms = tmp_path / "report.alarms.csv"
+        assert alarms.read_bytes() == (data / "golden_federation.alarms.csv").read_bytes()
+
+    def test_the_tests_that_swap_it_pass_on_the_compiled_ufuncs(self):
+        # numerics is imported before pytest, so every module sees _ufuncs
+        tests = Path(__file__).parent
+        files = [str(tests / name) for name in ("test_cli.py", "test_combine.py", "test_numerics.py")]
+        select = "ScipyLastDigits or probabilities_clamped or golden_fixture_does_not_depend_on_scipy_betainc"
+        proc = _in_child(
+            "import sys\n"
+            "from fedsurv import numerics\n"
+            "import pytest\n"
+            "assert numerics.special.__name__ == 'scipy.special._ufuncs'\n"
+            f"code = pytest.main(['-q', '-p', 'no:cacheprovider', '-o', 'addopts=', '-k', {select!r}] + {files!r})\n"
+            "assert numerics.special.__name__ == 'scipy.special._ufuncs'\n"
+            "sys.exit(code)\n"
+        )
+        assert b"\n13 passed, " in proc.stdout, proc.stdout.decode()[-300:]
+
+    def test_falls_back_when_the_private_module_lacks_a_ufunc(self, monkeypatch):
+        # a scipy that moved one of the six out of _ufuncs; scipy.special,
+        # imported by this interpreter, stays bound on the scipy package
+        monkeypatch.delitem(sys.modules, "scipy.special")
+        monkeypatch.setitem(sys.modules, "scipy.special._ufuncs", types.ModuleType("scipy.special._ufuncs"))
+        assert nm._special_ufuncs() is special
+        assert "scipy.special" not in sys.modules  # the stub is gone
