@@ -25,12 +25,12 @@ import argparse
 import csv
 import dataclasses
 import datetime
+import gc
 import io
 import json
 import math
 import sys
 import typing
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -358,18 +358,17 @@ class EvaluateConfig:
 # --------------------------------------------------------------- output
 
 
-_JSON_LITERALS = {True: "true", False: "false", None: "null"}
-
-
 def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _write_text(out: Optional[str | Path], text: str) -> None:
+def _write_text(out: Optional[str | Path], *pieces: str) -> None:
+    """Write the pieces, in order, to the file `out`, or without one to stdout."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(out).write_text(text, encoding="utf-8", newline="")
+        with Path(out).open("w", encoding="utf-8", newline="") as handle:
+            handle.writelines(pieces)
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -380,67 +379,31 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return buf.getvalue()
 
 
-def _json_text(doc) -> str:
-    """``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\\n"``,
-    byte for byte, without the pure-Python encoder that any ``indent``
-    selects. Each distinct float is rendered once; zeros are not memoized,
-    since 0.0 and -0.0 are one dict key. NaN and infinities raise
-    ValueError and other types TypeError, as ``json.dumps`` does; a dict
-    key that is not a str, which ``json.dumps`` would convert, raises
-    TypeError. The document must be a tree (there is no cycle check)."""
-    floats: dict = {}
-    out: list[str] = []
+class _FloatTexts(dict):
+    """Each float's JSON text, ``float.__repr__``, rendered once per
+    distinct value; NaN and the infinities raise ValueError, as
+    ``json.dumps(..., allow_nan=False)`` does. Zeros are not kept, since
+    0.0 and -0.0 are one key."""
 
-    def number(x) -> str:
-        text = floats.get(x)
-        if text is None:
-            if x != x or x in (math.inf, -math.inf):
-                raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-            text = float.__repr__(x)
-            if x:
-                floats[x] = text
+    def __missing__(self, x: float) -> str:
+        if x != x or x in (math.inf, -math.inf):
+            raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+        text = float.__repr__(x)
+        if x:
+            self[x] = text
         return text
 
-    def write(value, indent: str) -> None:
-        if isinstance(value, float):
-            out.append(number(value))
-        elif isinstance(value, str):
-            out.append(encode_basestring_ascii(value))
-        elif value is True or value is False or value is None:
-            out.append(_JSON_LITERALS[value])
-        elif isinstance(value, int):
-            out.append(int.__repr__(value))
-        elif isinstance(value, (list, tuple, dict)):
-            if not value:
-                out.append("{}" if isinstance(value, dict) else "[]")
-                return
-            inner = indent + "  "
-            comma = "," + inner
-            sep = inner
-            if isinstance(value, dict):
-                out.append("{")
-                for key, item in sorted(value.items()):
-                    if not isinstance(key, str):
-                        raise TypeError(f"keys must be str, not {type(key).__name__}")
-                    out.append(sep)
-                    out.append(encode_basestring_ascii(key))
-                    out.append(": ")
-                    write(item, inner)
-                    sep = comma
-                out.append(indent + "}")
-            else:
-                out.append("[")
-                for item in value:
-                    out.append(sep)
-                    write(item, inner)
-                    sep = comma
-                out.append(indent + "]")
-        else:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
-    write(doc, "\n")
-    out.append("\n")
-    return "".join(out)
+# The federation report is ``json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)``
+# plus a newline: its periods, the bulk of it, laid out by these templates at their depth
+# in place of the empty list in one json.dumps of the rest of the document.
+_PERIODS_KEY = '\n  "periods": ['
+_PERIOD_JSON = (
+    '%s\n    {\n      "alarm": %s,\n      "date": "%s",\n      "p": %s,'
+    '\n      "period": %d,\n      "shares": %s\n    }'
+)
+_SHARES_JSON = "[\n        %s\n      ]"
+_SHARE_SEP = ",\n        "
 
 
 # -------------------------------------------------------------- commands
@@ -517,24 +480,33 @@ def cmd_federation(args) -> int:
     combined = run_federation(sites, fed_cfg)
     timeline = sites[0].timestamps
     alpha = fed_cfg.hypothesis.alpha
-    periods = [
-        {
-            **cp.to_json(),
-            "date": timeline[cp.period_index].isoformat(),
-            "alarm": bool(cp.p < alpha),
-        }
-        for cp in combined
-    ]
-    alarm_rows = [(str(e["period"]), e["date"], _fmt(e["p"])) for e in periods if e["alarm"]]
+    # every period is rendered before the output is opened, so that a
+    # value JSON cannot hold leaves no file
+    texts = _FloatTexts()
+    periods, alarm_rows = [], []
+    for cp in combined:
+        date, p, alarm = timeline[cp.period_index].isoformat(), texts[cp.p], cp.p < alpha
+        if alarm:
+            alarm_rows.append((str(cp.period_index), date, p))
+        shares = "null"
+        if cp.shares is not None:
+            shares = _SHARES_JSON % _SHARE_SEP.join(map(texts.__getitem__, cp.shares))
+        comma = "," if periods else ""
+        entry = (comma, "true" if alarm else "false", date, p, cp.period_index, shares)
+        periods.append(_PERIOD_JSON % entry)
     config = dataclasses.asdict(fed_cfg)
     config.update(config.pop("hypothesis"), seed=seed)
-    doc = {
+    rest = {
         "config": config,
-        "sites": [s.site_id for s in sorted(sites, key=lambda s: s.site_id)],
-        "periods": periods,
+        "sites": sorted(s.site_id for s in sites),
+        "periods": [],
         "summary": {"n_periods": len(periods), "n_alarms": len(alarm_rows)},
     }
-    _write_text(args.out, _json_text(doc))
+    head, _, tail = json.dumps(rest, sort_keys=True, indent=2, allow_nan=False).partition(
+        _PERIODS_KEY + "]"
+    )
+    tail = ("\n  ]" if periods else "]") + tail + "\n"
+    _write_text(args.out, head, _PERIODS_KEY, *periods, tail)
     if args.out is not None:  # on stdout the report alone, whose periods carry `alarm`
         alarms_out = Path(args.out).with_suffix(".alarms.csv")
         _write_text(alarms_out, _csv_text(("period", "date", "p"), alarm_rows))
@@ -590,6 +562,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # The command's collections scan only what it allocates, not the
+    # objects start-up left; a caller that froze objects itself keeps them.
+    freezing = gc.get_freeze_count() == 0
+    if freezing:
+        gc.freeze()
     try:
         return args.func(args)
     except (ConfigError, DomainError, FileNotFoundError) as exc:
@@ -598,6 +575,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (FedsurvError, OSError, MemoryError) as exc:  # MemoryError: a valid size too large
         print(f"fedsurv: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
+    finally:
+        if freezing:
+            gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -113,10 +113,6 @@ class CombinedPeriod(NamedTuple):
     p: float
     shares: Optional[tuple]
 
-    def to_json(self) -> dict:
-        shares = None if self.shares is None else list(self.shares)
-        return {"period": self.period_index, "p": self.p, "shares": shares}
-
 
 def site_compute_report(
     site: CountSeries, t: int, hyp: SurgeHypothesis

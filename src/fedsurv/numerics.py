@@ -19,7 +19,7 @@ domain up front, clamp probabilities to [0, 1] and take scalars or numpy
 arrays. ``gamma_isf`` keeps a bounded memo of the quantiles it has
 inverted, so a pair that batches repeat is inverted about once per
 process, with the same bits, and splits what it inverts across the usable
-CPUs in a thread pool made for the call and shut down before it returns:
+CPUs in threads started for the call and joined before it returns:
 none of fedsurv's threads starts at import or outlives a call, and none
 changes a bit. (Loading the ufuncs links scipy's OpenBLAS, whose own pool
 starts its threads at load, as importing ``scipy.special`` always did.)
@@ -40,7 +40,6 @@ import os
 import sys
 import threading
 import types
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -400,16 +399,33 @@ _SPLIT_MIN_CELLS = 1024
 def _split_inverse(inverse, a: np.ndarray, p: np.ndarray) -> np.ndarray:
     """inverse(a, p) over 1-d arrays, in contiguous chunks of at least
     `_SPLIT_MIN_CELLS` cells, one per usable CPU: the first in the calling
-    thread, each other in a thread pool made for the call and shut down
-    before it returns. The inverse works cell by cell, so the split changes
-    no bit; the exception of any chunk is raised here, once every worker
-    has finished."""
+    thread, each other in a thread started for the call and joined before
+    it returns. The inverse works cell by cell, so the split changes no
+    bit; the exception of any chunk is raised here, once every worker has
+    finished."""
     chunks = max(1, min(_usable_cpus(), a.size // _SPLIT_MIN_CELLS))
     cells = [slice(a.size * k // chunks, a.size * (k + 1) // chunks) for k in range(chunks)]
-    with ThreadPoolExecutor(max_workers=chunks) as pool:
-        rest = [pool.submit(inverse, a[c], p[c]) for c in cells[1:]]
-        first = inverse(a[cells[0]], p[cells[0]])
-    return np.concatenate([first] + [future.result() for future in rest])
+    results: list = [None] * chunks  # each chunk's quantiles, or what it raised
+
+    def work(k: int) -> None:
+        try:
+            results[k] = inverse(a[cells[k]], p[cells[k]])
+        except BaseException as exc:  # raised in the caller, below
+            results[k] = exc
+
+    workers = [threading.Thread(target=work, args=(k,)) for k in range(1, chunks)]
+    try:
+        for worker in workers:
+            worker.start()
+        work(0)
+    finally:
+        for worker in workers:
+            if worker.ident is not None:  # started
+                worker.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return np.concatenate(results)
 
 
 def _isf_block(inverse, a: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
@@ -467,8 +483,8 @@ def gamma_isf(a, p):
     Batches repeat (a, p) pairs heavily, within a call and across calls, so
     each cell is looked up in a fixed-size memo keyed by the pair's bits
     and only what the memo misses is inverted, once per distinct pair of a
-    block, in one call per block that is split across the usable CPUs in a
-    thread pool made for the call and shut down before it returns. A value
+    block, in one call per block that is split across the usable CPUs in
+    threads started for the call and joined before it returns. A value
     read from the memo is the bits that inverting the cell gives, and the
     inverse works cell by cell, so neither the memo's state nor the threads
     ever change a result.

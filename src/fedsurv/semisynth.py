@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import functools
 import math
 from typing import Iterable, Sequence
 
@@ -48,7 +49,8 @@ def date_range(start: datetime.date, length: int, period: str) -> tuple[datetime
     return tuple(start + i * step for i in range(checked_int(length, "length", 0)))
 
 
-def _check_timeline(timestamps: Sequence[datetime.date], period: str) -> None:
+@functools.lru_cache(maxsize=8)  # split sites share one timeline; a failed check is not kept
+def _check_timeline(timestamps: tuple[datetime.date, ...], period: str) -> None:
     step = period_step(period)
     for a, b in zip(timestamps, timestamps[1:]):
         if b - a != step:
@@ -68,7 +70,8 @@ def _check_aligned(series: Sequence["CountSeries"]) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class CountSeries:
-    """One site's observed counts on a regular daily or weekly timeline."""
+    """One site's observed counts on a regular daily or weekly timeline;
+    `timestamps`, any sequence, is kept as a tuple."""
 
     site_id: str
     period: str
@@ -76,6 +79,7 @@ class CountSeries:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "timestamps", tuple(self.timestamps))
         counts = checked_ints(self.counts, "count", 0, ndim=1)
         if len(counts) != len(self.timestamps):
             raise DomainError("timestamps and counts must have equal length")
@@ -89,13 +93,15 @@ class CountSeries:
 
 @dataclasses.dataclass(frozen=True)
 class PrevalenceSeries:
-    """Latent nonnegative rate per timestamp on the same timeline rules."""
+    """Latent nonnegative rate per timestamp on the same timeline rules;
+    `timestamps`, any sequence, is kept as a tuple."""
 
     period: str
     timestamps: tuple[datetime.date, ...]
     rates: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "timestamps", tuple(self.timestamps))
         if len(checked_floats(self.rates, "rates", 0.0, ndim=1)) != len(self.timestamps):
             raise DomainError("timestamps and rates must have equal length")
         _check_timeline(self.timestamps, self.period)

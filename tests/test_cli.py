@@ -3,30 +3,29 @@ fidelity against library calls, golden outputs, and exit codes."""
 
 import dataclasses
 import datetime
+import gc
 import gzip
 import json
 import random
 import subprocess
 import sys
-import tracemalloc
 import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedsurv import numerics
+from fedsurv import cli, combine, numerics
 from fedsurv.cli import (
     FederationRunConfig,
     SemisynthRunConfig,
-    _json_text,
     _pooled,
     main,
     read_counts_csv,
     take_fields,
 )
 from fedsurv.combine import EvidenceSet, combine_by_id
-from fedsurv.errors import ConfigError
+from fedsurv.errors import ConfigError, DomainError
 from fedsurv.experiments import (
     PowerCurveConfig,
     SemisynthConfig,
@@ -1240,100 +1239,185 @@ def _dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-class TestJsonText:
-    """`cli._json_text` against the `json.dumps` call it replaces."""
+def _report_oracle(sites, cfg, seed, combined) -> tuple[str, str]:
+    """The federation report and alarms CSV built from a document, as the
+    command once wrote them: ``_dumps`` of it, and each alarm's p by repr."""
+    timeline = sites[0].timestamps
+    periods = [
+        {
+            "period": cp.period_index,
+            "p": cp.p,
+            "shares": None if cp.shares is None else list(cp.shares),
+            "date": timeline[cp.period_index].isoformat(),
+            "alarm": bool(cp.p < cfg.hypothesis.alpha),
+        }
+        for cp in combined
+    ]
+    config = dataclasses.asdict(cfg)
+    config.update(config.pop("hypothesis"), seed=seed)
+    alarms = [e for e in periods if e["alarm"]]
+    doc = {
+        "config": config,
+        "sites": sorted(s.site_id for s in sites),
+        "periods": periods,
+        "summary": {"n_periods": len(periods), "n_alarms": len(alarms)},
+    }
+    rows = "".join(f"{e['period']},{e['date']},{e['p']!r}\n" for e in alarms)
+    return _dumps(doc), "period,date,p\n" + rows
 
-    CHARS = "aZ0 _-\"\\/\b\f\n\r\t\x00\x1f\x7f\xe9\u00df\u4e2d\u2028\U0001f600"
-    FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, 1e-7, 0.1, 1 / 3, 2.5, 1.7976931348623157e308)
 
-    @classmethod
-    def text(cls, rng) -> str:
-        return "".join(rng.choice(cls.CHARS) for _ in range(rng.randrange(6)))
+DAILY_CSV = "site_id,date,count\n" + "".join(
+    f"{site},2024-03-{day:02d},{count}\n"
+    for site, base in (("a", 3), ("b", 8))
+    for day, count in enumerate((base, base + 1, base, base + 2, base, base * 4), start=1)
+)
+SHORT_CSV = "\n".join(COUNTS_CSV.splitlines()[:4] + COUNTS_CSV.splitlines()[7:10]) + "\n"
 
-    @classmethod
-    def scalar(cls, rng):
-        kind = rng.randrange(6)
-        if kind == 0:
-            return cls.text(rng)
-        if kind == 1:
-            return rng.choice((None, True, False))
-        if kind == 2:
-            return rng.choice((0, -1, 7, 2**53 + 1, -(2**70), 10**40))
-        if kind == 3:
-            return rng.choice(cls.FLOATS)
-        if kind == 4:
-            return np.float64(rng.choice(cls.FLOATS + (rng.random(),)))
-        return rng.uniform(-1e6, 1e6)
 
-    @classmethod
-    def document(cls, rng, depth=0):
-        kind = rng.randrange(4) if depth < 4 else 3
-        size = rng.randrange(5)
-        if kind == 0:
-            return {cls.text(rng): cls.document(rng, depth + 1) for _ in range(size)}
-        if kind == 1:
-            return [cls.document(rng, depth + 1) for _ in range(size)]
-        if kind == 2:
-            pool = [rng.random() for _ in range(3)]  # floats that recur
-            return tuple(rng.choice(pool) for _ in range(size))
-        return cls.scalar(rng)
+class TestFederationReport:
+    """The report `federation` writes from `run_federation`'s records,
+    against ``json.dumps`` of the document they make."""
 
-    def test_equals_json_dumps_on_random_documents(self):
-        rng = random.Random(20240601)
-        for _ in range(300):
-            doc = {"root": self.document(rng), "more": [self.document(rng) for _ in range(3)]}
-            assert _json_text(doc) == _dumps(doc)
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Each `cli.run_federation` call: its arguments and its records."""
+        seen = []
 
-    @pytest.mark.parametrize(
-        "doc",
-        [{}, [], (), "", "\u00e9\"\n", None, True, 0, -0.0, 5e-324, 1e16, 10**30,
-         {"a": {}, "b": [], "c": [[], {}]}, [1.5, 1.5, -0.0, 0.0, -0.0]],
-    )
-    def test_equals_json_dumps_on_edge_documents(self, doc):
-        assert _json_text(doc) == _dumps(doc)
+        def spy(*args, **kwargs):
+            records = run_federation(*args, **kwargs)
+            seen.append((args, kwargs, records))
+            return records
 
-    @pytest.mark.parametrize(
-        "doc",
-        [
-            float("nan"),
-            {"p": [0.5, float("inf")]},
-            [{"x": -float("inf")}],
-            {"a": {"b": float("nan")}},
-            object(),
-            {"a": {1, 2}},
-            [np.int64(3)],
-            {(1, 2): 0},
-            {"a": 1, 2: 0},
-        ],
-    )
-    def test_raises_what_json_dumps_raises(self, doc):
-        with pytest.raises(Exception) as want:
-            _dumps(doc)
-        with pytest.raises(Exception) as got:
-            _json_text(doc)
-        assert got.type is want.type
+        monkeypatch.setattr(cli, "run_federation", spy)
+        return seen
 
-    @pytest.mark.parametrize("key", [1, -0.0, 1.5, float("nan"), True, None, np.int64(3)])
-    def test_a_key_that_is_not_a_str_raises_type_error(self, key):
-        with pytest.raises(TypeError, match="keys must be str"):
-            _json_text({"a": [{key: 0}]})
-
-    def test_peak_memory_on_the_50_site_report_stays_under_three_texts(self, tmp_path, capsys):
-        cfg = write_config(
-            tmp_path, method="wfisher", n_sites=50, share_source="estimated", reporting_cycle=4, lag=2
-        )
+    @staticmethod
+    def report(tmp_path, capsys, calls, fields, seed) -> str:
+        """Run `federation` on `fields` with --out, check its files against
+        the oracle and its stdout against the file; return the report."""
+        if "csv" in fields:
+            path = tmp_path / "counts.csv"
+            path.write_text(fields["csv"], encoding="utf-8")
+            fields = fields | {"csv": str(path)}
+        argv = ["federation", "--config", write_config(tmp_path, **fields)]
+        argv += [] if seed is None else ["--seed", seed]
         out = tmp_path / "report.json"
-        assert run(["federation", "--config", cfg, "--seed", 7, "--out", out], capsys)[0] == 0
-        text = out.read_text(encoding="utf-8")
-        doc = json.loads(text)
-        tracemalloc.start()
+        assert run(argv + ["--out", out], capsys)[0] == 0
+        ((args, kwargs, records),) = calls
+        assert len(args) == 2 and isinstance(args[1], FederationConfig) and kwargs == {}
+        report, alarms = _report_oracle(*args, seed, records)
+        assert out.read_bytes() == report.encode("utf-8")
+        assert (tmp_path / "report.alarms.csv").read_bytes() == alarms.encode("utf-8")
+        code, stdout, _ = run(argv, capsys)
+        assert code == 0 and stdout.encode("utf-8") == out.read_bytes()
+        return report
+
+    @pytest.mark.parametrize(
+        "fields, seed, shows",
+        [
+            ({"method": "wfisher", "share_source": "known", "n_sites": 7}, 5, '"shares": ['),
+            (
+                {"method": "wfisher", "share_source": "estimated", "n_sites": 7,
+                 "reporting_cycle": 3, "lag": 1},
+                2024,
+                '"share_source": "estimated"',
+            ),
+            ({"method": "stouffer", "share_source": "none", "n_sites": 7}, 11, '"shares": null'),
+            (
+                {"method": "wstouffer", "share_source": "known", "n_sites": 1},
+                3,
+                '"sites": [\n    "builtin-1"\n  ]',
+            ),
+            (
+                {"method": "stouffer", "share_source": "estimated", "n_sites": 1},
+                7,
+                '"shares": null',
+            ),
+            ({"csv": COUNTS_CSV, "share_source": "estimated"}, None, '"seed": null'),
+            ({"csv": DAILY_CSV, "method": "wfisher"}, None, '"date": "2024-03-06"'),
+            ({"csv": SHORT_CSV, "method": "wfisher"}, None, '"periods": []'),
+        ],
+        ids=["known-wfisher-7", "estimated-wfisher-7", "none-stouffer-7", "known-wstouffer-1",
+             "estimated-stouffer-1", "csv", "csv-daily", "csv-shorter-than-a-window"],
+    )
+    def test_bytes_equal_json_dumps_of_the_records(
+        self, tmp_path, capsys, calls, fields, seed, shows
+    ):
+        assert shows in self.report(tmp_path, capsys, calls, fields, seed)
+
+    @pytest.mark.parametrize("method", combine.METHOD_IDS)
+    def test_every_method_s_report_equals_json_dumps(self, tmp_path, capsys, calls, method):
+        fields = {"method": method, "share_source": "estimated", "n_sites": 3, "reporting_cycle": 2}
+        report = self.report(tmp_path, capsys, calls, fields, 9)
+        assert ('"shares": null' in report) == (method not in combine.SHARE_METHODS)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("where", ["p", "share"])
+    def test_a_value_json_cannot_hold_raises_and_leaves_no_file(
+        self, tmp_path, monkeypatch, bad, where
+    ):
+        def spoiled(sites, cfg):
+            records = run_federation(sites, cfg)
+            cp = records[3]
+            if where == "p":
+                records[3] = cp._replace(p=bad)
+            else:
+                records[3] = cp._replace(shares=(bad,) + cp.shares[1:])
+            return records
+
+        monkeypatch.setattr(cli, "run_federation", spoiled)
+        cfg = write_config(tmp_path, method="wfisher", n_sites=3)
+        out = tmp_path / "report.json"
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            main(["federation", "--config", str(cfg), "--seed", "1", "--out", str(out)])
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_each_zero_keeps_its_sign(self):
+        texts = cli._FloatTexts()
+        got = [texts[x] for x in (0.0, -0.0, 0.0, 0.5, 0.5)]
+        assert got == ["0.0", "-0.0", "0.0", "0.5", "0.5"]
+        assert list(texts) == [0.5]
+
+
+class TestStartUpObjectsFrozen:
+    """`main` freezes the objects start-up left, so the command's
+    collections scan only what it allocates, and unfreezes them on exit;
+    a caller that froze objects itself keeps them frozen."""
+
+    @pytest.fixture
+    def freeze_counts(self, monkeypatch):
+        """`gc.get_freeze_count()` inside each `cli.run_federation` call;
+        the call raises DomainError once `fail` is set."""
+        seen, fail = [], []
+
+        def spy(*args):
+            seen.append(gc.get_freeze_count())
+            if fail:
+                raise DomainError("stand-in failure")
+            return run_federation(*args)
+
+        monkeypatch.setattr(cli, "run_federation", spy)
+        return seen, fail
+
+    @pytest.mark.parametrize("fails", [False, True], ids=["exit-0", "exit-2"])
+    def test_the_command_runs_frozen_and_main_unfreezes(self, capsys, freeze_counts, fails):
+        seen, fail = freeze_counts
+        fail += [True] if fails else []
+        assert gc.get_freeze_count() == 0
+        assert run(["federation", "--seed", 1], capsys)[0] == (2 if fails else 0)
+        assert seen[0] > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_a_callers_frozen_objects_stay_frozen(self, capsys, freeze_counts):
+        seen, _ = freeze_counts
+        gc.freeze()
         try:
-            got = _json_text(doc)
-            peak = tracemalloc.get_traced_memory()[1]
+            frozen = gc.get_freeze_count()
+            assert run(["federation", "--seed", 1], capsys)[0] == 0
+            assert 0 < seen[0] <= frozen  # main froze nothing more
+            assert gc.get_freeze_count() > 0
         finally:
-            tracemalloc.stop()
-        assert got == text
-        assert peak < 3 * len(text)  # json.dumps peaks at about 4.3 texts
+            gc.unfreeze()
 
 
 class TestExitCodes:

@@ -727,6 +727,23 @@ class TestGammaIsfMemo:
         assert len(finished) == 2
         assert threading.active_count() == running
 
+    def test_failure_in_a_workers_chunk_is_raised_once_every_chunk_ends(self, monkeypatch):
+        finished = []
+
+        def fails_in_the_middle_chunk(a, x):
+            if a[0] == 4.0:  # cells 3-5 of 9: the first worker's chunk
+                raise FloatingPointError("stand-in worker failure")
+            time.sleep(0.05)  # still running unless waited for
+            finished.append(threading.current_thread())
+            return special.gammainccinv(a, x)
+
+        _split_everything(monkeypatch)
+        running = threading.active_count()
+        with pytest.raises(FloatingPointError, match="worker"):
+            nm._split_inverse(fails_in_the_middle_chunk, np.arange(1.0, 10.0), np.full(9, 0.3))
+        assert len(finished) == 2 and threading.current_thread() in finished
+        assert threading.active_count() == running
+
     @pytest.mark.parametrize("split", [True, False], ids=["split-everything", "default-size"])
     def test_a_call_below_two_chunks_runs_in_the_calling_thread(self, monkeypatch, split):
         threads = set()

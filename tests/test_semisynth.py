@@ -7,6 +7,7 @@ import pytest
 
 from fedsurv import semisynth as ss
 from fedsurv.errors import ConfigError, DomainError
+from fedsurv.federation import FederationConfig, run_federation
 
 import oracles
 
@@ -193,6 +194,34 @@ class TestSplitMultinomial:
         a = ss.split_multinomial(src, sv, seed=1234)
         b = ss.split_multinomial(src, sv, seed=1234)
         assert [p.counts for p in a] == [p.counts for p in b]
+
+    def test_a_50_site_split_checks_its_timeline_once(self):
+        src = counts([40] * 400, period="weekly")
+        ss._check_timeline.cache_clear()
+        parts = ss.split_multinomial(src, ss.ShareVector.equal(50), seed=2024)
+        assert len(parts) == 50
+        assert ss._check_timeline.cache_info()[:2] == (49, 1)  # hits, misses
+
+
+class TestTimelineCoercion:
+    def test_a_list_built_site_aligns_with_a_tuple_built_one(self):
+        dates = ss.date_range(D0, 6, "weekly")
+        listed = ss.CountSeries("a", "weekly", list(dates), (5, 6, 4, 5, 6, 13))
+        tupled = ss.CountSeries("b", "weekly", dates, (5, 6, 4, 5, 6, 13))
+        assert listed.timestamps == tupled.timestamps and isinstance(listed.timestamps, tuple)
+        assert len(run_federation([listed, tupled], FederationConfig())) == 2
+        rates = ss.PrevalenceSeries("weekly", list(dates), (1.0,) * 6)
+        assert rates.timestamps == dates
+
+    @pytest.mark.parametrize(
+        "cls, values", [(ss.CountSeries, (1, 2)), (ss.PrevalenceSeries, (1.0, 2.0))]
+    )
+    def test_a_bad_timeline_raises_on_every_call(self, cls, values):
+        ts = [D0, D0 + datetime.timedelta(days=2)]
+        args = ("s",) if cls is ss.CountSeries else ()
+        for _ in range(2):
+            with pytest.raises(DomainError, match="strictly increasing with daily spacing"):
+                cls(*args, "daily", ts, values)
 
 
 class TestEmptyDraws:
