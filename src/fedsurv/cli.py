@@ -10,7 +10,8 @@ a nested dataclass (such as `SurgeHypothesis`) at top level: `test` reads
 `PowerCurveConfig`, `semisynth` `SemisynthRunConfig` and `federation`
 `FederationRunConfig` (which nest `SemisynthConfig` and `FederationConfig`),
 and `evaluate` `EvaluateConfig`. A key's JSON type and default are those of
-its field; a command with `--seed` also reads the key "seed".
+its field; a command with `--seed` also reads the key "seed", which
+`--seed` overrides.
 
 Outputs are byte-deterministic for identical config and seed: floats are
 rendered with repr (shortest round-trip form), JSON keys are sorted, and
@@ -174,18 +175,6 @@ def _pooled(series: Sequence[CountSeries]) -> CountSeries:
 # --------------------------------------------------------------- config
 
 
-class _JsonConstant:
-    """A NaN, Infinity or -Infinity literal, which JSON does not define and
-    Python's parser accepts. It is of no kind, so the field holding it is
-    rejected by name."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __repr__(self) -> str:
-        return self.name
-
-
 def _field_value(raw, kind, what: str, base: Path):
     """The JSON value `raw` as a field of type `kind`, or a ConfigError
     naming `what`: a ``tuple[X, ...]`` is a list of X and a ``tuple[X, X]``
@@ -257,7 +246,7 @@ def read_config(args, cls):
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
-            data = json.loads(text, parse_constant=_JsonConstant)
+            data = json.loads(text)
         except ValueError as exc:  # also an integer literal past Python's digit limit
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
@@ -265,7 +254,8 @@ def read_config(args, cls):
         base = path.parent
     seed = _NO_SEED
     if "seed" in vars(args):
-        seed = data.pop("seed", _NO_SEED) if args.seed is None else args.seed
+        config_seed = data.pop("seed", _NO_SEED)
+        seed = config_seed if args.seed is None else args.seed
     config = take_fields(data, cls, base)
     if data:
         raise ConfigError(f"unknown config field {', '.join(repr(k) for k in sorted(data))}")

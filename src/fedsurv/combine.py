@@ -76,10 +76,6 @@ class EvidenceSet:
         if self.rho is not None:
             object.__setattr__(self, "rho", _checked_rho(self.rho))
 
-    @property
-    def n_sites(self) -> int:
-        return len(self.p_values)
-
 
 @dataclass(frozen=True)
 class CombinedResult:

@@ -19,8 +19,8 @@ Share sources:
   * "known" is the benchmark upper bound where true window shares are
     assumed available out of band, as when custodians publish sizes.
 
-The simulator is in-process message passing. Reports are JSON-serializable
-dictionaries, which is the seam a networked deployment would replace.
+The simulator is in-process message passing: a report is a frozen
+dataclass whose fields are all that crosses the boundary.
 """
 
 from __future__ import annotations
@@ -62,9 +62,6 @@ class PValueReport:
     def __post_init__(self) -> None:
         object.__setattr__(self, "p_value", checked_float(self.p_value, "p_value", 0.0, 1.0))
 
-    def to_json(self) -> dict:
-        return {"site_id": self.site_id, "period": self.period_index, "p": self.p_value}
-
 
 @dataclasses.dataclass(frozen=True)
 class CoarseReport:
@@ -76,9 +73,6 @@ class CoarseReport:
 
     def __post_init__(self) -> None:
         check_int_fields(self, cycle_index=0, total_count=0)
-
-    def to_json(self) -> dict:
-        return {"site_id": self.site_id, "cycle": self.cycle_index, "total": self.total_count}
 
 
 @dataclasses.dataclass(frozen=True)

@@ -836,9 +836,22 @@ class TestFloatFieldTable:
     value as its first entry. The table asks for no large array: every
     value is rejected or, as an empty sweep, shrinks the run."""
 
-    # raw JSON texts: the integer 10**400 and 1e400 (which parses as inf)
-    # are written out, as json.dumps cannot write them
-    VALUES = ("1" + "0" * 400, "1e400", "-1e300", '"x"', "true", "null", "[]", "{}")
+    # raw JSON texts, written out as they are: the integer 10**400, 1e400
+    # (which parses as inf), and the NaN and ±Infinity literals, which JSON
+    # does not define and Python's parser reads as floats
+    VALUES = (
+        "1" + "0" * 400,
+        "1e400",
+        "-1e300",
+        "NaN",
+        "Infinity",
+        "-Infinity",
+        '"x"',
+        "true",
+        "null",
+        "[]",
+        "{}",
+    )
 
     @staticmethod
     def bases(tmp_path, counts_csv) -> dict:
@@ -979,6 +992,18 @@ def test_null_reads_as_absent_in_every_optional_field(tmp_path, counts_csv, caps
         ]
         assert runs[0] == runs[1], key
     assert keys or command == "power-curve"
+
+
+@pytest.mark.parametrize("command", ["power-curve", "semisynth", "federation"])
+def test_seed_flag_overrides_the_config_seed(tmp_path, counts_csv, capsys, command):
+    """``--seed`` beside a config "seed" wins: the run writes what it writes
+    without the key. It used to exit 2 with "unknown config field 'seed'"."""
+    base = TestFloatFieldTable.bases(tmp_path, counts_csv)[command]
+    runs = [
+        run([command, "--config", write_config(tmp_path, **config), "--seed", 3], capsys)
+        for config in ({k: v for k, v in base.items() if k != "seed"}, base | {"seed": 99})
+    ]
+    assert runs[0][0] == 0 and runs[0] == runs[1]
 
 
 class TestOneSiteAlignmentRule:
