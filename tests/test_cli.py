@@ -1260,6 +1260,38 @@ def test_csv_row_rule_exits_2_naming_file_and_place(tmp_path, capsys, target, fa
         assert "line 3" in err
 
 
+def _command_reading(directory, target, bom):
+    """The command that reads the `target` input, written in `directory`
+    with a UTF-8 byte-order mark if `bom`; every other input has none."""
+    directory.mkdir()
+
+    def write(name, text, marked):
+        path = directory / name
+        path.write_text(text, encoding="utf-8-sig" if bom and marked else "utf-8")
+        return str(path)
+
+    if target == "combine":
+        text = json.dumps({"method": "fisher", "p_values": [0.05, 0.2]})
+        return ["combine", "--config", write("config.json", text, True)]
+    if target == "test":
+        text = json.dumps({"csv": write("counts.csv", COUNTS_CSV, True), "at": 5})
+    else:
+        files = {name: write(f"{name}.csv", CSV_INPUTS[name], name == "scores")
+                 for name in ("scores", "truth")}
+        text = json.dumps(files)
+    return [target, "--config", write("config.json", text, False)]
+
+
+@pytest.mark.parametrize("target", ["test", "evaluate", "combine"])
+def test_a_byte_order_mark_reads_as_the_same_file(tmp_path, capsys, target):
+    """A UTF-8 byte-order mark, which Excel writes by default, before a CSV
+    input or a JSON config changes nothing in the command's output."""
+    plain = run(_command_reading(tmp_path / "plain", target, False), capsys)
+    marked = run(_command_reading(tmp_path / "bom", target, True), capsys)
+    assert plain[0] == 0 and plain[1]
+    assert marked == plain
+
+
 def _dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
@@ -1404,43 +1436,51 @@ class TestFederationReport:
         assert list(texts) == [0.5]
 
 
-class TestStartUpObjectsFrozen:
-    """`main` freezes the objects start-up left, so the command's
-    collections scan only what it allocates, and unfreezes them on exit;
-    a caller that froze objects itself keeps them frozen."""
+class TestCollectorUntouched:
+    """`main` leaves the collector as its caller set it: a command whose
+    caller froze nothing runs with nothing frozen, and a caller's frozen
+    objects stay frozen while what it made later is not frozen."""
 
     @pytest.fixture
-    def freeze_counts(self, monkeypatch):
-        """`gc.get_freeze_count()` inside each `cli.run_federation` call;
-        the call raises DomainError once `fail` is set."""
-        seen, fail = [], []
+    def freeze_state(self, monkeypatch):
+        """Inside each `cli.run_federation` call, `gc.get_freeze_count()`
+        and, for each of `probes`, whether the collector still tracks it
+        outside the permanent generation; the call raises DomainError once
+        `fail` is set."""
+        seen, fail, probes = [], [], []
 
         def spy(*args):
-            seen.append(gc.get_freeze_count())
+            unfrozen = [any(o is p for o in gc.get_objects()) for p in probes]
+            seen.append((gc.get_freeze_count(), unfrozen))
             if fail:
                 raise DomainError("stand-in failure")
             return run_federation(*args)
 
         monkeypatch.setattr(cli, "run_federation", spy)
-        return seen, fail
+        return seen, fail, probes
 
     @pytest.mark.parametrize("fails", [False, True], ids=["exit-0", "exit-2"])
-    def test_the_command_runs_frozen_and_main_unfreezes(self, capsys, freeze_counts, fails):
-        seen, fail = freeze_counts
+    def test_the_command_runs_with_nothing_frozen(self, capsys, freeze_state, fails):
+        seen, fail, _ = freeze_state
         fail += [True] if fails else []
         assert gc.get_freeze_count() == 0
         assert run(["federation", "--seed", 1], capsys)[0] == (2 if fails else 0)
-        assert seen[0] > 0
+        assert seen == [(0, [])]
         assert gc.get_freeze_count() == 0
 
-    def test_a_callers_frozen_objects_stay_frozen(self, capsys, freeze_counts):
-        seen, _ = freeze_counts
+    def test_a_callers_frozen_objects_stay_frozen(self, capsys, freeze_state):
+        seen, _, probes = freeze_state
+        probes.append([])
         gc.freeze()
         try:
             frozen = gc.get_freeze_count()
+            probes.append([])
             assert run(["federation", "--seed", 1], capsys)[0] == 0
-            assert 0 < seen[0] <= frozen  # main froze nothing more
-            assert gc.get_freeze_count() > 0
+            # main froze nothing more: the count can only fall, as frozen
+            # objects that lose their last reference are freed
+            assert seen[0][0] <= frozen
+            assert seen[0][1] == [False, True]
+            assert not any(o is probes[0] for o in gc.get_objects())
         finally:
             gc.unfreeze()
 

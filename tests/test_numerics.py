@@ -1,5 +1,6 @@
 import ast
 import functools
+import importlib.util
 import math
 import random
 import subprocess
@@ -402,6 +403,21 @@ class TestShippedTable:
         assert shipped.dtype == np.dtype("<f8"), self.REWRITE
         same = shipped.astype(float).tobytes() == built.tobytes()
         assert same, f"{path.name} differs from _CdfTable; rewrite it with: {self.REWRITE}"
+
+    def test_tool_writes_the_shipped_bytes(self, tmp_path, monkeypatch, capsys):
+        shipped = nm._table_path(DEFAULT_RHO)
+        before = shipped.read_bytes()
+        tool = Path(__file__).resolve().parents[1] / "tools" / "write_cdf_table.py"
+        spec = importlib.util.spec_from_file_location("write_cdf_table", tool)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(nm, "_TABLE_DIR", tmp_path)
+        module.main()
+        written = tmp_path / shipped.name
+        assert capsys.readouterr().out == f"wrote {written}: {nm._TABLE_ENTRIES} values\n"
+        assert [p.name for p in tmp_path.iterdir()] == [shipped.name]
+        assert written.read_bytes() == before
+        assert shipped.read_bytes() == before
 
     def test_mapped_read_only_at_the_first_lookup(self, fresh_tables):
         table = nm._cdf_table(DEFAULT_RHO)
