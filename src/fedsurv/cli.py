@@ -472,16 +472,22 @@ def cmd_federation(args) -> int:
     timeline = sites[0].timestamps
     alpha = fed_cfg.hypothesis.alpha
     # every period is rendered before the output is opened, so that a
-    # value JSON cannot hold leaves no file
+    # value JSON cannot hold leaves no file. run_federation hands each run of
+    # bit-equal share columns one tuple, so a share block is rendered only
+    # where a record's tuple is not the previous record's object (identity,
+    # not ==, since 0.0 == -0.0)
     texts = _FloatTexts()
     periods, alarm_rows = [], []
+    used, shares = None, "null"
     for cp in combined:
         date, p, alarm = timeline[cp.period_index].isoformat(), texts[cp.p], cp.p < alpha
         if alarm:
             alarm_rows.append((str(cp.period_index), date, p))
-        shares = "null"
-        if cp.shares is not None:
-            shares = _SHARES_JSON % _SHARE_SEP.join(map(texts.__getitem__, cp.shares))
+        if cp.shares is not used:
+            used = cp.shares
+            shares = "null"
+            if used is not None:
+                shares = _SHARES_JSON % _SHARE_SEP.join(map(texts.__getitem__, used))
         comma = "," if periods else ""
         entry = (comma, "true" if alarm else "false", date, p, cp.period_index, shares)
         periods.append(_PERIOD_JSON % entry)

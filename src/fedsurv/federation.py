@@ -103,6 +103,11 @@ class FederationConfig:
 
 
 class CombinedPeriod(NamedTuple):
+    """One period's combined p-value and the share vector the aggregator
+    used, or None when the method ignores shares. Consecutive records from
+    ``run_federation`` whose share vectors are equal bit for bit hold one
+    tuple object."""
+
     period_index: int
     p: float
     shares: Optional[tuple]
@@ -255,6 +260,10 @@ def run_federation(
     ``site_compute_report``), the (N, T - l) shares and the (T - l,) pooled
     totals, which one ``combine_matrix`` call combines column by column,
     each column with the bits ``aggregate_period`` gives that period.
+
+    Each run of consecutive periods whose share columns are equal bit for
+    bit (compared as uint64, so 0.0 and -0.0 differ) shares one tuple:
+    estimated shares change only when a reporting cycle is released.
     """
     if not sites:
         raise ConfigError("at least one site is required")
@@ -278,7 +287,11 @@ def run_federation(
         shares, totals = _estimated_weights(counts, cfg, periods)
     p = combine.combine_matrix(cfg.method, p_values, shares, totals, hyp.rho).tolist()
     if cfg.method in combine.SHARE_METHODS:
-        used = map(tuple, shares.T.tolist())
+        bits = shares.view(np.uint64)
+        fresh = np.ones(len(p), dtype=bool)
+        fresh[1:] = (bits[:, 1:] != bits[:, :-1]).any(axis=0)
+        distinct = list(map(tuple, shares[:, fresh].T.tolist()))
+        used = [distinct[i] for i in (np.cumsum(fresh) - 1).tolist()]
     else:
         used = [None] * len(p)
     return [CombinedPeriod(t, v, u) for t, v, u in zip(periods.tolist(), p, used)]

@@ -1323,6 +1323,29 @@ def _report_oracle(sites, cfg, seed, combined) -> tuple[str, str]:
     return _dumps(doc), "period,date,p\n" + rows
 
 
+# Share tuples for n records, in place of run_federation's: one object
+# repeated; two objects that are `==` but differ in a zero's sign; A, B, A;
+# a new value every period.
+def _one_object(n):
+    shared = (0.25, 0.75)
+    return [shared] * n
+
+
+def _signed_zeros(n):
+    zero, negative = tuple([0.0, 1.0]), tuple([-0.0, 1.0])
+    assert zero == negative and zero is not negative
+    return [zero] * (n // 2) + [negative] * (n - n // 2)
+
+
+def _a_b_a(n):
+    a, b = (0.25, 0.75), (0.5, 0.5)
+    return [a] * (n // 3) + [b] * (n // 3) + [a] * (n - 2 * (n // 3))
+
+
+def _every_period(n):
+    return [(i / n, 1 - i / n) for i in range(n)]
+
+
 DAILY_CSV = "site_id,date,count\n" + "".join(
     f"{site},2024-03-{day:02d},{count}\n"
     for site, base in (("a", 3), ("b", 8))
@@ -1428,6 +1451,36 @@ class TestFederationReport:
         with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
             main(["federation", "--config", str(cfg), "--seed", "1", "--out", str(out)])
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "tuples, shows",
+        [
+            (_one_object, "0.75"),
+            (_signed_zeros, '"shares": [\n        -0.0,'),
+            (_a_b_a, '"shares": [\n        0.5,'),
+            (_every_period, '"shares": [\n        0.0,'),
+        ],
+        ids=["one-object", "equal-but-signed-zeros", "a-b-a", "every-period"],
+    )
+    def test_each_period_s_shares_follow_its_record_s_tuple(
+        self, tmp_path, capsys, monkeypatch, tuples, shows
+    ):
+        """The command renders a share block once per distinct record tuple
+        and reuses it while the next record holds the same object; a tuple
+        that is `==` to the last but another object is rendered anew, as
+        (-0.0, 1.0) after (0.0, 1.0) must be."""
+        seen = []
+
+        def spy(*args):
+            records = run_federation(*args)
+            shares = tuples(len(records))
+            records = [cp._replace(shares=u) for cp, u in zip(records, shares)]
+            seen.append((args, {}, records))
+            return records
+
+        monkeypatch.setattr(cli, "run_federation", spy)
+        fields = {"method": "wfisher", "share_source": "known", "n_sites": 2}
+        assert shows in self.report(tmp_path, capsys, seen, fields, 5)
 
     def test_each_zero_keeps_its_sign(self):
         texts = cli._FloatTexts()

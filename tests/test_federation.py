@@ -386,6 +386,51 @@ class TestBatchedLoopMatchesPerPeriodReference:
             assert len(out) == 21
 
 
+class TestShareTuplesShared:
+    """`run_federation` hands each run of consecutive periods whose share
+    vectors are equal bit for bit one tuple object, and a new one where the
+    vector changes. The runs are counted from the per-period reference,
+    not from `_estimated_weights`."""
+
+    @staticmethod
+    def check(sites, cfg):
+        got = fed.run_federation(sites, cfg)
+        want = oracles.run_federation_per_period(sites, cfg)
+        assert got == want
+        bits = [tuple(map(float.hex, cp.shares)) for cp in want]  # -0.0 apart from 0.0
+        changes = [b != a for a, b in zip(bits, bits[1:])]
+        for (prev, cur), changed in zip(zip(got, got[1:]), changes):
+            assert (cur.shares is not prev.shares) == changed
+        assert len({id(cp.shares) for cp in got}) == 1 + sum(changes)
+        return got, sum(changes) + 1
+
+    def test_estimated_shares_one_tuple_per_released_cycle(self):
+        rng = np.random.default_rng(17)
+        pooled = series([int(v) for v in rng.poisson(40.0, size=30)], site_id="hub")
+        sites = split_multinomial(pooled, ShareVector.equal(7), seed=3)
+        cfg = fed.FederationConfig(HYP, "wfisher", "estimated", reporting_cycle=3, lag=1)
+        got, runs = self.check(sites, cfg)
+        # periods 4..29 read cycles released at 3, 6, ..., 27: nine values
+        assert len(got) == 26 and runs == 9
+
+    def test_known_shares_a_new_tuple_wherever_the_column_differs(self):
+        rng = np.random.default_rng(4)
+        steady = [5] * 10  # windows inside it repeat the column
+        rows = [steady + rng.poisson(8.0, size=12).tolist() for _ in range(3)]
+        sites = [series(row, site_id=f"s{i}") for i, row in enumerate(rows)]
+        got, runs = self.check(sites, fed.FederationConfig(HYP, "cstouffer", "known"))
+        assert 1 < runs < len(got)
+
+    def test_no_shares_and_no_periods(self):
+        sites = [series([3, 1, 4, 1, 5, 9, 2, 6], site_id=f"s{i}") for i in range(3)]
+        for source in ("none", "estimated", "known"):
+            out = fed.run_federation(sites, fed.FederationConfig(HYP, "fisher", source))
+            assert len(out) == 4 and all(cp.shares is None for cp in out)
+        short = [series([3, 1, 4], site_id=f"s{i}") for i in range(3)]
+        for source in ("estimated", "known"):
+            assert fed.run_federation(short, fed.FederationConfig(HYP, "wfisher", source)) == []
+
+
 class TestEstimatedWeightsTable:
     """`fed._estimated_weights` sums each complete cycle of the count matrix
     in one reshape; `oracles.site_coarse_reports` builds one report per
