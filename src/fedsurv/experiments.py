@@ -172,6 +172,13 @@ def _method_pvalues(
     return p_central, rows
 
 
+# Site-windows (sites x replicates) the power engine scores in one
+# `_method_pvalues` call, 32,768 replicates at two sites, which bounds the
+# scoring scratch at any replicate count: on default `power-curve`, 2^15
+# was about 10% slower and 2^17 took peak RSS from 77 to 83 MB.
+_POWER_SLICE_SITE_WINDOWS = 1 << 16
+
+
 def _simulate_method_pvalues(
     rng: np.random.Generator, cfg: PowerCurveConfig, theta_alt: float, reps: int
 ) -> dict:
@@ -179,7 +186,10 @@ def _simulate_method_pvalues(
 
     Every method sees the same draws, so cross-method comparisons are
     paired. Sites draw Poisson baselines at their share of the pooled rate
-    and a test count inflated by 1+theta_alt.
+    and a test count inflated by 1+theta_alt. The batch is drawn whole and
+    scored in slices of ``_POWER_SLICE_SITE_WINDOWS`` site-windows (at
+    least one replicate); p-values are computed replicate by replicate, so
+    the slicing changes no bit.
     """
     hyp = cfg.hypothesis
     shares = np.asarray(cfg.shares, dtype=float)
@@ -190,7 +200,15 @@ def _simulate_method_pvalues(
 
     _check_window_sums(hyp.baseline_len + 1, base, test)
     c_site = base.sum(axis=1)
-    _, rows = _method_pvalues(cfg.methods, c_site, c_site + test, hyp, int(np.argmax(shares)))
+    n_site = c_site + test
+    del base, test
+    largest = int(np.argmax(shares))
+    rows = np.empty((len(cfg.methods), reps))
+    step = max(1, _POWER_SLICE_SITE_WINDOWS // n_sites)
+    for first in range(0, reps, step):
+        cols = slice(first, first + step)
+        c, n = c_site[:, cols], n_site[:, cols]
+        _, rows[:, cols] = _method_pvalues(cfg.methods, c, n, hyp, largest)
     return dict(zip(cfg.methods, rows))
 
 

@@ -361,10 +361,6 @@ def gamma_sf(a, x):
 # kept beside it. A slot whose a key is zero is empty: it never matches, as
 # every valid a is > 0. One lock covers every read and write of it.
 _ISF_MEMO_SLOTS = 1 << 15
-# cells looked up at a time, which bounds a call's scratch at any width:
-# unblocked, default `power-curve` made 235,484 inversions instead of 327,826
-# in the same time, but its peak RSS rose from 77.8 to 82.7 MB
-_ISF_BLOCK = 1 << 15
 _isf_lock = threading.Lock()
 _isf_memo: tuple | None = None
 # odd multipliers of the pair's hash; its top 32 bits, which depend on
@@ -431,7 +427,7 @@ def _split_inverse(inverse, a: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def _isf_block(inverse, a: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
-    """inverse(a, p), the Gamma quantiles of one block of cells, into `out`:
+    """inverse(a, p), the Gamma quantiles of a call's cells, into `out`:
     hits read from the memo, and the distinct pairs among the misses
     inverted in one `_split_inverse` call, then stored. One ``lexsort`` of
     the misses in place of the claim rounds gives the same bytes but took
@@ -445,7 +441,7 @@ def _isf_block(inverse, a: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
     slot *= np.uint64(_ISF_MEMO_SLOTS)
     slot >>= _U32
     slot = slot.view(np.intp)
-    # a cell index of the block per slot, in the smallest dtype that holds one
+    # a cell index per slot, in the smallest dtype that holds one
     claim = np.empty(_ISF_MEMO_SLOTS, dtype=np.min_scalar_type(a.size))
     with _isf_lock:
         keys_a, keys_p, values = _isf_table(inverse)
@@ -487,12 +483,11 @@ def gamma_isf(a, p):
 
     Batches repeat (a, p) pairs heavily, within a call and across calls, so
     each cell is looked up in a fixed-size memo keyed by the pair's bits
-    and only what the memo misses is inverted, once per distinct pair of a
-    block, in one call per block that is split across the usable CPUs in
-    threads started for the call and joined before it returns. A value
-    read from the memo is the bits that inverting the cell gives, and the
-    inverse works cell by cell, so neither the memo's state nor the threads
-    ever change a result.
+    and only what the memo misses is inverted, once per distinct pair, in
+    one call that is split across the usable CPUs in threads started for
+    the call and joined before it returns. A value read from the memo is
+    the bits that inverting the cell gives, and the inverse works cell by
+    cell, so neither the memo's state nor the threads ever change a result.
     """
     scalar = np.isscalar(a) and np.isscalar(p)
     a_arr = checked_floats(a, "a", 0.0, strict=True)
@@ -501,10 +496,7 @@ def gamma_isf(a, p):
     a_b, p_b = _broadcast(a=a_arr, p=p_arr)
     a_flat, p_flat = a_b.reshape(-1), p_b.reshape(-1)
     out = np.empty(a_flat.size)
-    inverse = special.gammainccinv
-    for start in range(0, out.size, _ISF_BLOCK):
-        cells = slice(start, start + _ISF_BLOCK)
-        _isf_block(inverse, a_flat[cells], p_flat[cells], out[cells])
+    _isf_block(special.gammainccinv, a_flat, p_flat, out)
     # [()] unwraps a 0-d array's result to a numpy scalar, as the ufunc
     # returns it
     return _ret(out.reshape(a_b.shape)[()], scalar)

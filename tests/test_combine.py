@@ -1,7 +1,6 @@
 import math
 import sys
 import threading
-import tracemalloc
 import types
 
 import numpy as np
@@ -378,10 +377,10 @@ class TestGammaTransformDedupe:
             want = self.per_cell_reference(method, p_mat, share_mat, totals)
             assert got.tolist() == want, (method, p_mat.shape, shares.ndim)
 
-    @pytest.fixture(params=["cold", "warm", "one_slot", "small_blocks"])
+    @pytest.fixture(params=["cold", "warm", "one_slot"])
     def memo_state(self, request, monkeypatch):
         """An empty memo; one filled by every batch first; a one-slot table,
-        where every pair collides; blocks of 7 cells, so a batch spans many."""
+        where every pair collides."""
         monkeypatch.setattr(numerics, "_isf_memo", None)
         if request.param == "warm":
             for method in ("wfisher", "lancaster"):
@@ -389,8 +388,6 @@ class TestGammaTransformDedupe:
                     cb.combine_matrix(method, p_mat, shares=shares, total_count=totals)
         elif request.param == "one_slot":
             monkeypatch.setattr(numerics, "_ISF_MEMO_SLOTS", 1)
-        elif request.param == "small_blocks":
-            monkeypatch.setattr(numerics, "_ISF_BLOCK", 7)
 
     @pytest.mark.parametrize("method", ["wfisher", "lancaster"])
     def test_equals_per_cell_reference_in_every_memo_state(self, method, memo_state):
@@ -439,7 +436,6 @@ class TestGammaTransformDedupe:
         times over through a four-slot memo they keep overwriting; every
         result keeps its single-threaded bits."""
         monkeypatch.setattr(numerics, "_ISF_MEMO_SLOTS", 4)
-        monkeypatch.setattr(numerics, "_ISF_BLOCK", 16)
         monkeypatch.setattr(numerics, "_isf_memo", None)
         batches = list(self.batches())[-4:]
         jobs = [(method, batches[k]) for k, method in enumerate(("wfisher", "lancaster") * 2)]
@@ -704,26 +700,6 @@ class TestCombineMethods:
         list(cb.combine_methods(cb.METHOD_IDS, p_mat, shares, totals, 0.7))
         # the three Stouffers share one quantile; each Gamma method inverts once
         assert calls == {"normal_quantile": 1, "gamma_isf": 2}
-
-    def test_transforms_are_dropped_after_their_last_reader(self):
-        """A pass over all nine methods, whose rows the caller stores as
-        they come, peaks within two (N, M) arrays of the heaviest single
-        method: each transform is freed once no later method reads it."""
-        rng = np.random.default_rng(44)
-        p_mat = rng.uniform(size=(4, 50_000))
-        shares = rng.dirichlet(np.ones(4), size=50_000).T
-        args = (p_mat, shares, rng.integers(1, 500, size=50_000), 0.7)
-        rows = np.empty((len(cb.METHOD_IDS), 50_000))
-        peaks = []
-        for methods in [[m] for m in cb.METHOD_IDS] + [cb.METHOD_IDS]:
-            tracemalloc.start()
-            try:
-                for row, (p, _) in zip(rows, cb.combine_methods(methods, *args)):
-                    row[:] = p
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[-1] <= max(peaks[:-1]) + 2 * p_mat.nbytes, peaks
 
     def test_context_is_checked_once_for_the_methods_that_read_it(self):
         p_mat = [[0.2, 0.3], [0.4, 0.5]]

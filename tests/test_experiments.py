@@ -226,6 +226,72 @@ class TestRunPowerCurve:
         assert again.calibration_rates == res.calibration_rates
 
 
+class TestPowerSlices:
+    """The power engine draws a batch whole and scores it in slices of as
+    many replicates as fit ``_POWER_SLICE_SITE_WINDOWS`` site-windows; the
+    slicing must not change a p-value."""
+
+    CFG = PowerCurveConfig(
+        n_total=120, shares=(0.5, 0.3, 0.2), methods=("centralized", "fisher", "lancaster")
+    )
+
+    def draws(self, seed, theta_alt, reps):
+        """The batch's (N, reps) baseline and window totals, in the engine's
+        draw order."""
+        cfg = self.CFG
+        rng = np.random.default_rng(seed)
+        lam = cfg.baseline_rate * np.asarray(cfg.shares)
+        base = rng.poisson(lam[:, None, None], size=(3, cfg.hypothesis.baseline_len, reps))
+        test = rng.poisson(lam[:, None] * (1.0 + theta_alt), size=(3, reps))
+        c = base.sum(axis=1)
+        return c, c + test
+
+    @pytest.mark.parametrize("budget, sizes", [(2, [1] * 7), (7, [2, 2, 2, 1]), (9, [3, 3, 1])])
+    def test_each_replicate_scored_once_within_budget(self, monkeypatch, budget, sizes):
+        monkeypatch.setattr(experiments, "_POWER_SLICE_SITE_WINDOWS", budget)
+        calls = []
+        real = experiments._method_pvalues
+
+        def spy(methods, c_site, n_site, hyp, largest):
+            p_central, rows = real(methods, c_site, n_site, hyp, largest)
+            calls.append((c_site.copy(), n_site.copy(), rows))
+            return p_central, rows
+
+        monkeypatch.setattr(experiments, "_method_pvalues", spy)
+        got = _simulate_method_pvalues(np.random.default_rng(23), self.CFG, 0.8, 7)
+        assert [c.shape[1] for c, _, _ in calls] == sizes
+        for c, n, _ in calls:
+            assert c.shape == n.shape and (c.size <= budget or c.shape[1] == 1)
+        want_c, want_n = self.draws(23, 0.8, 7)
+        np.testing.assert_array_equal(np.concatenate([c for c, _, _ in calls], axis=1), want_c)
+        np.testing.assert_array_equal(np.concatenate([n for _, n, _ in calls], axis=1), want_n)
+        rows = np.concatenate([r for _, _, r in calls], axis=1)
+        for method, row in zip(self.CFG.methods, rows):
+            assert got[method].tobytes() == row.tobytes()
+
+    def test_default_budget_slices_of_32768_replicates_at_two_sites(self, monkeypatch):
+        sizes = []
+
+        def stub(methods, c_site, n_site, hyp, largest):
+            sizes.append(c_site.shape)
+            return np.zeros(c_site.shape[1]), np.zeros((len(methods), c_site.shape[1]))
+
+        monkeypatch.setattr(experiments, "_method_pvalues", stub)
+        cfg = PowerCurveConfig(methods=("centralized",))
+        _simulate_method_pvalues(np.random.default_rng(5), cfg, 0.5, cfg.calibration_reps)
+        assert sizes == [(2, 32_768)] * 3 + [(2, 1_696)]
+
+    @pytest.mark.parametrize("budget", [1, 61, 1 << 20])
+    def test_run_does_not_depend_on_the_budget(self, monkeypatch, budget):
+        cfg = PowerCurveConfig(theta_grid=(0.3, 1.0), calibration_reps=1000, power_reps=1000)
+        want = run_power_curve(cfg, 31)
+        monkeypatch.setattr(experiments, "_POWER_SLICE_SITE_WINDOWS", budget)
+        got = run_power_curve(cfg, 31)
+        assert got.points == want.points
+        assert got.thresholds == want.thresholds
+        assert got.calibration_rates == want.calibration_rates
+
+
 class TestBuiltinFixture:
     def test_deterministic_across_calls(self):
         a, b = builtin_wave_counts(), builtin_wave_counts()
@@ -397,6 +463,11 @@ class TestOneWindowRule:
             assert got["largest_site"][r] == self.window_p(base[0, :, r], test[0, r])
             pooled = self.window_p(base[:, :, r].sum(axis=0), test[:, r].sum())
             assert got["centralized"][r] == pooled
+
+    @pytest.mark.parametrize("budget", [1, 3, 7])
+    def test_monte_carlo_batch_in_slices(self, monkeypatch, budget):
+        monkeypatch.setattr(experiments, "_POWER_SLICE_SITE_WINDOWS", budget)
+        self.test_monte_carlo_batch()
 
     def test_site_reports(self):
         rng = np.random.default_rng(707)

@@ -626,23 +626,21 @@ def _special_with(monkeypatch, gammainccinv):
 
 
 class TestGammaIsfMemo:
-    """``gamma_isf`` reads repeated pairs from a fixed-size memo, looks
-    cells up a fixed-size block at a time and inverts a block's misses in
-    one call, split across threads."""
+    """``gamma_isf`` reads repeated pairs from a fixed-size memo and
+    inverts a call's misses in one call, split across threads."""
 
     @pytest.mark.parametrize(
-        "slots, block, split",
+        "slots, split",
         [
-            pytest.param(slots, block, split, id=f"{slots}-{block}" + "-split" * split)
+            pytest.param(slots, split, id=f"{slots}" + "-split" * split)
             for split in (False, True)
-            for slots, block in [(1, 7), (2, 1 << 15), (1 << 15, 7), (1 << 15, 1 << 15)]
+            for slots in (1, 2, 1 << 15)
         ],
     )
-    def test_every_memo_state_gives_the_ufunc_bits(self, monkeypatch, slots, block, split):
-        if split:  # even a 7-cell block splits, into uneven chunks
+    def test_every_memo_state_gives_the_ufunc_bits(self, monkeypatch, slots, split):
+        if split:  # the misses split into uneven chunks
             _split_everything(monkeypatch)
         monkeypatch.setattr(nm, "_ISF_MEMO_SLOTS", slots)
-        monkeypatch.setattr(nm, "_ISF_BLOCK", block)
         monkeypatch.setattr(nm, "_isf_memo", None)
         rng = np.random.default_rng(61)
         # -0.0 and 0.0 are two keys with one quantile
@@ -790,56 +788,54 @@ class TestGammaIsfMemo:
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("slots", [1 << 15, 1], ids=["cold", "one-slot"])
-    def test_one_inversion_per_block_of_its_distinct_misses(self, monkeypatch, slots):
-        """The inverse gets exactly the distinct pairs that a block misses,
-        each once, in one call per block that misses any."""
-        calls = []  # (block, cells inverted)
-        blocks = []  # (the block's pairs, the pairs the memo held before it)
+    def test_one_inversion_per_call_of_its_distinct_misses(self, monkeypatch, slots):
+        """The inverse gets exactly the distinct pairs that a call misses,
+        each once, in one inversion per call that misses any."""
+        calls = []  # (lookup, cells inverted)
+        lookups = []  # (the lookup's pairs, the pairs the memo held before it)
 
         def spy(a, x):
-            calls.append((len(blocks) - 1, list(zip(a.tolist(), x.tolist()))))
+            calls.append((len(lookups) - 1, list(zip(a.tolist(), x.tolist()))))
             return special.gammainccinv(a, x)
 
-        def spy_block(inverse, a, p, out):
+        def spy_lookup(inverse, a, p, out):
             memo = nm._isf_memo
             keys = memo[1][:2] if memo is not None and memo[0] is inverse else np.zeros((2, 0))
             held = set(zip(keys[0].view(float).tolist(), keys[1].view(float).tolist()))
-            blocks.append((set(zip(a.tolist(), p.tolist())), held))
-            real_block(inverse, a, p, out)
+            lookups.append((set(zip(a.tolist(), p.tolist())), held))
+            real_lookup(inverse, a, p, out)
 
-        real_block = nm._isf_block
+        real_lookup = nm._isf_block
         _special_with(monkeypatch, spy)
         monkeypatch.setattr(nm, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(nm, "_isf_block", spy_block)
+        monkeypatch.setattr(nm, "_isf_block", spy_lookup)
         monkeypatch.setattr(nm, "_ISF_MEMO_SLOTS", slots)
-        monkeypatch.setattr(nm, "_ISF_BLOCK", 64)
         rng = np.random.default_rng(67)
         a = rng.choice([0.5, 1.0, 2.5, 40.0], size=300)
         p = rng.choice(np.linspace(0.05, 0.95, 19), size=300)
         for _ in range(2):  # cold, then warm
             assert nm.gamma_isf(a, p).tobytes() == special.gammainccinv(a, p).tobytes()
-        want = [(k, pairs - held) for k, (pairs, held) in enumerate(blocks) if pairs - held]
+        want = [(k, pairs - held) for k, (pairs, held) in enumerate(lookups) if pairs - held]
         assert [k for k, _ in calls] == [k for k, _ in want]
         for (_, cells), (_, missed) in zip(calls, want):
             assert sorted(cells) == sorted(missed)
-        assert len(blocks) == 10 and calls
+        assert len(lookups) == 2 and calls
 
-    def test_peak_memory_does_not_grow_with_cells(self):
-        """2**20 fresh pairs against 2**16: beyond the returned array, the
-        scratch is one block's."""
-        rng = np.random.default_rng(62)
-        nm.gamma_isf(np.ones(2), np.full(2, 0.5))  # the memo exists
-        scratch = []
-        for n in (1 << 16, 1 << 20):
-            a = rng.uniform(0.5, 20.0, size=n)
-            p = rng.uniform(size=n)
-            tracemalloc.start()
-            try:
-                out = nm.gamma_isf(a, p)
-                scratch.append(tracemalloc.get_traced_memory()[1] - out.nbytes)
-            finally:
-                tracemalloc.stop()
-        assert scratch[1] <= scratch[0] + 64 * 1024, scratch
+    @pytest.mark.parametrize("a_shape, p_shape", [((0,), (0,)), ((0, 1), (3,)), ((4, 0), (4, 0))])
+    def test_zero_cells_invert_nothing(self, monkeypatch, a_shape, p_shape):
+        calls = []
+
+        def spy(a, x):
+            calls.append(np.size(x))
+            return special.gammainccinv(a, x)
+
+        _special_with(monkeypatch, spy)
+        a, p = np.ones(a_shape), np.full(p_shape, 0.5)
+        for _ in range(2):  # cold, then with the memo made
+            got = nm.gamma_isf(a, p)
+            assert got.dtype == np.float64
+            assert got.shape == np.broadcast_shapes(a_shape, p_shape) and got.size == 0
+        assert calls == []
 
     def test_memo_does_not_grow_over_fresh_pairs(self):
         # each call stores 4,096 new pairs, 96 KB if the memo kept them all
